@@ -60,42 +60,55 @@ void ReputationTracker::observe(core::RegionId region, std::size_t vehicle,
   cell(region, vehicle).pending += score;
 }
 
+ReputationCell::Transition ReputationCell::fold(double raw,
+                                                const ReputationParams& params,
+                                                bool may_quarantine) {
+  smoothed = params.decay * smoothed +
+             (1.0 - params.decay) * std::min(raw, params.score_cap);
+  if (smoothed < kCleanSnap) smoothed = 0.0;
+  if (ever_quarantined && smoothed < params.decay_floor) {
+    smoothed = params.decay_floor;
+  }
+  if (!quarantined) {
+    if (may_quarantine && smoothed > params.quarantine_threshold) {
+      quarantined = true;
+      ever_quarantined = true;
+      clean_streak = 0;
+      return Transition::kQuarantined;
+    }
+    return Transition::kNone;
+  }
+  // Closed boundary: a score sitting exactly AT the rehab threshold counts
+  // as clean. The open comparison made rehab_threshold == 0.0 (a "release
+  // only a fully clean score" policy) unreachable — a vehicle quarantined on
+  // the exact final round of an attack window decayed geometrically toward
+  // 0 but never strictly below it, so it never re-entered the trusted
+  // scoring cohort. With the snap above and the closed test the release
+  // fires after the decay completes.
+  if (smoothed <= params.rehab_threshold) {
+    if (++clean_streak >= params.rehab_rounds) {
+      quarantined = false;
+      clean_streak = 0;
+      return Transition::kReleased;
+    }
+  } else {
+    clean_streak = 0;
+  }
+  return Transition::kNone;
+}
+
 void ReputationTracker::end_round(std::size_t round) {
+  using Transition = ReputationCell::Transition;
+  // The blind-start guard counts tracker rounds: every slot is observed
+  // every round.
+  const bool may_quarantine = rounds_ + 1 >= params_.min_rounds;
   for (core::RegionId i = 0; i < cells_.size(); ++i) {
     for (std::size_t v = 0; v < cells_[i].size(); ++v) {
       Cell& c = cells_[i][v];
-      const double raw = std::min(c.pending, params_.score_cap);
+      const Transition t = c.fold(c.pending, params_, may_quarantine);
       c.pending = 0.0;
-      c.smoothed = params_.decay * c.smoothed + (1.0 - params_.decay) * raw;
-      if (c.smoothed < kCleanSnap) c.smoothed = 0.0;
-      if (c.ever_quarantined && c.smoothed < params_.decay_floor) {
-        c.smoothed = params_.decay_floor;
-      }
-      if (!c.quarantined) {
-        if (rounds_ + 1 >= params_.min_rounds &&
-            c.smoothed > params_.quarantine_threshold) {
-          c.quarantined = true;
-          c.ever_quarantined = true;
-          c.clean_streak = 0;
-          events_.push_back({round, i, v, true});
-        }
-        continue;
-      }
-      // Closed boundary: a score sitting exactly AT the rehab threshold
-      // counts as clean. The open comparison made rehab_threshold == 0.0 (a
-      // "release only a fully clean score" policy) unreachable — a vehicle
-      // quarantined on the exact final round of an attack window decayed
-      // geometrically toward 0 but never strictly below it, so it never
-      // re-entered the trusted scoring cohort. With the snap above and the
-      // closed test the release fires after the decay completes.
-      if (c.smoothed <= params_.rehab_threshold) {
-        if (++c.clean_streak >= params_.rehab_rounds) {
-          c.quarantined = false;
-          c.clean_streak = 0;
-          events_.push_back({round, i, v, false});
-        }
-      } else {
-        c.clean_streak = 0;
+      if (t != Transition::kNone) {
+        events_.push_back({round, i, v, t == Transition::kQuarantined});
       }
     }
   }
@@ -161,7 +174,7 @@ void ReputationTracker::load_state(Deserializer& d) {
     for (Cell& c : region) {
       c.smoothed = d.get_f64();
       c.pending = d.get_f64();
-      c.clean_streak = static_cast<std::size_t>(d.get_u64());
+      c.clean_streak = d.get_u64();
       c.quarantined = d.get_bool();
       c.ever_quarantined = d.get_bool();
     }

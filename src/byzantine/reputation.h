@@ -56,6 +56,30 @@ struct ReputationParams {
   void validate() const;
 };
 
+/// One vehicle's reputation: the EWMA and the quarantine state machine
+/// above — the only implementation of either. ReputationTracker keeps one
+/// cell per (region, vehicle) slot; service::VehicleRecord carries one
+/// with the vehicle across churn and migration.
+struct ReputationCell {
+  double smoothed = 0.0;
+  std::uint64_t clean_streak = 0;
+  bool quarantined = false;
+  /// The vehicle has been quarantined at least once (drives the
+  /// decay_floor permanent-suspicion semantics).
+  bool ever_quarantined = false;
+
+  enum class Transition : std::uint8_t { kNone, kQuarantined, kReleased };
+
+  /// Folds one round's raw score (>= 0, clipped to params.score_cap) into
+  /// the EWMA and steps the machine. `may_quarantine` is the caller's
+  /// blind-start guard: enough rounds observed for persistence to show.
+  Transition fold(double raw, const ReputationParams& params,
+                  bool may_quarantine);
+
+  friend bool operator==(const ReputationCell&,
+                         const ReputationCell&) = default;
+};
+
 /// A quarantine transition (quarantined == false is a release).
 struct QuarantineEvent {
   std::size_t round = 0;
@@ -100,14 +124,8 @@ class ReputationTracker {
   void load_state(Deserializer& d);
 
  private:
-  struct Cell {
-    double smoothed = 0.0;
-    double pending = 0.0;
-    std::size_t clean_streak = 0;
-    bool quarantined = false;
-    /// The vehicle has been quarantined at least once (drives the
-    /// decay_floor permanent-suspicion semantics).
-    bool ever_quarantined = false;
+  struct Cell : ReputationCell {
+    double pending = 0.0;  // this round's raw score so far
   };
 
   Cell& cell(core::RegionId region, std::size_t vehicle);

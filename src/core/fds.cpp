@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/contracts.h"
-#include "common/log.h"
 #include "common/serial.h"
 
 namespace avcp::core {
@@ -242,8 +241,6 @@ void FdsController::next_x_into(const GameState& state,
       // once (the conditions can transiently conflict, e.g. suppressing P1
       // wants a low ratio while suppressing P8 wants a high one). Fall back
       // to serving the most-violated decisions first.
-      AVCP_LOG(kDebug, "fds") << "region " << i
-                              << ": empty feasible set, using priority order";
       feasible = prioritized_feasible_set(state, x_view, i);
     }
     AVCP_ENSURE(!feasible.empty());

@@ -1,13 +1,13 @@
 // Reliable-enough delivery over a LinkModel: retries, backoff, dedup, and
 // bounded-staleness consumption for the inter-region exchange.
 //
-// The channel carries transport *metadata only*. Payload storage stays
-// with the engine (a small ring of per-sender snapshots, NetParams::
-// ring_slots() deep): a message is the pair (link, payload_round), and a
-// delivery tells the receiver which ring slot to consume. This keeps the
-// channel engine-agnostic — System ships fleet scenes, ServiceEngine ships
-// report rows, ShardedFleetEngine ships sender samples — and keeps the
-// checkpoint section tiny.
+// The channel carries transport *metadata only*. Payloads live in the
+// engine's net::PayloadRing (payload_ring.h; one ring of per-sender
+// snapshots, NetParams::ring_slots() deep): a message is the pair (link,
+// payload_round), and a delivery tells the receiver which payload round to
+// consume. This keeps the channel engine-agnostic — System ships fleet
+// scenes, ServiceEngine ships report rows, ShardedFleetEngine ships sender
+// samples — and keeps the checkpoint section tiny.
 //
 // Protocol per round (all on the control thread, between the parallel
 // stages, so delivery order can never depend on lane count):

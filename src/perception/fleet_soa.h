@@ -125,10 +125,6 @@ class FleetSoA {
   std::span<core::DecisionId> decisions() noexcept { return decision_; }
   std::span<double> fitness() noexcept { return fitness_; }
   std::span<double> reputation() noexcept { return reputation_; }
-  void set_claim(std::size_t v, core::DecisionId claim) { claim_[v] = claim; }
-  void set_revoked(std::size_t v, bool revoked) {
-    revoked_[v] = revoked ? 1 : 0;
-  }
 
   core::DecisionId decision(std::size_t v) const noexcept {
     return decision_[v];

@@ -7,6 +7,7 @@
 #include "common/contracts.h"
 #include "common/rng.h"
 #include "common/serial.h"
+#include "core/imitation.h"
 
 namespace avcp::service {
 
@@ -36,9 +37,7 @@ inline std::int64_t decode_i64(std::uint64_t v) noexcept {
 }  // namespace
 
 void ServiceParams::validate() const {
-  if (mode == Mode::kFleet) {
-    AVCP_EXPECT(vehicles_per_region >= 2);
-  }
+  AVCP_EXPECT(vehicles_per_region >= 2);
   AVCP_EXPECT(valid_rate(revision_rate));
   AVCP_EXPECT(imitation_scale > 0.0);
   AVCP_EXPECT(num_threads <= 4096);
@@ -50,7 +49,6 @@ void ServiceParams::validate() const {
   AVCP_EXPECT(valid_rate(degraded.decay_target));
   AVCP_EXPECT(degraded.decay_step >= 0.0);
   reputation.validate();
-  AVCP_EXPECT(!churn_exploit || mode == Mode::kFleet);
   AVCP_EXPECT(exploit_patience >= 1);
   AVCP_EXPECT(std::isfinite(congestion_alpha) && congestion_alpha >= 0.0);
   // The budget bounds how long maintenance may be shed; an unbounded
@@ -58,9 +56,6 @@ void ServiceParams::validate() const {
   // forever, so cap it explicitly.
   AVCP_EXPECT(staleness_budget <= 1000000);
   net.validate();
-  // The backhaul transport rides the per-region report pipeline, which
-  // only exists in fleet mode.
-  AVCP_EXPECT(!net.active() || mode == Mode::kFleet);
 }
 
 void ServiceCounters::save_state(Serializer& s) const {
@@ -105,23 +100,21 @@ ServiceEngine::ServiceEngine(const core::MultiRegionGame& game,
       pool_(ThreadPool::clamped_lanes(params.num_threads)) {
   params_.validate();
   controller_.emplace(inner, *faults_, params_.degraded);
-  if (params_.mode == ServiceParams::Mode::kFleet) {
-    AVCP_EXPECT(graph_ != nullptr);
-    AVCP_EXPECT(graph_->finalized());
-    cluster::IncrementalClusteringOptions copts;
-    copts.clustering.num_regions =
-        static_cast<std::uint32_t>(game_.num_regions());
-    copts.betweenness.num_threads = params_.num_threads;
-    copts.congestion_alpha = params_.congestion_alpha;
-    clustering_.emplace(*graph_, copts);
-    pending_.assign(graph_->num_segments(), 0);
-  }
+  AVCP_EXPECT(graph_ != nullptr);
+  AVCP_EXPECT(graph_->finalized());
+  cluster::IncrementalClusteringOptions copts;
+  copts.clustering.num_regions =
+      static_cast<std::uint32_t>(game_.num_regions());
+  copts.betweenness.num_threads = params_.num_threads;
+  copts.congestion_alpha = params_.congestion_alpha;
+  clustering_.emplace(*graph_, copts);
+  pending_.assign(graph_->num_segments(), 0);
   members_.resize(game_.num_regions());
   before_.resize(game_.num_regions());
   down_.assign(game_.num_regions(), 0);
   cost_.resize(game_.num_regions());
   q_.resize(game_.num_regions());
-  if (params_.mode == ServiceParams::Mode::kFleet && params_.net.active()) {
+  if (params_.net.active()) {
     // Star backhaul: region r owns link r toward the cloud hub, which sits
     // at node id num_regions so partition windows can cut any subset of
     // regions away from it.
@@ -133,9 +126,8 @@ ServiceEngine::ServiceEngine(const core::MultiRegionGame& game,
           channel_->add_link(static_cast<std::uint32_t>(r), cloud);
       AVCP_ENSURE(link == r);
     }
-    report_rings_.assign(
-        game_.num_regions(),
-        std::vector<ReportSlot>(params_.net.ring_slots()));
+    reports_ = net::PayloadRing<std::vector<double>>(
+        game_.num_regions(), params_.net.ring_slots());
     fresh_.assign(game_.num_regions(), 0);
   }
 }
@@ -150,10 +142,11 @@ bool ServiceEngine::designated_attacker(std::uint64_t identity) const noexcept {
   return rng.uniform() < params_.attacker_fraction;
 }
 
-void ServiceEngine::init(const core::GameState& initial,
-                         std::vector<double> x0) {
+void ServiceEngine::reset(const core::GameState& initial,
+                          std::vector<double> x0) {
   AVCP_EXPECT(initial.p.size() == game_.num_regions());
   AVCP_EXPECT(x0.size() == game_.num_regions());
+  for (const auto& row : initial.p) core::check_distribution(row);
 
   epoch_ = 0;
   next_id_ = 0;
@@ -165,23 +158,31 @@ void ServiceEngine::init(const core::GameState& initial,
   controller_->reset();
   if (channel_) {
     channel_->reset();
-    for (std::vector<ReportSlot>& ring : report_rings_) {
-      for (ReportSlot& slot : ring) {
-        slot.epoch = net::ExchangeChannel::kNothing;
-        slot.row.clear();
-      }
-    }
+    reports_.reset();
   }
   std::fill(down_.begin(), down_.end(), 0);
   fleet_.clear();
+}
 
-  if (params_.mode == ServiceParams::Mode::kMeanField) return;
+void ServiceEngine::place_fleet() {
+  // Seed the congestion picture with the initial placement, then re-derive
+  // every vehicle's region in case the load-coupled weights moved a
+  // boundary during set_loads.
+  std::vector<std::int64_t> loads(graph_->num_segments(), 0);
+  for (const VehicleRecord& rec : fleet_) ++loads[rec.segment];
+  clustering_->set_loads(loads);
+  std::fill(pending_.begin(), pending_.end(), 0);
+  reassign_regions();
+}
+
+void ServiceEngine::init(const core::GameState& initial,
+                         std::vector<double> x0) {
+  reset(initial, std::move(x0));
 
   // Region-major fleet seeding over the clustering's current regions, one
   // init stream per region — AgentBasedSim::init_from with epoch 0.
   const cluster::Clustering& cl = clustering_->clustering();
   for (core::RegionId r = 0; r < game_.num_regions(); ++r) {
-    core::check_distribution(initial.p[r]);
     Rng rng(derive_seed(params_.seed, {kInitStream, 0, r}));
     const std::vector<roadnet::SegmentId>& segs = cl.members[r];
     AVCP_EXPECT(!segs.empty());
@@ -197,46 +198,15 @@ void ServiceEngine::init(const core::GameState& initial,
       fleet_.push_back(rec);
     }
   }
-
-  // Seed the congestion picture with the initial placement, then re-derive
-  // every vehicle's region in case the load-coupled weights moved a
-  // boundary during set_loads.
-  std::vector<std::int64_t> loads(graph_->num_segments(), 0);
-  for (const VehicleRecord& rec : fleet_) ++loads[rec.segment];
-  clustering_->set_loads(loads);
-  std::fill(pending_.begin(), pending_.end(), 0);
-  reassign_regions();
+  place_fleet();
 }
 
 void ServiceEngine::init_from_source(const core::GameState& initial,
                                      std::vector<double> x0,
                                      core::FleetSource& source,
                                      std::size_t ingest_batch) {
-  AVCP_EXPECT(params_.mode == ServiceParams::Mode::kFleet);
-  AVCP_EXPECT(initial.p.size() == game_.num_regions());
-  AVCP_EXPECT(x0.size() == game_.num_regions());
   AVCP_EXPECT(ingest_batch >= 1);
-  for (const auto& row : initial.p) core::check_distribution(row);
-
-  epoch_ = 0;
-  next_id_ = 0;
-  staleness_ = 0;
-  counters_ = {};
-  state_ = initial;
-  observed_ = initial;
-  x_ = std::move(x0);
-  controller_->reset();
-  if (channel_) {
-    channel_->reset();
-    for (std::vector<ReportSlot>& ring : report_rings_) {
-      for (ReportSlot& slot : ring) {
-        slot.epoch = net::ExchangeChannel::kNothing;
-        slot.row.clear();
-      }
-    }
-  }
-  std::fill(down_.begin(), down_.end(), 0);
-  fleet_.clear();
+  reset(initial, std::move(x0));
 
   const std::size_t num_segments = graph_->num_segments();
   const std::vector<cluster::RegionId>& region_of =
@@ -263,12 +233,7 @@ void ServiceEngine::init_from_source(const core::GameState& initial,
     if (got < batch.size()) break;
   }
   AVCP_EXPECT(fleet_.size() >= 2);
-
-  std::vector<std::int64_t> loads(num_segments, 0);
-  for (const VehicleRecord& rec : fleet_) ++loads[rec.segment];
-  clustering_->set_loads(loads);
-  std::fill(pending_.begin(), pending_.end(), 0);
-  reassign_regions();
+  place_fleet();
 }
 
 void ServiceEngine::apply_churn(std::size_t e, std::size_t& events) {
@@ -321,8 +286,7 @@ void ServiceEngine::apply_churn(std::size_t e, std::size_t& events) {
   events = left + migrated + joining;
 }
 
-void ServiceEngine::maintain_clustering(std::size_t e, std::size_t events) {
-  (void)e;
+void ServiceEngine::maintain_clustering(std::size_t events) {
   bool pending_any = false;
   for (const std::int64_t p : pending_) {
     if (p != 0) {
@@ -424,30 +388,19 @@ void ServiceEngine::revise(std::size_t e) {
     before.clear();
     for (const std::size_t i : m) before.push_back(fleet_[i].decision);
     Rng rng(derive_seed(params_.seed, {kStepStream, e, r}));
-    for (std::size_t v = 0; v < m.size(); ++v) {
-      VehicleRecord& rec = fleet_[m[v]];
-      // Free-riders hold strategically — and consume no draws, exactly
-      // like AgentBasedSim's attacker/defector skip, so the honest fleet's
-      // stream position is independent of who attacks.
-      if (rec.attacker) continue;
-      if (!rng.bernoulli(params_.revision_rate)) continue;
-      auto peer = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(m.size()) - 2));
-      if (peer >= v) ++peer;
-      const core::DecisionId mine = before[v];
-      const core::DecisionId theirs = before[peer];
-      if (mine == theirs) continue;
-      const double gain = q[theirs] - q[mine];
-      if (gain <= 0.0) continue;
-      const double p_imitate =
-          std::min(1.0, params_.imitation_scale * gain);
-      if (rng.bernoulli(p_imitate)) rec.decision = theirs;
-    }
+    // Free-riders hold strategically — and consume no draws, exactly like
+    // AgentBasedSim's attacker/defector skip, so the honest fleet's stream
+    // position is independent of who attacks.
+    core::imitate(
+        before, before, params_.revision_rate, params_.imitation_scale, rng,
+        [&](std::size_t v) { return fleet_[m[v]].attacker; },
+        [&](std::size_t v) { return q[before[v]]; },
+        [&](std::size_t v, core::DecisionId d) { fleet_[m[v]].decision = d; });
   });
 }
 
-void ServiceEngine::score_reputation(std::size_t e) {
-  (void)e;
+void ServiceEngine::score_reputation() {
+  using Transition = byzantine::ReputationCell::Transition;
   const core::DecisionLattice& lattice = game_.lattice();
   const auto sensors = static_cast<double>(lattice.num_sensors());
   const core::DecisionId bottom =
@@ -467,34 +420,13 @@ void ServiceEngine::score_reputation(std::size_t e) {
           x_[r] * static_cast<double>(lattice.cardinality(claim)) / sensors;
       const double actual =
           x_[r] * static_cast<double>(lattice.cardinality(behaved)) / sensors;
-      const double score =
-          std::min(std::max(expected - actual, 0.0), rp.score_cap);
-      rec.smoothed = rp.decay * rec.smoothed + (1.0 - rp.decay) * score;
-      // Snap a fully-decayed EWMA to exactly zero so rehab_threshold == 0.0
-      // is reachable under the closed-boundary release below (mirrors
-      // byzantine::ReputationTracker).
-      if (rec.smoothed < 1e-12) rec.smoothed = 0.0;
-      if (rec.ever_quarantined && rec.smoothed < rp.decay_floor) {
-        rec.smoothed = rp.decay_floor;
-      }
+      // The blind-start guard counts this vehicle's own scored epochs:
+      // joiners arrive mid-run, so the service-wide epoch count would not do.
       ++rec.observed_epochs;
-      if (!rec.quarantined) {
-        if (rec.observed_epochs >= rp.min_rounds &&
-            rec.smoothed > rp.quarantine_threshold) {
-          rec.quarantined = true;
-          rec.ever_quarantined = true;
-          rec.clean_streak = 0;
-          ++counters_.quarantines;
-        }
-      } else if (rec.smoothed <= rp.rehab_threshold) {
-        if (++rec.clean_streak >= rp.rehab_rounds) {
-          rec.quarantined = false;
-          rec.clean_streak = 0;
-          ++counters_.releases;
-        }
-      } else {
-        rec.clean_streak = 0;
-      }
+      const Transition t = rec.fold(std::max(expected - actual, 0.0), rp,
+                                    rec.observed_epochs >= rp.min_rounds);
+      if (t == Transition::kQuarantined) ++counters_.quarantines;
+      if (t == Transition::kReleased) ++counters_.releases;
       rec.quarantined_streak = rec.quarantined ? rec.quarantined_streak + 1 : 0;
     }
   }
@@ -532,12 +464,9 @@ void ServiceEngine::apply_churn_exploit(std::size_t e) {
     if (!params_.carry_suspicion) {
       // Per-id bookkeeping dies with the old id: the rejoin reopens the
       // blind-start window and the attack works.
-      rec.smoothed = 0.0;
-      rec.clean_streak = 0;
+      static_cast<byzantine::ReputationCell&>(rec) = {};
       rec.observed_epochs = 0;
-      rec.quarantined = false;
       rec.quarantined_streak = 0;
-      rec.ever_quarantined = false;
     }
     ++pending_[rec.segment];
     reborn_.push_back(rec);
@@ -562,19 +491,9 @@ void ServiceEngine::apply_churn_exploit(std::size_t e) {
 
 void ServiceEngine::run_epoch() {
   const std::size_t e = epoch_;
-
-  if (params_.mode == ServiceParams::Mode::kMeanField) {
-    controller_->next_x_into(state_, x_, x_next_);
-    x_.swap(x_next_);
-    game_.replicator_step(state_, x_);
-    ++epoch_;
-    ++counters_.epochs;
-    return;
-  }
-
   std::size_t events = 0;
   apply_churn(e, events);
-  maintain_clustering(e, events);
+  maintain_clustering(events);
   rebuild_members();
 
   for (core::RegionId r = 0; r < game_.num_regions(); ++r) {
@@ -598,9 +517,7 @@ void ServiceEngine::run_epoch() {
     const std::size_t m = game_.num_regions();
     for (core::RegionId r = 0; r < m; ++r) {
       if (!faults_->report_available(e, r)) continue;
-      ReportSlot& slot = report_rings_[r][e % report_rings_[r].size()];
-      slot.epoch = e;
-      slot.row = observed_.p[r];
+      reports_.publish(r, e) = observed_.p[r];
       channel_->publish(static_cast<std::uint32_t>(r), e);
     }
     channel_->resolve_round(e);
@@ -618,16 +535,14 @@ void ServiceEngine::run_epoch() {
         net_observed_.p[r] = observed_.p[r];  // ignored: region is blind
         continue;
       }
-      const ReportSlot& slot = report_rings_[r][pe % report_rings_[r].size()];
-      AVCP_ENSURE(slot.epoch == pe);
-      net_observed_.p[r] = slot.row;
+      net_observed_.p[r] = reports_.consume(r, pe);
       fresh_[r] = 1;
     }
     controller_->next_x_into(net_observed_, x_, x_next_, fresh_.data());
   }
   x_.swap(x_next_);
   revise(e);
-  score_reputation(e);
+  score_reputation();
   apply_churn_exploit(e);
 
   ++epoch_;
@@ -644,9 +559,8 @@ void ServiceEngine::save_state(Serializer& s) const {
   // Configuration fingerprint: a snapshot from a differently-built service
   // must be rejected, not applied.
   s.put_u64(params_.seed);
-  s.put_u8(static_cast<std::uint8_t>(params_.mode));
   s.put_u64(game_.num_regions());
-  s.put_u64(graph_ != nullptr ? graph_->num_segments() : 0);
+  s.put_u64(graph_->num_segments());
   s.put_bool(params_.churn_exploit);
   s.put_bool(params_.carry_suspicion);
   s.put_bool(channel_.has_value());
@@ -676,18 +590,16 @@ void ServiceEngine::save_state(Serializer& s) const {
   observed_.save_state(s);
   put_u8_vec(s, down_);
 
-  if (clustering_) {
-    std::vector<std::uint64_t> pend(pending_.size());
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-      pend[i] = encode_i64(pending_[i]);
-    }
-    put_u64_vec(s, pend);
-    std::vector<std::uint64_t> loads(clustering_->loads().size());
-    for (std::size_t i = 0; i < loads.size(); ++i) {
-      loads[i] = encode_i64(clustering_->loads()[i]);
-    }
-    put_u64_vec(s, loads);
+  std::vector<std::uint64_t> pend(pending_.size());
+  for (std::size_t i = 0; i < pending_.size(); ++i) {
+    pend[i] = encode_i64(pending_[i]);
   }
+  put_u64_vec(s, pend);
+  std::vector<std::uint64_t> loads(clustering_->loads().size());
+  for (std::size_t i = 0; i < loads.size(); ++i) {
+    loads[i] = encode_i64(clustering_->loads()[i]);
+  }
+  put_u64_vec(s, loads);
 
   controller_->save_state(s);
   counters_.save_state(s);
@@ -696,26 +608,19 @@ void ServiceEngine::save_state(Serializer& s) const {
     // In-flight backhaul: the channel's metadata plus the payload rings,
     // so a resume mid-partition replays the exact same deliveries.
     channel_->save_state(s);
-    for (const std::vector<ReportSlot>& ring : report_rings_) {
-      for (const ReportSlot& slot : ring) {
-        s.put_u64(slot.epoch);
-        if (slot.epoch == net::ExchangeChannel::kNothing) continue;
-        put_f64_vec(s, slot.row);
-      }
-    }
+    reports_.save_state(s, [](Serializer& out, const std::vector<double>& row) {
+      put_f64_vec(out, row);
+    });
   }
 }
 
 void ServiceEngine::load_state(Deserializer& d) {
   Deserializer::check(d.get_u64() == params_.seed,
                       "service snapshot: seed mismatch");
-  Deserializer::check(d.get_u8() == static_cast<std::uint8_t>(params_.mode),
-                      "service snapshot: mode mismatch");
   Deserializer::check(d.get_u64() == game_.num_regions(),
                       "service snapshot: region count mismatch");
-  Deserializer::check(
-      d.get_u64() == (graph_ != nullptr ? graph_->num_segments() : 0),
-      "service snapshot: segment count mismatch");
+  Deserializer::check(d.get_u64() == graph_->num_segments(),
+                      "service snapshot: segment count mismatch");
   Deserializer::check(d.get_bool() == params_.churn_exploit,
                       "service snapshot: churn_exploit mismatch");
   Deserializer::check(d.get_bool() == params_.carry_suspicion,
@@ -743,9 +648,8 @@ void ServiceEngine::load_state(Deserializer& d) {
     Deserializer::check(rec.identity <= rec.id,
                         "service snapshot: identity newer than id");
     rec.segment = d.get_u32();
-    Deserializer::check(
-        graph_ == nullptr || rec.segment < graph_->num_segments(),
-        "service snapshot: segment out of range");
+    Deserializer::check(rec.segment < graph_->num_segments(),
+                        "service snapshot: segment out of range");
     rec.region = d.get_u32();
     Deserializer::check(rec.region < game_.num_regions(),
                         "service snapshot: region out of range");
@@ -777,25 +681,23 @@ void ServiceEngine::load_state(Deserializer& d) {
   Deserializer::check(down.size() == game_.num_regions(),
                       "service snapshot: outage flags shape mismatch");
 
-  if (clustering_) {
-    std::vector<std::uint64_t> pend = get_u64_vec(d);
-    Deserializer::check(pend.size() == graph_->num_segments(),
-                        "service snapshot: pending deltas shape mismatch");
-    std::vector<std::uint64_t> raw_loads = get_u64_vec(d);
-    Deserializer::check(raw_loads.size() == graph_->num_segments(),
-                        "service snapshot: loads shape mismatch");
-    std::vector<std::int64_t> loads(raw_loads.size());
-    for (std::size_t i = 0; i < raw_loads.size(); ++i) {
-      loads[i] = decode_i64(raw_loads[i]);
-      Deserializer::check(loads[i] >= 0,
-                          "service snapshot: negative segment load");
-    }
-    // Rebuilding from loads is bit-equal to the pre-crash clustering by
-    // the incremental-equivalence contract.
-    clustering_->set_loads(loads);
-    for (std::size_t i = 0; i < pend.size(); ++i) {
-      pending_[i] = decode_i64(pend[i]);
-    }
+  std::vector<std::uint64_t> pend = get_u64_vec(d);
+  Deserializer::check(pend.size() == graph_->num_segments(),
+                      "service snapshot: pending deltas shape mismatch");
+  std::vector<std::uint64_t> raw_loads = get_u64_vec(d);
+  Deserializer::check(raw_loads.size() == graph_->num_segments(),
+                      "service snapshot: loads shape mismatch");
+  std::vector<std::int64_t> loads(raw_loads.size());
+  for (std::size_t i = 0; i < raw_loads.size(); ++i) {
+    loads[i] = decode_i64(raw_loads[i]);
+    Deserializer::check(loads[i] >= 0,
+                        "service snapshot: negative segment load");
+  }
+  // Rebuilding from loads is bit-equal to the pre-crash clustering by the
+  // incremental-equivalence contract.
+  clustering_->set_loads(loads);
+  for (std::size_t i = 0; i < pend.size(); ++i) {
+    pending_[i] = decode_i64(pend[i]);
   }
 
   controller_->load_state(d);
@@ -803,18 +705,11 @@ void ServiceEngine::load_state(Deserializer& d) {
 
   if (channel_) {
     channel_->load_state(d);
-    for (std::vector<ReportSlot>& ring : report_rings_) {
-      for (ReportSlot& slot : ring) {
-        slot.epoch = d.get_u64();
-        if (slot.epoch == net::ExchangeChannel::kNothing) {
-          slot.row.clear();
-          continue;
-        }
-        slot.row = get_f64_vec(d);
-        Deserializer::check(slot.row.size() == game_.num_decisions(),
-                            "service snapshot: report row shape mismatch");
-      }
-    }
+    reports_.load_state(d, [&](Deserializer& in, std::vector<double>& row) {
+      row = get_f64_vec(in);
+      Deserializer::check(row.size() == game_.num_decisions(),
+                          "service snapshot: report row shape mismatch");
+    });
   }
 
   fleet_ = std::move(fleet);

@@ -34,12 +34,12 @@
 // counter-based stream keyed by (seed, stream, epoch, region-or-id), and
 // per-region revision fans out over a ThreadPool with no cross-region
 // reduction — the trajectory is bit-identical at every thread count. With
-// churn off, congestion_alpha == 0, and no attackers, a kFleet service is
+// churn off, congestion_alpha == 0, and no attackers, the service is
 // bit-identical to AgentBasedSim driven by the same wrapped controller
-// (the epoch loop IS the paper's round loop, one epoch per round), and a
-// kMeanField service is bit-identical to sim::run_mean_field; with churn
-// on, save_state/load_state extend the PR-5 checkpoint format (section
-// kSectionService) so a killed service resumes mid-stream bit-identically.
+// (the epoch loop IS the paper's round loop, one epoch per round, and both
+// revise through core::imitate); with churn on, save_state/load_state
+// extend the PR-5 checkpoint format (section kSectionService) so a killed
+// service resumes mid-stream bit-identically.
 #pragma once
 
 #include <cstdint>
@@ -55,20 +55,14 @@
 #include "faults/degraded_controller.h"
 #include "faults/fault_model.h"
 #include "net/exchange_channel.h"
+#include "net/payload_ring.h"
 #include "roadnet/road_graph.h"
 #include "service/events.h"
 
 namespace avcp::service {
 
 struct ServiceParams {
-  enum class Mode : std::uint8_t {
-    kFleet = 0,      // per-vehicle fleet with imitation revision
-    kMeanField = 1,  // replicator dynamics on the distribution itself
-  };
-  Mode mode = Mode::kFleet;
-
-  /// Initial fleet: this many vehicles seeded into every region (>= 2 in
-  /// kFleet mode; ignored by kMeanField).
+  /// Initial fleet: this many vehicles seeded into every region (>= 2).
   std::size_t vehicles_per_region = 50;
   /// Revision dynamics, matching AgentSimParams semantics exactly.
   double revision_rate = 1.0;
@@ -81,11 +75,11 @@ struct ServiceParams {
   /// the share-everything decision, upload nothing, never revise.
   double attacker_fraction = 0.0;
 
-  /// Churn-exploit attack (kFleet only): a quarantined attacker that has
-  /// sat out exploit_patience consecutive quarantined epochs leaves and
-  /// immediately rejoins on a hash-derived segment under a FRESH vehicle
-  /// id — wiping its per-id reputation record and reopening the
-  /// blind-start window, unless the defense below is on.
+  /// Churn-exploit attack: a quarantined attacker that has sat out
+  /// exploit_patience consecutive quarantined epochs leaves and immediately
+  /// rejoins on a hash-derived segment under a FRESH vehicle id — wiping
+  /// its per-id reputation record and reopening the blind-start window,
+  /// unless the defense below is on.
   bool churn_exploit = false;
   std::size_t exploit_patience = 2;
   /// Keyed-identity defense: VehicleRecord::identity is stable across the
@@ -110,8 +104,8 @@ struct ServiceParams {
   /// stale the clustering the controller acts on can ever be.
   std::size_t staleness_budget = 4;
 
-  /// Degraded backhaul between the regions and the cloud (kFleet only).
-  /// When net.active(), every region's per-epoch decision report travels a
+  /// Degraded backhaul between the regions and the cloud. When
+  /// net.active(), every region's per-epoch decision report travels a
   /// region->cloud link of a net::ExchangeChannel: reports can be dropped,
   /// delayed, duplicated, or cut by a partition window, with bounded
   /// retries. The cloud consumes the newest report at most
@@ -126,8 +120,10 @@ struct ServiceParams {
 
 /// A vehicle's complete cross-epoch state, keyed by a stable monotone id.
 /// Migration moves the record between regions intact — reputation history
-/// is a property of the vehicle, not of its current region slot.
-struct VehicleRecord {
+/// (the inherited byzantine::ReputationCell: EWMA, rehab streak,
+/// quarantine status) is a property of the vehicle, not of its current
+/// region slot.
+struct VehicleRecord : byzantine::ReputationCell {
   std::uint64_t id = 0;
   /// Stable identity key: equals the id assigned at the vehicle's FIRST
   /// join and survives a churn-exploit leave/rejoin that mints a fresh id.
@@ -139,14 +135,10 @@ struct VehicleRecord {
   core::RegionId region = 0;
   core::DecisionId decision = 0;
   bool attacker = false;
-  bool quarantined = false;
-  double smoothed = 0.0;           // reputation EWMA
-  std::uint64_t clean_streak = 0;  // consecutive sub-rehab epochs
+  /// Epochs scored so far (the blind-start guard's count).
   std::uint64_t observed_epochs = 0;
   /// Consecutive epochs spent quarantined (drives the exploit trigger).
   std::uint64_t quarantined_streak = 0;
-  /// Quarantined at least once (drives ReputationParams::decay_floor).
-  bool ever_quarantined = false;
 
   friend bool operator==(const VehicleRecord&, const VehicleRecord&) = default;
 };
@@ -180,24 +172,24 @@ class ServiceEngine {
   /// engine owns the DegradedController wrapped around `inner` (an inert
   /// FaultModel is substituted when `faults` is null, so the wrapper is
   /// always in the loop and zero-fault runs stay bit-comparable to faulted
-  /// ones). `graph` is required in kFleet mode — region membership derives
-  /// from road segments through the incremental clustering, whose region
-  /// count must match the game's — and ignored by kMeanField.
+  /// ones). `graph` is required: region membership derives from road
+  /// segments through the incremental clustering, whose region count must
+  /// match the game's.
   ServiceEngine(const core::MultiRegionGame& game, core::Controller& inner,
                 const roadnet::RoadGraph* graph, ServiceParams params,
                 const faults::FaultModel* faults = nullptr);
 
-  /// Cold start at epoch 0: seeds the fleet (kFleet) from `initial`'s
-  /// per-region distributions using AgentBasedSim's init streams, resets
-  /// the controller wrapper, loads, and counters.
+  /// Cold start at epoch 0: seeds the fleet from `initial`'s per-region
+  /// distributions using AgentBasedSim's init streams, resets the
+  /// controller wrapper, loads, and counters.
   void init(const core::GameState& initial, std::vector<double> x0);
 
-  /// Streaming cold start (kFleet only): the fleet is ingested from a
-  /// core::FleetSource in `ingest_batch`-sized pulls instead of being
-  /// synthesized region-major. Decisions come from the source; each
-  /// vehicle's road segment comes from a pure per-source-id hash stream,
-  /// so the resulting fleet is independent of the batch size (city-scale
-  /// traces can stream in without ever materializing a seed list).
+  /// Streaming cold start: the fleet is ingested from a core::FleetSource
+  /// in `ingest_batch`-sized pulls instead of being synthesized
+  /// region-major. Decisions come from the source; each vehicle's road
+  /// segment comes from a pure per-source-id hash stream, so the resulting
+  /// fleet is independent of the batch size (city-scale traces can stream
+  /// in without ever materializing a seed list).
   void init_from_source(const core::GameState& initial,
                         std::vector<double> x0, core::FleetSource& source,
                         std::size_t ingest_batch = 4096);
@@ -208,7 +200,7 @@ class ServiceEngine {
 
   std::size_t epoch() const noexcept { return epoch_; }
   const ServiceParams& params() const noexcept { return params_; }
-  /// Empirical (kFleet) or mean-field (kMeanField) truth at last snapshot.
+  /// Empirical truth at the last snapshot.
   const core::GameState& true_state() const noexcept { return state_; }
   /// What the cloud saw: claimed decisions, quarantined vehicles excluded.
   const core::GameState& observed_state() const noexcept { return observed_; }
@@ -218,9 +210,8 @@ class ServiceEngine {
   const faults::DegradedController& controller() const {
     return *controller_;
   }
-  /// Null in kMeanField mode.
   const cluster::IncrementalClustering* clustering() const noexcept {
-    return clustering_ ? &*clustering_ : nullptr;
+    return &*clustering_;
   }
   /// Deferred-epoch streak of the clustering maintenance (0 = fresh).
   std::size_t staleness() const noexcept { return staleness_; }
@@ -239,14 +230,21 @@ class ServiceEngine {
 
  private:
   bool designated_attacker(std::uint64_t identity) const noexcept;
+  /// The cold-start prefix init and init_from_source share: epoch, ids,
+  /// counters, states, ratios, controller and backhaul back to zero, fleet
+  /// emptied.
+  void reset(const core::GameState& initial, std::vector<double> x0);
+  /// The cold-start suffix: seeds the segment loads from the fleet's
+  /// placement and re-derives every vehicle's region.
+  void place_fleet();
   void apply_churn(std::size_t e, std::size_t& events);
   void apply_churn_exploit(std::size_t e);
-  void maintain_clustering(std::size_t e, std::size_t events);
+  void maintain_clustering(std::size_t events);
   void reassign_regions();
   void rebuild_members();
   void snapshot_states();
   void revise(std::size_t e);
-  void score_reputation(std::size_t e);
+  void score_reputation();
 
   const core::MultiRegionGame& game_;
   const roadnet::RoadGraph* graph_;
@@ -275,18 +273,13 @@ class ServiceEngine {
   std::vector<double> x_;
   ServiceCounters counters_;
 
-  /// Degraded backhaul (params_.net.active(), kFleet only): region r
-  /// publishes its observed report on link r of a star topology whose hub
-  /// is node num_regions (the cloud). The channel carries metadata; the
-  /// payload rows live in per-region rings below, sized so any consumable
-  /// epoch is still resident.
+  /// Degraded backhaul (params_.net.active()): region r publishes its
+  /// observed report row on link r of a star topology whose hub is node
+  /// num_regions (the cloud). The channel carries metadata; the rows live
+  /// in the per-region report rings.
   std::optional<net::LinkModel> link_model_;
   std::optional<net::ExchangeChannel> channel_;
-  struct ReportSlot {
-    std::uint64_t epoch = net::ExchangeChannel::kNothing;
-    std::vector<double> row;
-  };
-  std::vector<std::vector<ReportSlot>> report_rings_;
+  net::PayloadRing<std::vector<double>> reports_;
   /// Scratch (not serialized): what the cloud acts on this epoch — the
   /// observed state with each region's row replaced by the newest
   /// consumable report — and the freshness mask handed to the wrapper.

@@ -1,9 +1,8 @@
 #include "sim/agent_sim.h"
 
-#include <algorithm>
-
 #include "common/contracts.h"
 #include "common/serial.h"
+#include "core/imitation.h"
 
 namespace avcp::sim {
 
@@ -99,31 +98,20 @@ void AgentBasedSim::step(std::span<const double> x) {
     Rng rng(derive_seed(params_.seed, {kStepStream, round_, i}));
     auto& region = decisions_[i];
     const std::vector<core::DecisionId> before = region;  // revise vs snapshot
-    for (std::size_t v = 0; v < region.size(); ++v) {
-      if (defector_[i][v]) continue;
-      // A vehicle attacking this round holds its decision strategically,
-      // like a defector — but additionally lies in reported_state().
-      // Designated vehicles outside their strategy's scope (colluders in
-      // non-target regions, flip-floppers in honest half-cycles) revise
-      // honestly.
-      if (adversary_ != nullptr &&
-          adversary_->attacking(round_, static_cast<core::RegionId>(i), v)) {
-        continue;
-      }
-      if (!rng.bernoulli(params_.revision_rate)) continue;
-      // Sample a distinct peer uniformly.
-      auto peer = static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(region.size()) - 2));
-      if (peer >= v) ++peer;
-      const core::DecisionId mine = before[v];
-      const core::DecisionId theirs = before[peer];
-      if (mine == theirs) continue;
-      const double gain = q[theirs] - q[mine];
-      if (gain <= 0.0) continue;
-      const double p_imitate =
-          std::min(1.0, params_.imitation_scale * gain);
-      if (rng.bernoulli(p_imitate)) region[v] = theirs;
-    }
+    // A vehicle attacking this round holds its decision strategically, like
+    // a defector — but additionally lies in reported_state(). Designated
+    // vehicles outside their strategy's scope (colluders in non-target
+    // regions, flip-floppers in honest half-cycles) revise honestly.
+    core::imitate(
+        before, before, params_.revision_rate, params_.imitation_scale, rng,
+        [&](std::size_t v) {
+          return defector_[i][v] ||
+                 (adversary_ != nullptr &&
+                  adversary_->attacking(round_,
+                                        static_cast<core::RegionId>(i), v));
+        },
+        [&](std::size_t v) { return q[before[v]]; },
+        [&](std::size_t v, core::DecisionId d) { region[v] = d; });
   };
   const ThreadPool::Stage stage{decisions_.size(), IndexFnRef(task), 0,
                                 chunk_plan_};

@@ -5,8 +5,9 @@
 // data-sharing decision. Every round a revising vehicle samples a random
 // peer of its own region and imitates the peer's decision with probability
 // proportional to the positive fitness difference — pairwise proportional
-// imitation, whose large-population limit is exactly the replicator
-// dynamics of Eq. (5). Tests use it to validate the mean-field model; the
+// imitation (core::imitate, the rule every per-vehicle engine shares),
+// whose large-population limit is exactly the replicator dynamics of
+// Eq. (5). Tests use it to validate the mean-field model; the
 // benches use it for failure-injection ablations (defector vehicles that
 // never revise).
 //

@@ -6,6 +6,7 @@
 
 #include "common/contracts.h"
 #include "common/rng.h"
+#include "core/imitation.h"
 
 namespace avcp::system {
 
@@ -71,7 +72,7 @@ ShardedFleetEngine::ShardedFleetEngine(FleetEngineParams params)
           channel_->add_link(src, static_cast<std::uint32_t>(s));
       AVCP_ENSURE(link == s);
     }
-    rings_.assign(num, std::vector<PayloadSlot>(params.net.ring_slots()));
+    samples_ = net::PayloadRing<Sample>(num, params.net.ring_slots());
   }
   shards_.resize(params.num_shards);
   shard_cost_.resize(params.num_shards, 0.0);
@@ -180,10 +181,9 @@ void ShardedFleetEngine::exchange_shard(std::size_t s, double sharing_ratio) {
     // other rings, after the stage barrier and the serial transport step).
     // The sample draws ride their own stream so the scene synthesis above
     // consumes the exact same draws with the transport on or off.
-    PayloadSlot& slot = rings_[s][round_ % rings_[s].size()];
-    slot.round = round_;
-    slot.x = sharing_ratio;
-    slot.fleet.clear();
+    Sample& sample = samples_.publish(s, round_);
+    sample.x = sharing_ratio;
+    sample.fleet.clear();
     if (n > 0) {
       const auto want = static_cast<std::size_t>(std::ceil(
           params_.exchange_fraction * static_cast<double>(n)));
@@ -195,7 +195,7 @@ void ShardedFleetEngine::exchange_shard(std::size_t s, double sharing_ratio) {
       for (std::size_t i = 0; i < count; ++i) {
         const auto v = static_cast<std::size_t>(
             srng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-        slot.fleet.add(view, v);
+        sample.fleet.add(view, v);
       }
     }
   }
@@ -213,12 +213,10 @@ void ShardedFleetEngine::consume_shard(std::size_t s) {
     return;
   }
   const std::size_t num = shards_.size();
-  const std::vector<PayloadSlot>& ring = rings_[(s + num - 1) % num];
-  const PayloadSlot& slot = ring[pe % ring.size()];
-  AVCP_ENSURE(slot.round == pe);
-  if (slot.fleet.size() == 0 || sh.fleet.size() == 0) return;
-  sh.plane->run_directional_into(slot.fleet.view(), sh.fleet.view(), slot.x,
-                                 params_.mode, sh.dout);
+  const Sample& sample = samples_.consume((s + num - 1) % num, pe);
+  if (sample.fleet.size() == 0 || sh.fleet.size() == 0) return;
+  sh.plane->run_directional_into(sample.fleet.view(), sh.fleet.view(),
+                                 sample.x, params_.mode, sh.dout);
   std::span<double> fitness = sh.fleet.fitness();
   double cross = 0.0;
   for (std::size_t v = 0; v < sh.fleet.size(); ++v) {
@@ -238,21 +236,12 @@ void ShardedFleetEngine::revise_shard(std::size_t s) {
   std::span<core::DecisionId> decisions = sh.fleet.decisions();
   std::span<const double> fitness = sh.fleet.fitness();
   const std::size_t n = decisions.size();
-  if (n >= 2) {
-    sh.before.assign(decisions.begin(), decisions.end());
-    for (std::size_t v = 0; v < n; ++v) {
-      if (!rng.bernoulli(params_.revision_rate)) continue;
-      auto peer = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(n) - 2));
-      if (peer >= v) ++peer;
-      if (sh.before[peer] == sh.before[v]) continue;
-      const double gain = fitness[peer] - fitness[v];
-      if (gain <= 0.0) continue;
-      if (rng.bernoulli(std::min(1.0, params_.imitation_scale * gain))) {
-        decisions[v] = sh.before[peer];
-      }
-    }
-  }
+  sh.before.assign(decisions.begin(), decisions.end());
+  core::imitate(
+      sh.before, sh.before, params_.revision_rate, params_.imitation_scale,
+      rng, [](std::size_t) { return false; },
+      [&](std::size_t v) { return fitness[v]; },
+      [&](std::size_t v, core::DecisionId d) { decisions[v] = d; });
   std::fill(sh.hist.begin(), sh.hist.end(), 0);
   for (std::size_t v = 0; v < n; ++v) ++sh.hist[decisions[v]];
 }

@@ -29,7 +29,8 @@
 // model that keeps every set sorted and the arena exactly sized), run the
 // shard's edge-server data plane at the commanded sharing ratio, fold
 // fitness = beta·utility − exposed-privacy fraction (the same shape as
-// system.cpp), then pairwise proportional imitation within the shard.
+// system.cpp), then pairwise proportional imitation (core::imitate) within
+// the shard.
 #pragma once
 
 #include <cstddef>
@@ -42,6 +43,7 @@
 #include "core/fleet_stream.h"
 #include "core/lattice.h"
 #include "net/exchange_channel.h"
+#include "net/payload_ring.h"
 #include "perception/data_plane.h"
 #include "perception/fleet_soa.h"
 #include "perception/measure.h"
@@ -164,10 +166,8 @@ class ShardedFleetEngine {
     std::uint8_t net_blind = 0;
   };
 
-  /// One outbound sample payload; rings_[s] holds shard s's last
-  /// ring_slots() samples so any consumable round is still resident.
-  struct PayloadSlot {
-    std::uint64_t round = net::ExchangeChannel::kNothing;
+  /// One outbound sample payload and the ratio it was produced under.
+  struct Sample {
     double x = 0.0;
     perception::FleetSoA fleet;
   };
@@ -192,7 +192,7 @@ class ShardedFleetEngine {
   ThreadPool pool_;
   std::optional<net::LinkModel> link_model_;
   std::optional<net::ExchangeChannel> channel_;
-  std::vector<std::vector<PayloadSlot>> rings_;
+  net::PayloadRing<Sample> samples_;
   std::vector<Shard> shards_;
   std::vector<double> shard_cost_;
   std::vector<std::uint32_t> chunk_plan_;

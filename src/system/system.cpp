@@ -5,6 +5,7 @@
 
 #include "common/contracts.h"
 #include "common/serial.h"
+#include "core/imitation.h"
 
 namespace avcp::system {
 
@@ -118,10 +119,8 @@ CooperativePerceptionSystem::CooperativePerceptionSystem(
         out_links_[j].push_back(link);
       }
     }
-    rings_.resize(game.num_regions());
-    for (std::vector<PayloadSlot>& ring : rings_) {
-      ring.resize(params_.net.ring_slots());
-    }
+    scenes_ = net::PayloadRing<Scene>(game.num_regions(),
+                                      params_.net.ring_slots());
   }
 }
 
@@ -570,10 +569,9 @@ RoundReport CooperativePerceptionSystem::run_round(
             ++report.net.blind_by_region[i];
             continue;
           }
-          const PayloadSlot& slot = rings_[j][p % rings_[j].size()];
-          AVCP_ENSURE(slot.round == p);
+          const Scene& scene = scenes_.consume(j, p);
           if (p != round_) ++report.net.stale_by_region[i];
-          run_senders(slot.fleet.view(), slot.x, link_gamma_[link]);
+          run_senders(scene.fleet.view(), scene.x, link_gamma_[link]);
         }
       }
     }
@@ -602,25 +600,16 @@ RoundReport CooperativePerceptionSystem::run_round(
     // scope (a colluder in a non-target region, a flip-flopper in an
     // honest half-cycle) behaves honestly, revision included.
     ws.before.assign(fleet.begin(), fleet.end());
-    const auto& shown = claims_[i];
-    for (std::size_t v = 0; v < fleet.size(); ++v) {
-      if (adversary_ != nullptr && adversary_->attacking(round_, i, v)) {
-        continue;
-      }
-      if (adaptive_ != nullptr && adaptive_->attacking(round_, i, v)) {
-        continue;
-      }
-      if (!rng.bernoulli(params_.revision_rate)) continue;
-      auto peer = static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(fleet.size()) - 2));
-      if (peer >= v) ++peer;
-      if (shown[peer] == ws.before[v]) continue;
-      const double gain = fitness[peer] - fitness[v];
-      if (gain <= 0.0) continue;
-      if (rng.bernoulli(std::min(1.0, params_.imitation_scale * gain))) {
-        fleet[v] = shown[peer];
-      }
-    }
+    core::imitate(
+        ws.before, claims_[i], params_.revision_rate, params_.imitation_scale,
+        rng,
+        [&](std::size_t v) {
+          return (adversary_ != nullptr &&
+                  adversary_->attacking(round_, i, v)) ||
+                 (adaptive_ != nullptr && adaptive_->attacking(round_, i, v));
+        },
+        [&](std::size_t v) { return fitness[v]; },
+        [&](std::size_t v, core::DecisionId d) { fleet[v] = d; });
   };
 
   if (!transport) {
@@ -648,11 +637,9 @@ RoundReport CooperativePerceptionSystem::run_round(
     const net::ExchangeChannel::Counters before = channel_->counters();
     for (core::RegionId j = 0; j < num_regions; ++j) {
       if (report.faults.region_down[j] != 0) continue;
-      std::vector<PayloadSlot>& ring = rings_[j];
-      PayloadSlot& slot = ring[round_ % ring.size()];
-      slot.round = round_;
-      slot.x = x_[j];
-      slot.fleet = region_ws_[j].fleet;  // capacity reused after warm-up
+      Scene& scene = scenes_.publish(j, round_);
+      scene.x = x_[j];
+      scene.fleet = region_ws_[j].fleet;  // capacity reused after warm-up
       for (const std::uint32_t link : out_links_[j]) {
         channel_->publish(link, round_);
       }
@@ -774,14 +761,10 @@ void CooperativePerceptionSystem::save_state(Serializer& s) const {
   // deliveries byte-equal (empty ring slots carry only their sentinel).
   if (channel_.has_value()) {
     channel_->save_state(s);
-    for (const std::vector<PayloadSlot>& ring : rings_) {
-      for (const PayloadSlot& slot : ring) {
-        s.put_u64(slot.round);
-        if (slot.round == net::ExchangeChannel::kNothing) continue;
-        s.put_f64(slot.x);
-        slot.fleet.save_state(s);
-      }
-    }
+    scenes_.save_state(s, [](Serializer& out, const Scene& scene) {
+      out.put_f64(scene.x);
+      scene.fleet.save_state(out);
+    });
   }
 }
 
@@ -834,20 +817,12 @@ void CooperativePerceptionSystem::load_state(Deserializer& d) {
   if (adaptive_ != nullptr) adaptive_->load_state(d);
   if (channel_.has_value()) {
     channel_->load_state(d);
-    for (std::vector<PayloadSlot>& ring : rings_) {
-      for (PayloadSlot& slot : ring) {
-        slot.round = d.get_u64();
-        if (slot.round == net::ExchangeChannel::kNothing) {
-          slot.x = 0.0;
-          slot.fleet.clear();
-          continue;
-        }
-        slot.x = d.get_f64();
-        slot.fleet.load_state(d);
-        Deserializer::check(slot.fleet.size() == params_.vehicles_per_region,
-                            "System snapshot: payload fleet size mismatch");
-      }
-    }
+    scenes_.load_state(d, [&](Deserializer& in, Scene& scene) {
+      scene.x = in.get_f64();
+      scene.fleet.load_state(in);
+      Deserializer::check(scene.fleet.size() == params_.vehicles_per_region,
+                          "System snapshot: payload fleet size mismatch");
+    });
   }
 }
 

@@ -10,9 +10,10 @@
 //
 // Vehicles then revise decisions by *realized* fitness — the measured
 // utility of the data they actually received minus the measured privacy
-// cost of what they uploaded — via pairwise proportional imitation. Nothing
-// in the plant evaluates Eq. (4); the analytic game is used only by the
-// cloud's model-based controller. This closes the loop the paper's
+// cost of what they uploaded — via pairwise proportional imitation
+// (core::imitate, with attacking vehicles held). Nothing in the plant
+// evaluates Eq. (4); the analytic game is used only by the cloud's
+// model-based controller. This closes the loop the paper's
 // analysis abstracts: tests verify the realized per-decision fitness
 // ranking agrees with the analytic one and that FDS still shapes the
 // population when driving the measured plant.
@@ -37,6 +38,7 @@
 #include "core/game.h"
 #include "faults/fault_model.h"
 #include "net/exchange_channel.h"
+#include "net/payload_ring.h"
 #include "perception/data_plane.h"
 #include "perception/measure.h"
 
@@ -360,16 +362,14 @@ class CooperativePerceptionSystem {
   /// out_links_[j]: links whose sender is region j.
   std::vector<std::vector<std::uint32_t>> out_links_;
   /// A published inter-region payload: the sender's end-of-stage-A scene
-  /// and the ratio it was produced under. Ring-buffered per sender
-  /// (net.ring_slots() deep — anything older is never consumable), slot =
-  /// payload round % slots. The serial transport step writes the ring;
-  /// stage B only reads it, so lanes never race on payload memory.
-  struct PayloadSlot {
-    std::uint64_t round = net::ExchangeChannel::kNothing;
+  /// and the ratio it was produced under, ring-buffered per sender region.
+  /// The serial transport step writes the rings; stage B only reads them,
+  /// so lanes never race on payload memory.
+  struct Scene {
     double x = 0.0;
     perception::FleetSoA fleet;
   };
-  std::vector<std::vector<PayloadSlot>> rings_;
+  net::PayloadRing<Scene> scenes_;
 };
 
 }  // namespace avcp::system

@@ -1,7 +1,7 @@
 // Unit contracts of the degraded-network transport primitives: LinkModel's
 // pure-hash fate assignment and partition schedule, NetParams validation,
-// and ExchangeChannel's retry/backoff/dedup/staleness protocol with its
-// checkpoint round-trip.
+// ExchangeChannel's retry/backoff/dedup/staleness protocol with its
+// checkpoint round-trip, and PayloadRing's residency and slot checks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include "common/serial.h"
 #include "net/exchange_channel.h"
 #include "net/link_model.h"
+#include "net/payload_ring.h"
 
 namespace avcp::net {
 namespace {
@@ -427,6 +428,49 @@ TEST(ExchangeChannel, ResetDropsFlightStateKeepsTopology) {
   ring.channel.publish(0, 0);
   ring.channel.resolve_round(0);
   EXPECT_EQ(ring.channel.counters().sent, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// PayloadRing
+// ---------------------------------------------------------------------------
+
+TEST(PayloadRing, CheckpointRoundTripAndResidency) {
+  const auto save = [](Serializer& s, double v) { s.put_f64(v); };
+  const auto load = [](Deserializer& d, double& v) { v = d.get_f64(); };
+  PayloadRing<double> ring(2, 3);
+  ring.publish(0, 4) = 1.5;   // slot 1
+  ring.publish(1, 6) = -2.0;  // slot 0
+  Serializer snapshot;
+  ring.save_state(snapshot, save);
+
+  PayloadRing<double> restored(2, 3);
+  Deserializer d(snapshot.bytes());
+  restored.load_state(d, load);
+  EXPECT_TRUE(d.exhausted());
+  EXPECT_EQ(restored.consume(0, 4), 1.5);
+  EXPECT_EQ(restored.consume(1, 6), -2.0);
+  // Round 1 maps to the slot round 4 overwrote: no longer resident.
+  EXPECT_THROW((void)restored.consume(0, 1), ContractViolation);
+
+  restored.reset();
+  EXPECT_THROW((void)restored.consume(0, 4), ContractViolation);
+}
+
+TEST(PayloadRing, LoadRejectsMisplacedSlot) {
+  // Well-formed bytes, but sender 0's slot 0 claims round 4, which belongs
+  // in slot 4 % 3 == 1. Restoring it would only fail mid-round, when a
+  // receiver consumes round 4 from slot 1; load_state rejects it up front
+  // so checkpoint recovery can treat the snapshot as corrupt.
+  Serializer snapshot;
+  snapshot.put_u64(4);
+  snapshot.put_f64(1.5);
+  for (int k = 1; k < 6; ++k) snapshot.put_u64(ExchangeChannel::kNothing);
+  PayloadRing<double> ring(2, 3);
+  Deserializer d(snapshot.bytes());
+  EXPECT_THROW(ring.load_state(d, [](Deserializer& in, double& v) {
+                 v = in.get_f64();
+               }),
+               SerialError);
 }
 
 }  // namespace

@@ -26,7 +26,6 @@
 #include "roadnet/builders.h"
 #include "service/shutdown.h"
 #include "sim/agent_sim.h"
-#include "sim/runner.h"
 #include "test_support.h"
 
 namespace avcp {
@@ -127,11 +126,6 @@ TEST(ServiceParams, ValidateRejectsBadFields) {
   p = good;
   p.staleness_budget = 2'000'000;  // effectively unbounded shedding
   EXPECT_THROW(p.validate(), ContractViolation);
-
-  p = good;
-  p.mode = ServiceParams::Mode::kMeanField;
-  p.vehicles_per_region = 0;  // ignored by kMeanField
-  EXPECT_NO_THROW(p.validate());
 }
 
 TEST(ServiceEngine, FleetModeRequiresFinalizedGraph) {
@@ -235,40 +229,6 @@ TEST(ServiceEngine, ZeroChurnFleetMatchesAgentSim) {
                 svc.counters().migrations,
             0u);
   EXPECT_EQ(svc.counters().reclusters, 0u);  // alpha == 0: frozen clustering
-}
-
-TEST(ServiceEngine, ZeroChurnMeanFieldMatchesRunner) {
-  const auto game = make_chain_game(3);
-  const core::GameState initial = seeded_state(game, 17);
-  const std::vector<double> x0(3, 0.4);
-  const auto desired = core::DesiredFields::from_distribution(
-      3, game.uniform_state().p[0], 0.05);
-
-  faults::FaultParams fp;
-  fp.report_loss_rate = 0.2;
-  fp.seed = 3;
-  const faults::FaultModel faults(fp);
-  faults::DegradedOptions dopt;
-  dopt.staleness_budget = 1;
-
-  core::FdsController inner_ref(game, desired);
-  faults::DegradedController wrapped(inner_ref, faults, dopt);
-  sim::RunOptions ro;
-  ro.max_rounds = 60;
-  ro.record_trajectory = false;
-  const auto ref = sim::run_mean_field(game, wrapped, initial, x0, nullptr, ro);
-
-  ServiceParams sp;
-  sp.mode = ServiceParams::Mode::kMeanField;
-  sp.degraded = dopt;
-  core::FdsController inner_svc(game, desired);
-  ServiceEngine svc(game, inner_svc, nullptr, sp, &faults);
-  svc.init(initial, x0);
-  for (std::size_t t = 0; t < 60; ++t) svc.run_epoch();
-
-  EXPECT_EQ(ref.final_state.p, svc.true_state().p);
-  EXPECT_EQ(ref.final_x, svc.x());
-  EXPECT_EQ(svc.epoch(), 60u);
 }
 
 // ---------------------------------------------------------------------------
@@ -414,7 +374,9 @@ TEST(ServiceEngine, QuarantineTargetsAttackersAndSurvivesMigration) {
     for (const VehicleRecord& rec : svc.fleet()) {
       // Honest vehicles upload exactly their claim: residual 0, quarantine
       // impossible. Only designated free-riders may ever trip it.
-      if (rec.quarantined) EXPECT_TRUE(rec.attacker) << "id " << rec.id;
+      if (rec.quarantined) {
+        EXPECT_TRUE(rec.attacker) << "id " << rec.id;
+      }
       const auto it = prev.find(rec.id);
       if (it != prev.end() && it->second.quarantined && rec.quarantined &&
           it->second.region != rec.region) {
