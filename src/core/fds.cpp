@@ -77,7 +77,10 @@ void FixedRatioController::next_x_into(const GameState& state,
 
 FdsController::FdsController(const MultiRegionGame& game,
                              DesiredFields desired, FdsOptions options)
-    : game_(game), desired_(std::move(desired)), options_(options) {
+    : game_(game),
+      desired_(std::move(desired)),
+      options_(options),
+      probe_(game) {
   AVCP_EXPECT(desired_.num_regions() == game.num_regions());
   AVCP_EXPECT(desired_.num_decisions() == game.num_decisions());
   AVCP_EXPECT(options_.max_step > 0.0);
@@ -113,21 +116,19 @@ void FdsController::set_desired(DesiredFields desired) {
   desired_ = std::move(desired);
 }
 
-IntervalSet FdsController::decision_feasible_set(const GameState& state,
-                                                 std::span<const double> x_prev,
-                                                 RegionId i,
+IntervalSet FdsController::decision_feasible_set(RateProbe& probe, RegionId i,
                                                  DecisionId k) const {
   const Interval domain{0.0, 1.0};
   const Interval& target = desired_.target(i, k);
   const double tol = options_.tol;
-  const double p_cur = state.p[i][k];
+  const double p_cur = probe.state().p[i][k];
 
   // Target already covers the whole simplex coordinate: any x works.
   if (target.lo <= tol && target.hi >= 1.0 - tol) {
     return IntervalSet(domain);
   }
 
-  const RateFamily family = rate_family(game_, state, x_prev, i, k);
+  const RateFamily family = probe.rate_family(i, k);
   const auto [sum_a, sum_b] = family.sum_affine();        // alpha1 + alpha2
   const double a2_a = family.a2_slope;                    // alpha2 slope
   const double a2_b = family.a2_const;                    // alpha2 intercept
@@ -182,23 +183,35 @@ IntervalSet FdsController::decision_feasible_set(const GameState& state,
 IntervalSet FdsController::feasible_set(const GameState& state,
                                         std::span<const double> x_prev,
                                         RegionId i) const {
+  RateProbe probe(game_);
+  probe.set(state, x_prev);
+  return feasible_set(probe, i);
+}
+
+IntervalSet FdsController::prioritized_feasible_set(
+    const GameState& state, std::span<const double> x_prev, RegionId i) const {
+  RateProbe probe(game_);
+  probe.set(state, x_prev);
+  return prioritized_feasible_set(probe, i);
+}
+
+IntervalSet FdsController::feasible_set(RateProbe& probe, RegionId i) const {
   IntervalSet set = IntervalSet::whole(0.0, 1.0);
   for (DecisionId k = 0; k < game_.num_decisions(); ++k) {
-    set = IntervalSet::intersect(set,
-                                 decision_feasible_set(state, x_prev, i, k));
+    set = IntervalSet::intersect(set, decision_feasible_set(probe, i, k));
     if (set.empty()) break;
   }
   return set;
 }
 
-IntervalSet FdsController::prioritized_feasible_set(
-    const GameState& state, std::span<const double> x_prev, RegionId i) const {
+IntervalSet FdsController::prioritized_feasible_set(RateProbe& probe,
+                                                    RegionId i) const {
   // Rank decisions by how far their proportion sits from the target.
   std::vector<std::pair<double, DecisionId>> ranked;
   ranked.reserve(game_.num_decisions());
   for (DecisionId k = 0; k < game_.num_decisions(); ++k) {
     const Interval& target = desired_.target(i, k);
-    const double p = state.p[i][k];
+    const double p = probe.state().p[i][k];
     const double violation = p < target.lo ? target.lo - p
                              : p > target.hi ? p - target.hi
                                              : 0.0;
@@ -211,8 +224,8 @@ IntervalSet FdsController::prioritized_feasible_set(
 
   IntervalSet set = IntervalSet::whole(0.0, 1.0);
   for (const auto& [violation, k] : ranked) {
-    const IntervalSet candidate = IntervalSet::intersect(
-        set, decision_feasible_set(state, x_prev, i, k));
+    const IntervalSet candidate =
+        IntervalSet::intersect(set, decision_feasible_set(probe, i, k));
     if (!candidate.empty()) set = candidate;
   }
   return set;
@@ -231,17 +244,18 @@ void FdsController::next_x_into(const GameState& state,
   AVCP_EXPECT(x_prev.size() == game_.num_regions());
   std::vector<double>& x_next = out;
   x_next = x_prev;
+  // Gauss-Seidel sweeps see the ratios already updated this round: each
+  // update is written through to the probe's copy.
+  const bool gauss_seidel = options_.sweep == FdsOptions::Sweep::kGaussSeidel;
+  probe_.set(state, x_prev);
   for (RegionId i = 0; i < game_.num_regions(); ++i) {
-    // Gauss-Seidel sweeps see the ratios already updated this round.
-    const std::vector<double>& x_view =
-        options_.sweep == FdsOptions::Sweep::kGaussSeidel ? x_next : x_prev;
-    IntervalSet feasible = feasible_set(state, x_view, i);
+    IntervalSet feasible = feasible_set(probe_, i);
     if (feasible.empty()) {
       // No single-round ratio satisfies every decision's flow condition at
       // once (the conditions can transiently conflict, e.g. suppressing P1
       // wants a low ratio while suppressing P8 wants a high one). Fall back
       // to serving the most-violated decisions first.
-      feasible = prioritized_feasible_set(state, x_view, i);
+      feasible = prioritized_feasible_set(probe_, i);
     }
     AVCP_ENSURE(!feasible.empty());
     const double xi = x_prev[i];
@@ -265,6 +279,7 @@ void FdsController::next_x_into(const GameState& state,
     const double delta = std::clamp(goal - xi, -options_.max_step,
                                     options_.max_step);
     x_next[i] = std::clamp(xi + delta, 0.0, 1.0);
+    if (gauss_seidel) probe_.set_ratio(i, x_next[i]);
   }
 }
 

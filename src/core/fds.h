@@ -156,9 +156,14 @@ class FdsController final : public Controller {
   const MultiRegionGame& game_;
   DesiredFields desired_;
   FdsOptions options_;
+  /// Growth-rate probe scratch of one next_x_into round (grow-only). Each
+  /// round starts it from that round's inputs, so nothing in it is state.
+  RateProbe probe_;
 
-  IntervalSet decision_feasible_set(const GameState& state,
-                                    std::span<const double> x_prev, RegionId i,
+  // The sets above, over the state and ratios held by `probe`.
+  IntervalSet feasible_set(RateProbe& probe, RegionId i) const;
+  IntervalSet prioritized_feasible_set(RateProbe& probe, RegionId i) const;
+  IntervalSet decision_feasible_set(RateProbe& probe, RegionId i,
                                     DecisionId k) const;
 };
 

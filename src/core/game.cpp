@@ -100,7 +100,14 @@ void MultiRegionGame::region_fitness_into(const GameState& state,
 double MultiRegionGame::average_fitness(const GameState& state,
                                         std::span<const double> x,
                                         RegionId i) const {
-  const auto q = region_fitness(state, x, i);
+  std::vector<double> q;
+  return average_fitness(state, x, i, q);
+}
+
+double MultiRegionGame::average_fitness(const GameState& state,
+                                        std::span<const double> x, RegionId i,
+                                        std::vector<double>& q) const {
+  region_fitness_into(state, x, i, q);
   double avg = 0.0;
   for (DecisionId k = 0; k < q.size(); ++k) {
     avg += state.p[i][k] * q[k];

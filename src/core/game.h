@@ -107,6 +107,11 @@ class MultiRegionGame {
   double average_fitness(const GameState& state, std::span<const double> x,
                          RegionId i) const;
 
+  /// Allocation-free variant: `q` is the scratch fitness row, left holding
+  /// region_fitness(state, x, i).
+  double average_fitness(const GameState& state, std::span<const double> x,
+                         RegionId i, std::vector<double>& q) const;
+
   /// Eq. (5): one synchronous replicator round over all regions.
   void replicator_step(GameState& state, std::span<const double> x) const;
 

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "common/interval.h"
 #include "core/game.h"
@@ -109,5 +110,36 @@ struct RateFamily {
 
 RateFamily rate_family(const MultiRegionGame& game, const GameState& state,
                        std::span<const double> x, RegionId i, DecisionId k);
+
+/// The probe behind growth_rate_at, affine_rate and rate_family, reusable
+/// across calls. It keeps a copy of one state and ratio vector; each probe
+/// rewrites row i of the copy (or entry i of the ratios), evaluates, and
+/// restores it, so the copy is taken once per set() rather than once per
+/// probe. Results are bit-equal to the free functions on the same inputs,
+/// and once warm at a given shape, probing allocates nothing. FdsController
+/// keeps one for all the probes of a next_x_into round.
+class RateProbe {
+ public:
+  /// `game` must outlive the probe.
+  explicit RateProbe(const MultiRegionGame& game) : game_(game) {}
+
+  /// Copies the state and ratios the probes start from (grow-only).
+  void set(const GameState& state, std::span<const double> x);
+  /// Updates ratio j of the copy (a Gauss-Seidel sweep's fresh ratio).
+  void set_ratio(RegionId j, double xj);
+
+  const GameState& state() const noexcept { return state_; }
+
+  double growth_rate_at(RegionId i, DecisionId k, double p_new);
+  AffineRate affine_rate(RegionId i, DecisionId k);
+  RateFamily rate_family(RegionId i, DecisionId k);
+
+ private:
+  const MultiRegionGame& game_;
+  GameState state_;
+  std::vector<double> x_;
+  std::vector<double> saved_row_;  // row i while a probe rewrites it
+  std::vector<double> q_;          // fitness row
+};
 
 }  // namespace avcp::core

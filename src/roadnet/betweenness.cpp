@@ -4,9 +4,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
-#include <queue>
 #include <thread>
+#include <utility>
 
 #include "common/contracts.h"
 #include "common/thread_pool.h"
@@ -27,51 +28,97 @@ double edge_weight(const RoadGraph& g, SegmentId s, PathMetric metric) {
   return 1.0;
 }
 
+/// Reusable workspace of one Brandes pass, sized once from the graph so a
+/// pass never reallocates. A chunk task builds one and reuses it for every
+/// source of its chunk, so scratch memory is bounded by the running lanes.
+struct BrandesScratch {
+  explicit BrandesScratch(const RoadGraph& g) {
+    const std::size_t n = g.num_intersections();
+    dist.resize(n);
+    sigma.resize(n);
+    delta.resize(n);
+    pred_begin.resize(n);
+    pred_count.resize(n);
+    std::size_t degree_sum = 0;
+    for (NodeId v = 0; v < n; ++v) {
+      pred_begin[v] = static_cast<std::uint32_t>(degree_sum);
+      degree_sum += g.neighbors(v).size();
+    }
+    pred_hops.resize(degree_sum);
+    order.reserve(n);
+    heap.reserve(1 + degree_sum);
+    settled.resize(n);
+  }
+
+  /// Distances, for callers that do not keep them (the batch path).
+  std::vector<double> dist;
+  std::vector<double> sigma;  // shortest-path counts
+  std::vector<double> delta;  // dependencies
+  /// Predecessor slots laid out CSR over the adjacency: node w's
+  /// predecessors are pred_hops[pred_begin[w], pred_begin[w] +
+  /// pred_count[w]). A pass relaxes each directed segment once, so w
+  /// receives at most degree(w) of them.
+  std::vector<std::uint32_t> pred_begin;
+  std::vector<std::uint32_t> pred_count;
+  std::vector<Hop> pred_hops;
+  /// Nodes in settle order (nondecreasing distance); the BFS queue too.
+  std::vector<NodeId> order;
+  /// Dijkstra's binary min-heap over (dist, node), driven by
+  /// std::push_heap / std::pop_heap with std::greater<>. A node is pushed
+  /// again only with a strictly smaller dist, so no two entries tie and
+  /// the keys alone fix the settle order. One push per strict improvement
+  /// plus the source bounds it by 1 + the sum of degrees.
+  std::vector<std::pair<double, NodeId>> heap;
+  std::vector<std::uint8_t> settled;
+};
+
 /// One Brandes accumulation pass from `source`, adding each segment's
 /// pair-dependency into `centrality`. An empty `weights` span selects the
 /// unweighted BFS path (the kHops metric); otherwise weights[segment] is
-/// the segment's traversal cost (Dijkstra). When `dist_out` is non-null the
-/// pass's final distance array is moved into it (IncrementalBetweenness
-/// caches it for affected-source detection).
+/// the segment's traversal cost (Dijkstra). The pass's distances land in
+/// `dist` (n entries): scratch.dist, or IncrementalBetweenness's cached
+/// array for the source, which it reads for affected-source detection.
 void accumulate_from_source(const RoadGraph& g, NodeId source,
                             std::span<const double> weights,
-                            std::vector<double>& centrality,
-                            std::vector<double>* dist_out = nullptr) {
-  const std::size_t n = g.num_intersections();
-  std::vector<double> dist(n, std::numeric_limits<double>::infinity());
-  std::vector<double> sigma(n, 0.0);  // shortest-path counts
-  std::vector<double> delta(n, 0.0);  // dependencies
-  std::vector<std::vector<Hop>> preds(n);
-  std::vector<NodeId> order;  // nodes in nondecreasing distance
-  order.reserve(n);
+                            std::span<double> dist, BrandesScratch& scratch,
+                            std::vector<double>& centrality) {
+  std::vector<double>& sigma = scratch.sigma;
+  std::vector<double>& delta = scratch.delta;
+  const std::vector<std::uint32_t>& pred_begin = scratch.pred_begin;
+  std::vector<std::uint32_t>& pred_count = scratch.pred_count;
+  std::vector<Hop>& pred_hops = scratch.pred_hops;
+  std::vector<NodeId>& order = scratch.order;
+  std::fill(dist.begin(), dist.end(), std::numeric_limits<double>::infinity());
+  std::fill(sigma.begin(), sigma.end(), 0.0);
+  std::fill(delta.begin(), delta.end(), 0.0);
+  std::fill(pred_count.begin(), pred_count.end(), 0u);
+  order.clear();
 
   dist[source] = 0.0;
   sigma[source] = 1.0;
 
   if (weights.empty()) {
-    std::queue<NodeId> frontier;
-    frontier.push(source);
-    while (!frontier.empty()) {
-      const NodeId v = frontier.front();
-      frontier.pop();
-      order.push_back(v);
+    order.push_back(source);
+    for (std::size_t head = 0; head < order.size(); ++head) {
+      const NodeId v = order[head];
       for (const Hop& hop : g.neighbors(v)) {
         const NodeId w = hop.node;
         if (dist[w] == std::numeric_limits<double>::infinity()) {
           dist[w] = dist[v] + 1.0;
-          frontier.push(w);
+          order.push_back(w);
         }
         if (dist[w] == dist[v] + 1.0) {
           sigma[w] += sigma[v];
-          preds[w].push_back(Hop{hop.segment, v});
+          pred_hops[pred_begin[w] + pred_count[w]++] = Hop{hop.segment, v};
         }
       }
     }
   } else {
-    using Entry = std::pair<double, NodeId>;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-    std::vector<bool> settled(n, false);
-    heap.emplace(0.0, source);
+    auto& heap = scratch.heap;
+    std::vector<std::uint8_t>& settled = scratch.settled;
+    std::fill(settled.begin(), settled.end(), std::uint8_t{0});
+    heap.clear();
+    heap.emplace_back(0.0, source);
     // Tie tolerance *relative* to the candidate distance: equal-cost paths
     // accumulated through different chains drift apart by O(eps * length),
     // so a fixed absolute window both misses ties on km-scale distance /
@@ -80,10 +127,11 @@ void accumulate_from_source(const RoadGraph& g, NodeId source,
     // drift of any realistic chain and far below any real length gap.
     constexpr double kTieTolRel = 1e-12;
     while (!heap.empty()) {
-      const auto [d, v] = heap.top();
-      heap.pop();
-      if (settled[v]) continue;
-      settled[v] = true;
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+      const auto [d, v] = heap.back();
+      heap.pop_back();
+      if (settled[v] != 0) continue;
+      settled[v] = 1;
       order.push_back(v);
       for (const Hop& hop : g.neighbors(v)) {
         const NodeId w = hop.node;
@@ -92,11 +140,13 @@ void accumulate_from_source(const RoadGraph& g, NodeId source,
         if (nd < dist[w] - tol) {
           dist[w] = nd;
           sigma[w] = sigma[v];
-          preds[w].assign(1, Hop{hop.segment, v});
-          heap.emplace(nd, w);
-        } else if (std::abs(nd - dist[w]) <= tol && !settled[w]) {
+          pred_hops[pred_begin[w]] = Hop{hop.segment, v};
+          pred_count[w] = 1;
+          heap.emplace_back(nd, w);
+          std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+        } else if (std::abs(nd - dist[w]) <= tol && settled[w] == 0) {
           sigma[w] += sigma[v];
-          preds[w].push_back(Hop{hop.segment, v});
+          pred_hops[pred_begin[w] + pred_count[w]++] = Hop{hop.segment, v};
         }
       }
     }
@@ -105,13 +155,14 @@ void accumulate_from_source(const RoadGraph& g, NodeId source,
   // Back-propagate dependencies in reverse settle order.
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const NodeId w = *it;
-    for (const Hop& pred : preds[w]) {
+    const Hop* preds = pred_hops.data() + pred_begin[w];
+    for (std::uint32_t p = 0; p < pred_count[w]; ++p) {
+      const Hop& pred = preds[p];
       const double share = sigma[pred.node] / sigma[w] * (1.0 + delta[w]);
       centrality[pred.segment] += share;
       delta[pred.node] += share;
     }
   }
-  if (dist_out != nullptr) *dist_out = std::move(dist);
 }
 
 /// Per-segment traversal cost vector for a metric; empty for kHops (which
@@ -171,8 +222,10 @@ std::vector<double> betweenness_from_sources(
   pool.parallel_for(0, num_chunks, [&](std::size_t c) {
     const std::size_t begin = sources.size() * c / num_chunks;
     const std::size_t end = sources.size() * (c + 1) / num_chunks;
+    BrandesScratch scratch(g);
     for (std::size_t s = begin; s < end; ++s) {
-      accumulate_from_source(g, sources[s], weights, partials[c]);
+      accumulate_from_source(g, sources[s], weights, scratch.dist, scratch,
+                             partials[c]);
     }
   });
   std::vector<double> centrality(g.num_segments(), 0.0);
@@ -251,7 +304,8 @@ IncrementalBetweenness::IncrementalBetweenness(const RoadGraph& g,
       weights_(std::move(weights)),
       num_chunks_(chunk_count(g.num_intersections())),
       partials_(num_chunks_),
-      dists_(g.num_intersections()),
+      dists_(g.num_intersections(),
+             std::vector<double>(g.num_intersections())),
       centrality_(g.num_segments(), 0.0),
       pool_(std::min<std::size_t>(
           ThreadPool::clamped_lanes(opts.num_threads),
@@ -259,8 +313,8 @@ IncrementalBetweenness::IncrementalBetweenness(const RoadGraph& g,
   AVCP_EXPECT(g_.finalized());
   AVCP_EXPECT(g_.num_intersections() >= 1);
   check_weights(g_, weights_);
-  const std::vector<std::uint8_t> all_dirty(num_chunks_, 1);
-  recompute_chunks(all_dirty);
+  dirty_.assign(num_chunks_, 1);
+  recompute_chunks();
   reduce();
 }
 
@@ -297,7 +351,8 @@ IncrementalBetweenness::UpdateStats IncrementalBetweenness::update_weights(
   // skipped here provably contributed the same partial.
   constexpr double kAffectTolRel = 1e-9;
   const std::size_t n = g_.num_intersections();
-  std::vector<std::uint8_t> affected(n, 0);
+  std::vector<std::uint8_t>& affected = affected_;
+  affected.assign(n, 0);
   for (std::size_t src = 0; src < n; ++src) {
     const std::vector<double>& dist = dists_[src];
     for (const Change& ch : changes) {
@@ -315,7 +370,8 @@ IncrementalBetweenness::UpdateStats IncrementalBetweenness::update_weights(
     }
   }
 
-  std::vector<std::uint8_t> dirty(num_chunks_, 0);
+  std::vector<std::uint8_t>& dirty = dirty_;
+  dirty.assign(num_chunks_, 0);
   for (std::size_t c = 0; c < num_chunks_; ++c) {
     const std::size_t begin = n * c / num_chunks_;
     const std::size_t end = n * (c + 1) / num_chunks_;
@@ -334,23 +390,23 @@ IncrementalBetweenness::UpdateStats IncrementalBetweenness::update_weights(
   }
   if (stats.chunks_recomputed == 0) return stats;
 
-  recompute_chunks(dirty);
+  recompute_chunks();
   reduce();
   return stats;
 }
 
-void IncrementalBetweenness::recompute_chunks(
-    const std::vector<std::uint8_t>& dirty) {
+void IncrementalBetweenness::recompute_chunks() {
   const std::size_t n = g_.num_intersections();
   pool_.parallel_for(0, num_chunks_, [&](std::size_t c) {
-    if (dirty[c] == 0) return;
+    if (dirty_[c] == 0) return;
     std::vector<double>& partial = partials_[c];
     partial.assign(g_.num_segments(), 0.0);
+    BrandesScratch scratch(g_);
     const std::size_t begin = n * c / num_chunks_;
     const std::size_t end = n * (c + 1) / num_chunks_;
     for (std::size_t s = begin; s < end; ++s) {
-      accumulate_from_source(g_, static_cast<NodeId>(s), weights_, partial,
-                             &dists_[s]);
+      accumulate_from_source(g_, static_cast<NodeId>(s), weights_, dists_[s],
+                             scratch, partial);
     }
   });
 }

@@ -78,7 +78,8 @@ std::vector<double> segment_betweenness_weighted(
 /// The test is conservative (borderline sources recompute needlessly) and
 /// applies per changed segment, so any batch of simultaneous changes is
 /// sound. Memory: one distance array per intersection (O(N^2) doubles) —
-/// sized for the service-scale road graphs, not continental networks.
+/// sized for the service-scale road graphs, not continental networks —
+/// plus one O(N + M) pass workspace per running chunk task.
 class IncrementalBetweenness {
  public:
   /// `g` must outlive the object and stay unchanged (weights are the only
@@ -108,7 +109,9 @@ class IncrementalBetweenness {
   std::size_t num_chunks() const noexcept { return num_chunks_; }
 
  private:
-  void recompute_chunks(const std::vector<std::uint8_t>& dirty);
+  /// Re-runs every chunk flagged in dirty_, one BrandesScratch per chunk
+  /// task, writing each source's distances into dists_[source].
+  void recompute_chunks();
   void reduce();
 
   struct Change {
@@ -120,9 +123,12 @@ class IncrementalBetweenness {
   BetweennessOptions opts_;
   std::vector<double> weights_;
   std::size_t num_chunks_;
-  /// Grow-only update_weights scratch: a no-op refresh (all weights
-  /// bit-equal) allocates nothing once warmed.
+  /// Grow-only update_weights scratch: once warmed, a refresh allocates
+  /// only the per-chunk pass workspaces, and a no-op refresh (all weights
+  /// bit-equal) nothing at all.
   std::vector<Change> changes_;
+  std::vector<std::uint8_t> affected_;  // per source
+  std::vector<std::uint8_t> dirty_;     // per chunk
   /// partials_[chunk][segment]: the chunk's unscaled accumulation.
   std::vector<std::vector<double>> partials_;
   /// dists_[source][node]: distances of the cached pass from `source`.

@@ -12,12 +12,14 @@
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <numeric>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/fds.h"
 #include "core/fleet_stream.h"
 #include "perception/fleet_soa.h"
+#include "roadnet/betweenness.h"
 #include "roadnet/builders.h"
 #include "service/service_engine.h"
 #include "system/fleet_engine.h"
@@ -263,6 +265,35 @@ TEST(AllocationGuardService, ChurningEpochsHaveBoundedAllocations) {
     for (int e = 0; e < 20; ++e) svc.run_epoch();
   });
   EXPECT_LE(allocs, 8) << "per-epoch heap churn has crept back in";
+}
+
+// The guards above keep congestion_alpha = 0, so segment weights never move
+// and centrality is never refreshed. With congestion on, a service epoch
+// refreshes IncrementalBetweenness; at the benchmark's churn every chunk is
+// dirty each time. Once warm, such a refresh allocates one pass workspace
+// per chunk task, however many sources the chunk holds.
+TEST(AllocationGuardBetweenness, FullRefreshAllocatesPerChunkNotPerSource) {
+  const auto graph = roadnet::make_grid(18, 24);
+  Rng rng(53);
+  std::vector<double> low(graph.num_segments());
+  std::vector<double> high(graph.num_segments());
+  for (std::size_t s = 0; s < low.size(); ++s) {
+    low[s] = static_cast<double>(rng.uniform_int(1, 3));
+    high[s] = low[s] + 0.5;  // every segment changes on every refresh
+  }
+  std::vector<roadnet::SegmentId> segments(graph.num_segments());
+  std::iota(segments.begin(), segments.end(), roadnet::SegmentId{0});
+  roadnet::IncrementalBetweenness inc(graph, low);
+  inc.update_weights(segments, high);  // warm-up: refresh scratch sized
+  for (int r = 0; r < 4; ++r) {
+    const std::vector<double>& next = r % 2 == 0 ? low : high;
+    roadnet::IncrementalBetweenness::UpdateStats stats;
+    const long long allocs = allocations_during(
+        [&] { stats = inc.update_weights(segments, next); });
+    ASSERT_EQ(stats.chunks_recomputed, inc.num_chunks());
+    EXPECT_LE(allocs, static_cast<long long>(16 * inc.num_chunks()))
+        << "refresh " << r << " allocates per source again";
+  }
 }
 
 }  // namespace

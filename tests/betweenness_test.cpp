@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <queue>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -392,6 +395,95 @@ TEST(Betweenness, SampledWithAllSourcesIsExact) {
   for (std::size_t i = 0; i < exact.size(); ++i) {
     EXPECT_NEAR(exact[i], sampled[i], 1e-9);
   }
+}
+
+/// 64-bit FNV-1a over the bit patterns of `values`, little end first.
+std::uint64_t fnv1a_bits(std::span<const double> values,
+                         std::uint64_t h = 0xcbf29ce484222325ULL) {
+  for (const double v : values) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+/// Per-segment weights drawn from {1, 2, 3}: many equal-cost paths, so the
+/// pass's summation order shows in the low bits.
+std::vector<double> tie_heavy_weights(const RoadGraph& g, Rng& rng) {
+  std::vector<double> w(g.num_segments());
+  for (double& x : w) x = static_cast<double>(rng.uniform_int(1, 3));
+  return w;
+}
+
+/// Hashes of every entry point's output on `g`, in a fixed order: kHops,
+/// kTravelTime, tie-heavy weighted, sampled, and incremental after a seeded
+/// update_weights sequence (each step's centrality folded in).
+std::vector<std::uint64_t> brandes_output_hashes(const RoadGraph& g) {
+  std::vector<std::uint64_t> hashes;
+  BetweennessOptions hops;
+  hops.metric = PathMetric::kHops;
+  hashes.push_back(fnv1a_bits(segment_betweenness(g, hops)));
+  BetweennessOptions time;
+  time.metric = PathMetric::kTravelTime;
+  hashes.push_back(fnv1a_bits(segment_betweenness(g, time)));
+
+  Rng weight_rng(41);
+  const std::vector<double> weights = tie_heavy_weights(g, weight_rng);
+  hashes.push_back(fnv1a_bits(segment_betweenness_weighted(g, weights)));
+
+  Rng sample_rng(43);
+  hashes.push_back(fnv1a_bits(sampled_segment_betweenness(
+      g, g.num_intersections() / 3, sample_rng, time)));
+
+  IncrementalBetweenness inc(g, weights);
+  std::uint64_t h = fnv1a_bits(inc.centrality());
+  Rng update_rng(47);
+  std::vector<SegmentId> segments;
+  std::vector<double> updated;
+  for (int step = 0; step < 4; ++step) {
+    segments.clear();
+    updated.clear();
+    for (int u = 0; u < 24; ++u) {
+      segments.push_back(static_cast<SegmentId>(update_rng.uniform_int(
+          0, static_cast<std::int64_t>(g.num_segments()) - 1)));
+      updated.push_back(static_cast<double>(update_rng.uniform_int(1, 3)));
+    }
+    inc.update_weights(segments, updated);
+    h = fnv1a_bits(inc.centrality(), h);
+  }
+  hashes.push_back(h);
+  return hashes;
+}
+
+TEST(Betweenness, OutputBitsArePinnedAcrossCommits) {
+  // Every other test compares the pass with itself (thread counts, the
+  // incremental path against the from-scratch one) or with an oracle at a
+  // tolerance, so none of them notices a change in summation order, which
+  // moves every downstream clustering and trajectory. An algebraically
+  // equal rewrite of the dependency share changes these hashes on the large
+  // tie-heavy grid. Update them only with a deliberate change to the pass's
+  // arithmetic.
+  CityParams params;
+  params.rows = 12;
+  params.cols = 14;
+  params.seed = 5;
+  const std::vector<std::uint64_t> grid =
+      brandes_output_hashes(make_grid(18, 24));
+  const std::vector<std::uint64_t> city =
+      brandes_output_hashes(build_city(params));
+  const std::vector<std::uint64_t> expected_grid = {
+      12293146238007581453ULL, 12293146238007581453ULL,
+      17582749161703920851ULL, 14941096579823138478ULL,
+      14695569895713654794ULL};
+  const std::vector<std::uint64_t> expected_city = {
+      9928341627170946214ULL, 16403329882053428422ULL,
+      6059199429367659862ULL, 15733866320390955638ULL,
+      7612762528795956256ULL};
+  EXPECT_EQ(grid, expected_grid);
+  EXPECT_EQ(city, expected_city);
 }
 
 }  // namespace
