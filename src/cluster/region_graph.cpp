@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <tuple>
+#include <utility>
 
 #include "common/contracts.h"
 
@@ -78,33 +81,71 @@ RegionGraphAccumulator::RegionGraphAccumulator(const RegionGraphInputs& inputs)
 
 void RegionGraphAccumulator::add(const trace::GpsFix& fix) {
   AVCP_EXPECT(fix.segment < inputs_.region_of_segment.size());
-  const auto window = static_cast<std::size_t>(fix.time_s / inputs_.window_s);
-  if (window >= num_windows_) return;
-  if (!seen_.insert({window, fix.vehicle}).second) {
-    return;  // vehicle already counted in this window (first fix wins)
-  }
-  const RegionId region = inputs_.region_of_segment[fix.segment];
-  const spatial::ServerId cell = inputs_.cell_of_segment[fix.segment];
-  auto& counts =
-      presence_
-          .try_emplace({window, cell},
-                       std::vector<double>(inputs_.num_regions, 0.0))
-          .first->second;
-  counts[region] += 1.0;
+  AVCP_EXPECT(fix.time_s >= 0.0);  // false for NaN too
+  // Range-check the quotient as a double: casting one beyond size_t is
+  // undefined.
+  const double window = fix.time_s / inputs_.window_s;
+  if (window >= static_cast<double>(num_windows_)) return;
+  presence_.push_back(Presence{static_cast<std::size_t>(window), fix.time_s,
+                               fix.vehicle, fix.segment});
 }
 
 RegionGraph RegionGraphAccumulator::build() {
+  // Bucket the records by window: a counting sort over their indices.
+  std::vector<std::size_t> window_end(num_windows_ + 1, 0);
+  for (const Presence& p : presence_) ++window_end[p.window + 1];
+  std::partial_sum(window_end.begin(), window_end.end(), window_end.begin());
+  std::vector<std::size_t> order(presence_.size());
+  for (std::size_t r = 0; r < presence_.size(); ++r) {
+    order[window_end[presence_[r].window]++] = r;
+  }
+  // window_end[w] is now where window w's indices end.
+
   RegionGraph graph(inputs_.num_regions);
-  for (const auto& [key, counts] : presence_) {
-    for (std::size_t i = 0; i < inputs_.num_regions; ++i) {
-      if (counts[i] <= 0.0) continue;
-      // Inner-region pairs: n * (n - 1) / 2.
-      graph.accumulate(static_cast<RegionId>(i), static_cast<RegionId>(i),
-                       counts[i] * (counts[i] - 1.0) / 2.0);
-      for (std::size_t j = i + 1; j < inputs_.num_regions; ++j) {
-        if (counts[j] <= 0.0) continue;
-        graph.accumulate(static_cast<RegionId>(i), static_cast<RegionId>(j),
-                         counts[i] * counts[j]);
+  std::vector<Presence> window;      // one window's records
+  std::vector<std::uint64_t> keys;   // (cell, region) of its presences
+  std::vector<std::pair<RegionId, double>> counts;  // one cell's regions
+  counts.reserve(inputs_.num_regions);
+  std::size_t begin = 0;
+  for (std::size_t w = 0; w < num_windows_; begin = window_end[w++]) {
+    window.clear();
+    for (std::size_t o = begin; o < window_end[w]; ++o) {
+      window.push_back(presence_[order[o]]);
+    }
+    // Each vehicle's fixes by time: its presence is its earliest fix in the
+    // window (ties to the lowest segment), whatever the arrival order.
+    std::sort(window.begin(), window.end(),
+              [](const Presence& a, const Presence& b) {
+                return std::tie(a.vehicle, a.time_s, a.segment) <
+                       std::tie(b.vehicle, b.time_s, b.segment);
+              });
+    keys.clear();
+    for (std::size_t r = 0; r < window.size(); ++r) {
+      if (r > 0 && window[r].vehicle == window[r - 1].vehicle) continue;
+      const roadnet::SegmentId s = window[r].segment;
+      keys.push_back((std::uint64_t{inputs_.cell_of_segment[s]} << 32) |
+                     inputs_.region_of_segment[s]);
+    }
+    // By (cell, region): occupied cells ascending, each with its regions
+    // ascending.
+    std::sort(keys.begin(), keys.end());
+    for (std::size_t k = 0; k < keys.size();) {
+      counts.clear();
+      const std::uint64_t cell = keys[k] >> 32;
+      for (; k < keys.size() && keys[k] >> 32 == cell; ++k) {
+        const auto region = static_cast<RegionId>(keys[k]);
+        if (counts.empty() || counts.back().first != region) {
+          counts.emplace_back(region, 0.0);
+        }
+        counts.back().second += 1.0;
+      }
+      for (std::size_t a = 0; a < counts.size(); ++a) {
+        const auto [i, n_i] = counts[a];
+        // Inner-region pairs: n * (n - 1) / 2.
+        graph.accumulate(i, i, n_i * (n_i - 1.0) / 2.0);
+        for (std::size_t b = a + 1; b < counts.size(); ++b) {
+          graph.accumulate(i, counts[b].first, n_i * counts[b].second);
+        }
       }
     }
   }

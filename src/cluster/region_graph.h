@@ -11,10 +11,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "cluster/region_clustering.h"
@@ -71,28 +68,36 @@ struct RegionGraphInputs {
 };
 
 /// Streaming builder: feed fixes one at a time (any order, any batching),
-/// then build(). Memory is proportional to the occupied (window, cell)
-/// pairs plus one marker per (window, vehicle) — independent of the total
-/// fix count — so city-scale traces never need materializing. The same fix
-/// multiset produces the same graph regardless of interleaving.
+/// then build(). Memory is linear in the trace length, not constant: one
+/// 24-byte record per fix inside the span (half a GpsFix), plus an 8-byte
+/// index per record and a counter per window while build() buckets them
+/// by window. A vehicle counts once per window, at its earliest fix there
+/// (ties to the lowest segment), so the same fix multiset produces the same
+/// graph regardless of interleaving.
 class RegionGraphAccumulator {
  public:
-  /// The spans inside `inputs` must stay valid for the add() calls.
+  /// The spans inside `inputs` must stay valid until build() returns.
   explicit RegionGraphAccumulator(const RegionGraphInputs& inputs);
 
-  /// Consumes one fix (at most one presence per (window, vehicle) counts).
+  /// Consumes one fix. Negative and NaN times are rejected; times at or
+  /// beyond the last window (infinity included) are skipped.
   void add(const trace::GpsFix& fix);
 
   /// Counts the co-presence pairs and finalizes the graph. Call once.
   RegionGraph build();
 
  private:
+  /// One in-span fix, reduced to what co-presence needs.
+  struct Presence {
+    std::size_t window = 0;
+    double time_s = 0.0;
+    trace::VehicleId vehicle = 0;
+    roadnet::SegmentId segment = roadnet::kInvalidSegment;
+  };
+
   RegionGraphInputs inputs_;
   std::size_t num_windows_;
-  /// window/cell -> per-region vehicle counts; only occupied pairs stored.
-  std::map<std::pair<std::size_t, spatial::ServerId>, std::vector<double>>
-      presence_;
-  std::set<std::pair<std::size_t, trace::VehicleId>> seen_;
+  std::vector<Presence> presence_;  // in arrival order
 };
 
 /// Builds the region graph from a trace. Fixes may arrive in any order.

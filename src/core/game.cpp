@@ -65,18 +65,27 @@ double MultiRegionGame::pooled_utility(std::span<const double> p,
   return pooled;
 }
 
+template <typename Pooled>
+double MultiRegionGame::fitness_from(std::span<const double> x, RegionId i,
+                                     DecisionId k,
+                                     const Pooled& pooled) const {
+  const RegionSpec& spec = regions_[i];
+  double gain = x[i] * spec.gamma_self * pooled(i);
+  for (const auto& [j, gamma] : spec.neighbors) {
+    gain += x[j] * gamma * pooled(j);
+  }
+  return spec.beta * gain - config_.privacy[k];
+}
+
 double MultiRegionGame::fitness(const GameState& state,
                                 std::span<const double> x, RegionId i,
                                 DecisionId k) const {
   AVCP_EXPECT(i < regions_.size());
   AVCP_EXPECT(x.size() == regions_.size());
   AVCP_EXPECT(state.p.size() == regions_.size());
-  const RegionSpec& spec = regions_[i];
-  double gain = x[i] * spec.gamma_self * pooled_utility(state.p[i], k);
-  for (const auto& [j, gamma] : spec.neighbors) {
-    gain += x[j] * gamma * pooled_utility(state.p[j], k);
-  }
-  return spec.beta * gain - config_.privacy[k];
+  return fitness_from(x, i, k, [&](RegionId j) {
+    return pooled_utility(state.p[j], k);
+  });
 }
 
 std::vector<double> MultiRegionGame::region_fitness(const GameState& state,
@@ -118,34 +127,49 @@ double MultiRegionGame::average_fitness(const GameState& state,
 void MultiRegionGame::replicator_step(GameState& state,
                                       std::span<const double> x) const {
   AVCP_EXPECT(state.p.size() == regions_.size());
+  AVCP_EXPECT(x.size() == regions_.size());
+  const std::size_t m = regions_.size();
   const std::size_t k = num_decisions();
   const double eta = config_.step_size;
   const double mu = config_.mutation;
 
-  // Synchronous update: all growth rates are computed against the old state.
-  std::vector<std::vector<double>> next(state.p.size());
-  for (RegionId i = 0; i < regions_.size(); ++i) {
-    const auto q = region_fitness(state, x, i);
+  // Synchronous update: every A_{j,d} is taken from the old state before
+  // any row moves (A depends on region and decision only, so it is computed
+  // once per step, not once per neighbour), which lets rows update in place.
+  std::vector<double> scratch((m + 2) * k);
+  double* pooled = scratch.data();  // pooled[j * k + d] = A_{j,d}
+  double* q = pooled + m * k;
+  double* row = q + k;
+  for (RegionId j = 0; j < m; ++j) {
+    AVCP_EXPECT(state.p[j].size() == k);
+    for (DecisionId d = 0; d < k; ++d) {
+      pooled[j * k + d] = pooled_utility(state.p[j], d);
+    }
+  }
+  for (RegionId i = 0; i < m; ++i) {
+    std::vector<double>& p = state.p[i];
+    for (DecisionId d = 0; d < k; ++d) {
+      q[d] = fitness_from(x, i, d,
+                          [&](RegionId j) { return pooled[j * k + d]; });
+    }
     double qbar = 0.0;
-    for (DecisionId d = 0; d < k; ++d) qbar += state.p[i][d] * q[d];
+    for (DecisionId d = 0; d < k; ++d) qbar += p[d] * q[d];
 
-    auto& row = next[static_cast<std::size_t>(i)];
-    row.resize(k);
     // Elementwise growth factors are SIMD (per-lane ops in the scalar
     // order, bit-identical); the row sum is an ordered reduction and
     // stays scalar.
-    simd::growth_update(row.data(), state.p[i].data(), q.data(), qbar, eta,
-                        config_.min_growth_factor, k);
+    simd::growth_update(row, p.data(), q, qbar, eta, config_.min_growth_factor,
+                        k);
     double sum = 0.0;
     for (DecisionId d = 0; d < k; ++d) sum += row[d];
     if (sum <= 0.0) {
       // Degenerate step (all factors clamped): keep the old distribution.
-      row = state.p[i];
+      std::copy(p.begin(), p.end(), row);
       sum = 1.0;
     }
-    simd::normalize_mix(row.data(), sum, mu, mu / static_cast<double>(k), k);
+    simd::normalize_mix(row, sum, mu, mu / static_cast<double>(k), k);
+    std::copy(row, row + k, p.begin());
   }
-  state.p = std::move(next);
 }
 
 GameState MultiRegionGame::uniform_state() const {

@@ -125,6 +125,14 @@ class MultiRegionGame {
  private:
   GameConfig config_;
   std::vector<RegionSpec> regions_;
+
+  /// Eq. (4) for decision k of region i, with A_{j,k} read from
+  /// `pooled(j)`: the one place its operands and their order live (own
+  /// region first, then neighbours in spec order), shared by fitness() and
+  /// replicator_step() so the two cannot drift apart.
+  template <typename Pooled>
+  double fitness_from(std::span<const double> x, RegionId i, DecisionId k,
+                      const Pooled& pooled) const;
 };
 
 /// Validates that `p` is a distribution (non-negative, sums to 1 within

@@ -90,8 +90,8 @@ PipelineArtifacts build_pipeline(const PipelineConfig& config) {
     for (const trace::GpsFix& fix : artifacts.fixes) gamma_accumulator.add(fix);
   } else {
     // Second deterministic generator pass: the graph needs the clustering
-    // (computed above), and without kept fixes regenerating is the
-    // constant-memory way to feed it.
+    // (computed above), and without kept fixes regenerating feeds it
+    // without materializing the trace.
     generator.generate(
         [&](const trace::GpsFix& fix) { gamma_accumulator.add(fix); });
   }

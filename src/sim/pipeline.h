@@ -39,10 +39,10 @@ struct PipelineConfig {
   /// Gammas are rescaled so the largest equals gamma_max.
   double gamma_max = 1.0;
   /// When false the generated trace is streamed through the coefficient and
-  /// region-graph accumulators without ever being materialized (constant
-  /// memory in the trace length; artifacts.fixes stays empty). The default
-  /// keeps the fixes for consumers that replay them (TraceDrivenSim,
-  /// bench_fig10). Artifacts are bit-identical either way.
+  /// region-graph accumulators without ever being materialized (the latter
+  /// keeps a 24-byte record per fix, half a GpsFix; artifacts.fixes stays
+  /// empty). The default keeps the fixes for consumers that replay them
+  /// (TraceDrivenSim, bench_fig10). Artifacts are bit-identical either way.
   bool keep_fixes = true;
 };
 

@@ -47,11 +47,14 @@ TracePresenceBuilder::TracePresenceBuilder(
 void TracePresenceBuilder::add(const trace::GpsFix& fix) {
   AVCP_EXPECT(fix.vehicle < num_vehicles_);
   AVCP_EXPECT(fix.segment < region_of_segment_.size());
-  const auto round = static_cast<std::size_t>(fix.time_s / round_s_);
-  if (round >= tally_.size()) return;
+  AVCP_EXPECT(fix.time_s >= 0.0);  // false for NaN too
+  // Range-check the quotient as a double: casting one beyond size_t is
+  // undefined.
+  const double round = fix.time_s / round_s_;
+  if (round >= static_cast<double>(tally_.size())) return;
   const core::RegionId region = region_of_segment_[fix.segment];
   AVCP_EXPECT(region < num_regions_);
-  ++tally_[round][fix.vehicle][region];
+  ++tally_[static_cast<std::size_t>(round)][fix.vehicle][region];
 }
 
 std::vector<std::vector<std::pair<trace::VehicleId, core::RegionId>>>

@@ -44,7 +44,8 @@ class TracePresenceBuilder {
                        double round_s, double trace_duration_s);
 
   /// Consumes one fix; throws ContractViolation on out-of-range vehicle,
-  /// segment, or region ids.
+  /// segment, or region ids and on negative or NaN times. Times at or
+  /// beyond the last round (infinity included) are skipped.
   void add(const trace::GpsFix& fix);
 
   std::size_t num_vehicles() const noexcept { return num_vehicles_; }

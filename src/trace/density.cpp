@@ -20,9 +20,12 @@ TrafficDensityAccumulator::TrafficDensityAccumulator(std::size_t num_segments,
 
 void TrafficDensityAccumulator::add(const GpsFix& fix) {
   AVCP_EXPECT(fix.segment < num_segments_);
-  AVCP_EXPECT(fix.time_s >= 0.0);
-  const auto window = static_cast<std::size_t>(fix.time_s / window_s_);
-  if (window >= counts_.size()) return;  // beyond the configured span
+  AVCP_EXPECT(fix.time_s >= 0.0);  // false for NaN too
+  // Range-check the quotient as a double: casting one beyond size_t is
+  // undefined.
+  const double quotient = fix.time_s / window_s_;
+  if (quotient >= static_cast<double>(counts_.size())) return;  // past span
+  const auto window = static_cast<std::size_t>(quotient);
 
   LastSeen& last = last_seen_[fix.vehicle];
   if (last.window == window && last.segment == fix.segment) return;

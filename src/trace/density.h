@@ -26,7 +26,9 @@ class TrafficDensityAccumulator {
   TrafficDensityAccumulator(std::size_t num_segments, double window_s,
                             double duration_s);
 
-  /// Consumes one fix. Fixes of the same vehicle must be time-ordered.
+  /// Consumes one fix. Fixes of the same vehicle must be time-ordered;
+  /// negative and NaN times are rejected, and times at or beyond the last
+  /// window (infinity included) are skipped.
   void add(const GpsFix& fix);
 
   std::size_t num_windows() const noexcept { return counts_.size(); }

@@ -33,6 +33,28 @@ PointM lerp(const PointM& a, const PointM& b, double t) {
 
 }  // namespace
 
+/// Trips leave from a few hundred distinct intersections, so each origin's
+/// shortest-travel-time tree is built on its first trip and walked for the
+/// rest: the routes are exactly those of a fresh search per trip.
+struct TraceGenerator::Router {
+  explicit Router(const RoadGraph& g)
+      : graph(g), trees(g.num_intersections()) {}
+
+  const RoadGraph& graph;
+  std::vector<std::vector<roadnet::Hop>> trees;  // by origin; empty = unbuilt
+  roadnet::Route route;                          // reused for every trip
+
+  /// The route from `from` to `to`, or nullptr when `to` is unreachable.
+  const roadnet::Route* find(NodeId from, NodeId to) {
+    constexpr auto kMetric = roadnet::PathMetric::kTravelTime;
+    std::vector<roadnet::Hop>& tree = trees[from];
+    if (tree.empty()) tree = roadnet::shortest_path_tree(graph, from, kMetric);
+    return roadnet::route_from_tree(graph, tree, from, to, kMetric, route)
+               ? &route
+               : nullptr;
+  }
+};
+
 TraceGenerator::TraceGenerator(const RoadGraph& graph, TraceParams params)
     : graph_(graph), params_(params) {
   AVCP_EXPECT(graph.finalized());
@@ -54,10 +76,11 @@ TraceGenerator::TraceGenerator(const RoadGraph& graph, TraceParams params)
 }
 
 void TraceGenerator::generate(const FixSink& sink) const {
+  Router router(graph_);
   Rng root(params_.seed);
   for (VehicleId id = 0; id < params_.num_vehicles; ++id) {
     Rng vehicle_rng = root.split();
-    generate_vehicle(id, vehicle_rng, sink);
+    generate_vehicle(id, vehicle_rng, router, sink);
   }
 }
 
@@ -67,7 +90,7 @@ std::vector<GpsFix> TraceGenerator::generate_all() const {
   return fixes;
 }
 
-void TraceGenerator::generate_vehicle(VehicleId id, Rng& rng,
+void TraceGenerator::generate_vehicle(VehicleId id, Rng& rng, Router& router,
                                       const FixSink& sink) const {
   const double speed_factor =
       rng.uniform(params_.speed_factor_lo, params_.speed_factor_hi);
@@ -92,9 +115,8 @@ void TraceGenerator::generate_vehicle(VehicleId id, Rng& rng,
     }
     if (dest == here) continue;
 
-    const auto route = roadnet::shortest_path(graph_, here, dest,
-                                              roadnet::PathMetric::kTravelTime);
-    if (!route || route->segments.empty()) continue;
+    const roadnet::Route* route = router.find(here, dest);
+    if (route == nullptr || route->segments.empty()) continue;
 
     // Drive the route segment by segment, emitting fixes on the global
     // fix-interval grid.

@@ -45,7 +45,10 @@ class TraceGenerator {
   /// The road graph must be finalized and outlive the generator.
   TraceGenerator(const roadnet::RoadGraph& graph, TraceParams params);
 
-  /// Generates the full trace into a sink (constant memory).
+  /// Generates the full trace into a sink. Memory is independent of the
+  /// trace length: besides one route, a call holds the shortest-path tree
+  /// of every origin it has routed from (at most one per intersection,
+  /// 8 bytes per intersection each), freed on return.
   void generate(const FixSink& sink) const;
 
   /// Convenience: materialises the whole trace, ordered by vehicle then time.
@@ -59,7 +62,10 @@ class TraceGenerator {
   TraceParams params_;
   std::vector<double> attraction_;
 
-  void generate_vehicle(VehicleId id, Rng& rng, const FixSink& sink) const;
+  struct Router;  // routing state of one generate() call
+
+  void generate_vehicle(VehicleId id, Rng& rng, Router& router,
+                        const FixSink& sink) const;
 };
 
 }  // namespace avcp::trace

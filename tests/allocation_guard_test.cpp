@@ -22,8 +22,10 @@
 #include "roadnet/betweenness.h"
 #include "roadnet/builders.h"
 #include "service/service_engine.h"
+#include "sim/pipeline.h"
 #include "system/fleet_engine.h"
 #include "test_support.h"
+#include "trace/generator.h"
 
 namespace {
 std::atomic<long long> g_live_allocs{0};
@@ -294,6 +296,51 @@ TEST(AllocationGuardBetweenness, FullRefreshAllocatesPerChunkNotPerSource) {
     EXPECT_LE(allocs, static_cast<long long>(16 * inc.num_chunks()))
         << "refresh " << r << " allocates per source again";
   }
+}
+
+// Cold start, trace stage: trips are routed on one shortest-path tree per
+// origin, built the first time a trip leaves that intersection and held for
+// the generate() call, so a pass allocates per intersection, not per trip.
+TEST(AllocationGuardPipeline, TraceGenerationAllocatesPerOriginNotPerTrip) {
+  roadnet::CityParams city;
+  city.rows = 12;
+  city.cols = 14;
+  const auto graph = roadnet::build_city(city);
+  const trace::TraceGenerator generator(graph, trace::TraceParams{});
+  std::size_t fixes = 0;
+  const long long allocs = allocations_during([&] {
+    generator.generate([&fixes](const trace::GpsFix&) { ++fixes; });
+  });
+  ASSERT_GT(fixes, 100000u);
+  EXPECT_LE(allocs, static_cast<long long>(16 * graph.num_intersections()))
+      << "the generator allocates per trip again";
+}
+
+// Cold start, gamma stage: the co-presence accumulator appends one flat
+// record per fix, and build() sorts them window by window in reused
+// buffers, so feeding a whole trace allocates a few dozen times (vector
+// growth, the graph), not per fix.
+TEST(AllocationGuardPipeline, GammaAccumulatorAllocatesPerBuildNotPerFix) {
+  sim::PipelineConfig config;
+  config.city.rows = 12;
+  config.city.cols = 14;
+  const sim::PipelineArtifacts a = sim::build_pipeline(config);
+  ASSERT_GT(a.fixes.size(), 100000u);
+  cluster::RegionGraphInputs inputs;
+  inputs.region_of_segment = a.clustering.region_of;
+  inputs.cell_of_segment = a.cell_of_segment;
+  inputs.num_regions = config.num_regions;
+  inputs.num_cells = config.num_servers;
+  inputs.window_s = config.traces.fix_interval_s;
+  inputs.duration_s = config.traces.duration_s;
+  std::size_t edges = 0;
+  const long long allocs = allocations_during([&] {
+    cluster::RegionGraphAccumulator accumulator(inputs);
+    for (const trace::GpsFix& fix : a.fixes) accumulator.add(fix);
+    edges = accumulator.build().num_edges();
+  });
+  EXPECT_GT(edges, 0u);
+  EXPECT_LE(allocs, 256) << "the accumulator allocates per fix again";
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -233,6 +234,60 @@ TEST(Game, StrictAccessExcludesOwnGroup) {
   std::vector<double> p(8, 0.0);
   p[0] = 1.0;
   EXPECT_NEAR(game.pooled_utility(p, 0), 0.0, 1e-12);
+}
+
+TEST(Game, ReplicatorStepIsEq5OverRegionFitness) {
+  // replicator_step evaluates Eq. (4) from one pooled-utility table per step
+  // and updates rows in place; the FDS probes evaluate it through
+  // region_fitness. Both must give the same bits, so Eq. (5) is applied here
+  // to region_fitness in scalar code and compared exactly, with and without
+  // the mutation floor, for steps that do and do not hit the growth floor.
+  const auto chain = make_chain_game(5, 1.0, 2.5, 1.0, 0.4, /*eta=*/4.0);
+  int floored = 0;  // growth factors clamped at the floor
+  for (const double mutation : {0.0, 0.01}) {
+    GameConfig config = chain.config();
+    config.mutation = mutation;
+    const MultiRegionGame game(config, std::vector<RegionSpec>(
+                                           chain.regions().begin(),
+                                           chain.regions().end()));
+    Rng rng(mutation > 0.0 ? 19 : 17);
+    GameState state;
+    for (int i = 0; i < 5; ++i) state.p.push_back(random_simplex(rng, 8));
+    for (int t = 0; t < 40; ++t) {
+      std::vector<double> x(5);
+      for (double& v : x) v = rng.uniform();
+      GameState expected = state;
+      for (RegionId i = 0; i < 5; ++i) {
+        const std::vector<double> q = game.region_fitness(state, x, i);
+        const double qbar = game.average_fitness(state, x, i);
+        std::vector<double>& row = expected.p[i];
+        double sum = 0.0;
+        for (DecisionId d = 0; d < 8; ++d) {
+          const double factor = 1.0 + config.step_size * (q[d] - qbar);
+          floored += factor < config.min_growth_factor ? 1 : 0;
+          row[d] = state.p[i][d] * std::max(factor, config.min_growth_factor);
+          sum += row[d];
+        }
+        if (sum <= 0.0) {
+          row = state.p[i];
+          sum = 1.0;
+        }
+        for (double& v : row) {
+          v = v / sum;
+          if (mutation > 0.0) v = (1.0 - mutation) * v + mutation / 8.0;
+        }
+      }
+      game.replicator_step(state, x);
+      for (RegionId i = 0; i < 5; ++i) {
+        for (DecisionId d = 0; d < 8; ++d) {
+          ASSERT_EQ(state.p[i][d], expected.p[i][d])
+              << "mutation " << mutation << " step " << t << " region " << i
+              << " decision " << d;
+        }
+      }
+    }
+  }
+  EXPECT_GT(floored, 0);
 }
 
 // Replicator monotonicity sweep: a decision strictly fitter than the

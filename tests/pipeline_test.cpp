@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <span>
+
 #include "common/stats.h"
+#include "test_support.h"
 
 namespace avcp::sim {
 namespace {
+
+using core::testing::fnv1a_word;
 
 PipelineConfig small_config(CoefficientKind kind) {
   PipelineConfig config;
@@ -123,6 +130,50 @@ TEST(Pipeline, StreamingIngestionMatchesMaterializedTrace) {
     EXPECT_EQ(streamed.region_specs[i].neighbors,
               kept.region_specs[i].neighbors);
   }
+}
+
+std::uint64_t fnv1a_doubles(std::uint64_t h, std::span<const double> values) {
+  for (const double v : values) {
+    h = fnv1a_word(h, std::bit_cast<std::uint64_t>(v));
+  }
+  return h;
+}
+
+/// FNV-1a over the bit patterns of the coefficients, the full gamma matrix
+/// and every region spec (beta, gamma_self, neighbour ids and gammas).
+std::uint64_t artifact_hash(const PipelineArtifacts& a) {
+  std::uint64_t h = fnv1a_doubles(core::testing::kFnv1aBasis, a.coefficients);
+  const std::size_t r = a.region_graph.num_regions();
+  for (cluster::RegionId i = 0; i < r; ++i) {
+    for (cluster::RegionId j = 0; j < r; ++j) {
+      h = fnv1a_word(
+          h, std::bit_cast<std::uint64_t>(a.region_graph.gamma(i, j)));
+    }
+  }
+  for (const core::RegionSpec& spec : a.region_specs) {
+    h = fnv1a_word(h, std::bit_cast<std::uint64_t>(spec.beta));
+    h = fnv1a_word(h, std::bit_cast<std::uint64_t>(spec.gamma_self));
+    for (const auto& [j, gamma] : spec.neighbors) {
+      h = fnv1a_word(h, j);
+      h = fnv1a_word(h, std::bit_cast<std::uint64_t>(gamma));
+    }
+  }
+  return h;
+}
+
+TEST(Pipeline, ArtifactBitsArePinnedAcrossCommits) {
+  // The other pipeline tests check shapes, ranges and kept-versus-streamed
+  // equality within one build, so none of them notices a change in the
+  // trace, the coefficients or the order gamma is summed in. Update these
+  // only with a deliberate change to the pipeline's arithmetic.
+  EXPECT_EQ(artifact_hash(build_pipeline(small_config(
+                CoefficientKind::kBetweenness))),
+            0x326fb2e09b7af9c8ULL)
+      << "betweenness coefficients";
+  EXPECT_EQ(artifact_hash(build_pipeline(small_config(
+                CoefficientKind::kTrafficDensity))),
+            0x205252897d6be965ULL)
+      << "traffic-density coefficients";
 }
 
 TEST(Pipeline, MakeRegionSpecsMapsMeansAffinely) {

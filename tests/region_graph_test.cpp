@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "common/contracts.h"
 
 namespace avcp::cluster {
@@ -151,6 +154,68 @@ TEST(BuildRegionGraph, ThreeVehiclesInnerPairs) {
   const RegionGraph g = build_region_graph(fixes, inputs);
   // 3 choose 2 = 3 pairs over 10 s.
   EXPECT_DOUBLE_EQ(g.gamma(0, 0), 0.3);
+}
+
+TEST(BuildRegionGraph, EarliestFixCountsWhateverTheArrivalOrder) {
+  // Segment s lies in region s; both segments in cell 0. Vehicle 1 reports
+  // twice in window 0, first in region 0 and later in region 1; vehicle 2
+  // sits in region 0. The earliest fix places vehicle 1, so the pair is
+  // inner-region whichever of its fixes arrives first.
+  const std::vector<RegionId> region_of = {0, 1};
+  const std::vector<spatial::ServerId> cell_of = {0, 0};
+  RegionGraphInputs inputs;
+  inputs.region_of_segment = region_of;
+  inputs.cell_of_segment = cell_of;
+  inputs.num_regions = 2;
+  inputs.num_cells = 1;
+  inputs.window_s = 10.0;
+  inputs.duration_s = 20.0;
+
+  const trace::GpsFix early{1, 1.0, {}, 0.0, 0};
+  const trace::GpsFix late{1, 5.0, {}, 0.0, 1};
+  const trace::GpsFix other{2, 2.0, {}, 0.0, 0};
+  for (const auto& fixes : {std::vector{early, late, other},
+                            std::vector{late, early, other}}) {
+    const RegionGraph g = build_region_graph(fixes, inputs);
+    EXPECT_DOUBLE_EQ(g.gamma(0, 0), 1.0 / 20.0);
+    EXPECT_DOUBLE_EQ(g.gamma(0, 1), 0.0);
+  }
+
+  // Equal times tie to the lowest segment, again in either order.
+  const trace::GpsFix tie_low{1, 3.0, {}, 0.0, 0};
+  const trace::GpsFix tie_high{1, 3.0, {}, 0.0, 1};
+  for (const auto& fixes : {std::vector{tie_high, tie_low, other},
+                            std::vector{tie_low, tie_high, other}}) {
+    const RegionGraph g = build_region_graph(fixes, inputs);
+    EXPECT_DOUBLE_EQ(g.gamma(0, 0), 1.0 / 20.0);
+    EXPECT_DOUBLE_EQ(g.gamma(0, 1), 0.0);
+  }
+}
+
+TEST(BuildRegionGraph, RejectsNegativeOrNanTimesAndSkipsTimesPastTheSpan) {
+  const std::vector<RegionId> region_of = {0};
+  const std::vector<spatial::ServerId> cell_of = {0};
+  RegionGraphInputs inputs;
+  inputs.region_of_segment = region_of;
+  inputs.cell_of_segment = cell_of;
+  inputs.num_regions = 1;
+  inputs.num_cells = 1;
+  inputs.window_s = 10.0;
+  inputs.duration_s = 20.0;
+
+  RegionGraphAccumulator accumulator(inputs);
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (const double t : {-5.0, -25.0, kNan}) {
+    EXPECT_THROW(accumulator.add({1, t, {}, 0.0, 0}), ContractViolation)
+        << "time " << t;
+  }
+  // Two vehicles at each time: counted in any window, they would pair.
+  for (const double t : {1e300, std::numeric_limits<double>::infinity(),
+                         inputs.duration_s}) {
+    accumulator.add({1, t, {}, 0.0, 0});
+    accumulator.add({2, t, {}, 0.0, 0});
+  }
+  EXPECT_EQ(accumulator.build().gamma(0, 0), 0.0);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <limits>
 
+#include "common/contracts.h"
 #include "roadnet/builders.h"
 
 namespace avcp::roadnet {
@@ -115,6 +116,49 @@ TEST(ShortestPath, CostsAgreeWithRouteCost) {
     ASSERT_TRUE(route.has_value());
     EXPECT_NEAR(route->cost, costs[t], 1e-9) << "target " << t;
   }
+}
+
+TEST(ShortestPathTree, WalksMatchFreshSearchesAndCostsBitForBit) {
+  // One tree per origin serves every destination; walking it into a reused
+  // Route must give the fresh single-pair route, with the cost the search
+  // accumulated (summed outwards, so equal as bits, not just nearly).
+  CityParams params;
+  params.rows = 6;
+  params.cols = 7;
+  const RoadGraph g = build_city(params);
+  for (const PathMetric metric :
+       {PathMetric::kHops, PathMetric::kDistance, PathMetric::kTravelTime}) {
+    Route reused;
+    for (NodeId from = 0; from < g.num_intersections(); ++from) {
+      const std::vector<Hop> tree = shortest_path_tree(g, from, metric);
+      const std::vector<double> costs = shortest_costs(g, from, metric);
+      for (NodeId to = 0; to < g.num_intersections(); ++to) {
+        ASSERT_TRUE(route_from_tree(g, tree, from, to, metric, reused));
+        const auto fresh = shortest_path(g, from, to, metric);
+        ASSERT_TRUE(fresh.has_value());
+        EXPECT_EQ(reused.cost, costs[to]) << from << " -> " << to;
+        EXPECT_EQ(reused.nodes, fresh->nodes) << from << " -> " << to;
+        EXPECT_EQ(reused.segments, fresh->segments) << from << " -> " << to;
+      }
+    }
+  }
+}
+
+TEST(ShortestPathTree, UnreachableAndForeignTreesAreRefused) {
+  RoadGraph g;
+  const NodeId a = g.add_intersection(PointM{0.0, 0.0});
+  const NodeId b = g.add_intersection(PointM{1.0, 0.0});
+  const NodeId c = g.add_intersection(PointM{2.0, 0.0});
+  g.add_intersection(PointM{5.0, 0.0});  // disconnected node 3
+  g.add_segment(a, b, RoadClass::kLocal);
+  g.add_segment(b, c, RoadClass::kLocal);
+  g.finalize();
+  const std::vector<Hop> tree = shortest_path_tree(g, a);
+  Route route;
+  EXPECT_FALSE(route_from_tree(g, tree, a, 3, PathMetric::kTravelTime, route));
+  // A tree grown from `a` walked as if grown from `c` never reaches `c`.
+  EXPECT_THROW(route_from_tree(g, tree, c, b, PathMetric::kTravelTime, route),
+               ContractViolation);
 }
 
 }  // namespace

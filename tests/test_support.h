@@ -1,6 +1,7 @@
-// Shared builders for core-game tests.
+// Shared builders for core-game tests, and the bit-pinning hash.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -9,6 +10,20 @@
 #include "core/sensor_model.h"
 
 namespace avcp::core::testing {
+
+/// FNV-1a offset basis: the hash of nothing.
+inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
+
+/// One 64-bit FNV-1a step over the eight little-endian bytes of `word`.
+/// Tests that pin results across commits fold doubles in through
+/// std::bit_cast, so any change in a result's bits changes the hash.
+inline std::uint64_t fnv1a_word(std::uint64_t h, std::uint64_t word) {
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (word >> (8 * byte)) & 0xffU;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
 
 /// A single isolated region running the paper's 8-decision game.
 inline MultiRegionGame make_single_region_game(double beta = 1.5,

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/contracts.h"
 #include "core/fds.h"
 #include "test_support.h"
@@ -89,6 +91,25 @@ TEST(TraceReplay, RejectsBadInputs) {
   EXPECT_THROW(
       TraceDrivenSim(game, bad, region_of, 3, 200.0, tiny_params()),
       ContractViolation);
+}
+
+TEST(TraceReplay, BuilderRejectsNegativeOrNanTimesAndSkipsTimesPastTheSpan) {
+  const std::vector<cluster::RegionId> region_of = {0, 1};
+  TracePresenceBuilder builder(region_of, 3, 2, 100.0, 200.0);
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (const double t : {-5.0, -25.0, kNan}) {
+    EXPECT_THROW(builder.add({0, t, {}, 0.0, 0}), ContractViolation)
+        << "time " << t;
+  }
+  trace::VehicleId vehicle = 0;
+  for (const double t : {1e300, std::numeric_limits<double>::infinity(),
+                         200.0}) {
+    builder.add({vehicle++, t, {}, 0.0, 1});
+  }
+  const auto presence = std::move(builder).build();
+  ASSERT_EQ(presence.size(), 2u);
+  EXPECT_TRUE(presence[0].empty());
+  EXPECT_TRUE(presence[1].empty());
 }
 
 TEST(TraceReplay, StreamingBuilderMatchesSpanConstructor) {

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <sstream>
 
 #include "common/contracts.h"
 #include "roadnet/builders.h"
+#include "test_support.h"
 #include "trace/density.h"
 #include "trace/trace_io.h"
 
@@ -132,6 +136,41 @@ TEST(TraceGenerator, AttractionFavoursArterials) {
   EXPECT_GT(arterial_fixes / arterial_count, local_fixes / local_count);
 }
 
+/// FNV-1a over the bit patterns of every field of every fix, in stream order.
+std::uint64_t fix_stream_hash(const RoadGraph& g, const TraceParams& params) {
+  using core::testing::fnv1a_word;
+  std::uint64_t h = core::testing::kFnv1aBasis;
+  TraceGenerator(g, params).generate([&h](const GpsFix& fix) {
+    h = fnv1a_word(h, fix.vehicle);
+    h = fnv1a_word(h, std::bit_cast<std::uint64_t>(fix.time_s));
+    h = fnv1a_word(h, std::bit_cast<std::uint64_t>(fix.pos.x));
+    h = fnv1a_word(h, std::bit_cast<std::uint64_t>(fix.pos.y));
+    h = fnv1a_word(h, std::bit_cast<std::uint64_t>(fix.speed_mps));
+    h = fnv1a_word(h, fix.segment);
+  });
+  return h;
+}
+
+TEST(TraceGenerator, FixStreamBitsArePinnedAcrossCommits) {
+  // The other generator tests compare a trace with itself or check its
+  // shape, so none of them notices a change in routing or in the fix
+  // arithmetic, which moves every downstream coefficient, gamma and
+  // trajectory. Update these only with a deliberate change to the trace.
+  roadnet::CityParams city;
+  city.rows = 12;
+  city.cols = 14;
+  const RoadGraph g = roadnet::build_city(city);
+  TraceParams params;
+  params.num_vehicles = 60;
+  params.duration_s = 3600.0;
+  params.seed = 2023;
+  EXPECT_EQ(fix_stream_hash(g, params), 0xf6ae64c2d69f9c9cULL)
+      << "trace seed 2023";
+  params.seed = 99;
+  EXPECT_EQ(fix_stream_hash(g, params), 0x1e11821eab81ff03ULL)
+      << "trace seed 99";
+}
+
 TEST(TrafficDensity, CountsDistinctPresencesPerWindow) {
   TrafficDensityAccumulator td(3, 100.0, 300.0);
   // Vehicle 1 reports twice in window 0 on segment 0: counted once.
@@ -173,6 +212,21 @@ TEST(TrafficDensity, IgnoresFixesBeyondDuration) {
   TrafficDensityAccumulator td(1, 100.0, 100.0);
   td.add(GpsFix{1, 250.0, {}, 0.0, 0});
   EXPECT_EQ(td.count(0, 0), 0u);
+}
+
+TEST(TrafficDensity, RejectsNegativeOrNanTimesAndSkipsTimesPastTheSpan) {
+  TrafficDensityAccumulator td(1, 100.0, 200.0);
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (const double t : {-5.0, -25.0, kNan}) {
+    EXPECT_THROW(td.add(GpsFix{1, t, {}, 0.0, 0}), ContractViolation)
+        << "time " << t;
+  }
+  VehicleId vehicle = 1;
+  for (const double t : {1e300, std::numeric_limits<double>::infinity(),
+                         200.0}) {
+    td.add(GpsFix{vehicle++, t, {}, 0.0, 0});
+  }
+  EXPECT_EQ(td.total_counts()[0], 0u);
 }
 
 TEST(TrafficDensity, RejectsInvalidSegment) {
