@@ -1,17 +1,18 @@
 // Fleet-scale engine bench: the million-vehicle sharded SoA engine
-// (system/fleet_engine.h) against the pre-SoA per-round idiom, with the
-// memory footprint and the bit-identity contract measured alongside
-// throughput. JSON on stdout (CI stores it as BENCH_fleet.json):
+// (system/fleet_engine.h) against a naive per-round idiom over the same
+// data plane, with the memory footprint and the bit-identity contract
+// measured alongside throughput. JSON on stdout (CI stores it as
+// BENCH_fleet.json):
 //
 //   ./build/bench/bench_fleet            # 100k / 500k / 1M sweep
 //   ./build/bench/bench_fleet --smoke    # 100k only (CI configuration)
 //
 // Three sections:
 //
-//   reference  the pre-SoA round shape at 100k vehicles — a fresh
-//              std::vector<perception::Vehicle> per round (two heap
-//              ItemSets per vehicle), per-item Bernoulli scene sampling
-//              (~2Ω draws per vehicle), and a by-value RoundOutcome —
+//   reference  a naive round at 100k vehicles — a fresh FleetSoA per
+//              round grown from empty, per-item Bernoulli scene sampling
+//              (~2Ω draws per vehicle) into two round-scoped ItemSets
+//              copied in per vehicle, and a round-local RoundOutcome —
 //              the honest denominator for the speedup gate;
 //   sweep      ShardedFleetEngine at each scale: streaming ingest
 //              seconds, rounds/s over timed steady-state rounds, peak
@@ -76,10 +77,10 @@ system::FleetEngineParams engine_params(std::size_t threads,
 }
 
 // ---------------------------------------------------------------------------
-// Reference arm: the per-round idiom this engine replaced. Every round
-// allocates a fresh AoS fleet (heap collected/desired ItemSets per
-// vehicle), samples the scene with one Bernoulli per (vehicle, item, set),
-// and takes the outcome by value.
+// Reference arm: a naive round with none of the engine's reuse. Every
+// round grows a fresh fleet from empty, samples the scene with one
+// Bernoulli per (vehicle, item, set) and a copy per vehicle, and writes a
+// fresh outcome.
 // ---------------------------------------------------------------------------
 struct ReferenceResult {
   std::size_t vehicles = 0;
@@ -111,20 +112,28 @@ ReferenceResult run_reference(std::size_t vehicles, std::size_t rounds) {
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t r = 0; r < rounds; ++r) {
     Rng rng(derive_seed(kSeed, {0xE2, r, 0}));
-    std::vector<perception::Vehicle> fleet(vehicles);
-    for (perception::Vehicle& v : fleet) {
-      v.decision = static_cast<core::DecisionId>(rng.uniform_int(0, k - 1));
+    perception::FleetSoA fleet;
+    perception::ItemSet collected;
+    perception::ItemSet desired;
+    for (std::size_t v = 0; v < vehicles; ++v) {
+      const auto decision =
+          static_cast<core::DecisionId>(rng.uniform_int(0, k - 1));
+      collected.clear();
+      desired.clear();
       for (perception::ItemId id = 0; id < omega; ++id) {
-        if (rng.bernoulli(kCollectFraction)) v.collected.push_back(id);
-        if (rng.bernoulli(kDesireFraction)) v.desired.push_back(id);
+        if (rng.bernoulli(kCollectFraction)) collected.push_back(id);
+        if (rng.bernoulli(kDesireFraction)) desired.push_back(id);
       }
-      if (v.desired.empty()) v.desired.push_back(0);
+      if (desired.empty()) desired.push_back(0);
+      fleet.add(decision, perception::kClaimFollowsDecision, false, collected,
+                desired);
     }
-    const perception::RoundOutcome outcome =
-        plane.run_round_aggregated(fleet, kSharingRatio);
+    perception::RoundOutcome outcome;
+    plane.run_round_into(fleet.view(), kSharingRatio, {}, {},
+                         perception::DataPlaneMode::kClassAggregated, outcome);
     std::vector<double> fitness(vehicles);
     for (std::size_t v = 0; v < vehicles; ++v) {
-      const double own_mass = universe.privacy_weight(fleet[v].collected);
+      const double own_mass = universe.privacy_weight(fleet.collected_of(v));
       const double exposed =
           own_mass > 0.0 ? outcome.privacy[v] * total_privacy / own_mass : 0.0;
       fitness[v] = 2.5 * outcome.utility[v] - exposed;
@@ -268,9 +277,9 @@ int main(int argc, char** argv) {
   std::printf("  \"sharing_ratio\": %.2f,\n", kSharingRatio);
   std::printf(
       "  \"reference\": {\"vehicles\": %zu, \"rounds\": %zu, \"seconds\": "
-      "%.6f, \"rounds_per_s\": %.4f},\n",
+      "%.6f, \"rounds_per_s\": %.4f, \"checksum\": %.17g},\n",
       reference.vehicles, reference.rounds, reference.seconds,
-      reference.rounds_per_s);
+      reference.rounds_per_s, reference.checksum);
   std::printf("  \"sweep\": [\n");
   for (std::size_t i = 0; i < sweep.size(); ++i) {
     const SweepPoint& p = sweep[i];

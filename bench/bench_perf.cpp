@@ -161,6 +161,28 @@ void BM_Clustering(bench::State& state) {
 }
 BENCHMARK(BM_Clustering);
 
+/// `n` vehicles over the 8-decision lattice: a uniform decision, then one
+/// collect (0.3) and one desire (0.2) draw per item, interleaved.
+perception::FleetSoA make_plane_fleet(const perception::DataUniverse& universe,
+                                      std::size_t n, Rng& rng) {
+  perception::FleetSoA fleet;
+  perception::ItemSet collected;
+  perception::ItemSet desired;
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto decision = static_cast<core::DecisionId>(rng.uniform_int(0, 7));
+    collected.clear();
+    desired.clear();
+    for (perception::ItemId id = 0; id < universe.size(); ++id) {
+      if (rng.bernoulli(0.3)) collected.push_back(id);
+      if (rng.bernoulli(0.2)) desired.push_back(id);
+    }
+    if (desired.empty()) desired.push_back(0);
+    fleet.add(decision, perception::kClaimFollowsDecision, false, collected,
+              desired);
+  }
+  return fleet;
+}
+
 void BM_DataPlaneRound(bench::State& state) {
   const core::DecisionLattice lattice(3);
   Rng rng(5);
@@ -170,17 +192,12 @@ void BM_DataPlaneRound(bench::State& state) {
   perception::EdgeServerDataPlane plane(lattice, universe);
 
   const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<perception::Vehicle> vehicles(n);
-  for (auto& v : vehicles) {
-    v.decision = static_cast<core::DecisionId>(rng.uniform_int(0, 7));
-    for (perception::ItemId id = 0; id < universe.size(); ++id) {
-      if (rng.bernoulli(0.3)) v.collected.push_back(id);
-      if (rng.bernoulli(0.2)) v.desired.push_back(id);
-    }
-    if (v.desired.empty()) v.desired.push_back(0);
-  }
+  const perception::FleetSoA vehicles = make_plane_fleet(universe, n, rng);
   for ([[maybe_unused]] auto _ : state) {
-    bench::DoNotOptimize(plane.run_round(vehicles, 0.5));
+    perception::RoundOutcome out;
+    plane.run_round_into(vehicles.view(), 0.5, {}, {},
+                         perception::DataPlaneMode::kPairwiseExact, out);
+    bench::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
@@ -396,7 +413,7 @@ struct KernelTiming {
 };
 
 KernelTiming time_plane_rounds(perception::EdgeServerDataPlane& plane,
-                               std::span<const perception::Vehicle> fleet,
+                               const perception::FleetView& fleet,
                                double x, perception::DataPlaneMode mode,
                                std::size_t rounds) {
   perception::RoundOutcome out;
@@ -453,16 +470,8 @@ int run_dataplane(bool smoke) {
   std::printf("  \"plane\": [\n");
   for (std::size_t fi = 0; fi < fleet_sizes.size(); ++fi) {
     const std::size_t n = fleet_sizes[fi];
-    std::vector<perception::Vehicle> fleet(n);
     Rng fleet_rng(7 + n);
-    for (auto& v : fleet) {
-      v.decision = static_cast<core::DecisionId>(fleet_rng.uniform_int(0, 7));
-      for (perception::ItemId id = 0; id < universe.size(); ++id) {
-        if (fleet_rng.bernoulli(0.3)) v.collected.push_back(id);
-        if (fleet_rng.bernoulli(0.2)) v.desired.push_back(id);
-      }
-      if (v.desired.empty()) v.desired.push_back(0);
-    }
+    const perception::FleetSoA fleet = make_plane_fleet(universe, n, fleet_rng);
     // Pairwise rounds shrink with the fleet (the kernel is quadratic);
     // aggregated rounds stay high for stable timing of a fast kernel.
     const std::size_t pairwise_rounds = n <= 1000 ? 20 : (n <= 5000 ? 4 : 2);
@@ -476,11 +485,11 @@ int run_dataplane(bool smoke) {
                                               core::AccessRule::kSubsetOrEqual,
                                               11 + n);
     const auto exact =
-        time_plane_rounds(exact_plane, fleet, kSharingRatio,
+        time_plane_rounds(exact_plane, fleet.view(), kSharingRatio,
                           perception::DataPlaneMode::kPairwiseExact,
                           pairwise_rounds);
     const auto agg =
-        time_plane_rounds(agg_plane, fleet, kSharingRatio,
+        time_plane_rounds(agg_plane, fleet.view(), kSharingRatio,
                           perception::DataPlaneMode::kClassAggregated,
                           aggregated_rounds);
     const double speedup =

@@ -42,17 +42,23 @@ int main() {
       perception::DataUniverse::synthetic(4, 12, sensor_privacy, rng);
   perception::EdgeServerDataPlane plane(lattice, universe);
 
-  std::vector<perception::Vehicle> vehicles(40);
-  for (auto& v : vehicles) {
-    v.decision = static_cast<core::DecisionId>(
+  perception::FleetSoA vehicles;
+  for (int v = 0; v < 40; ++v) {
+    const auto decision = static_cast<core::DecisionId>(
         rng.uniform_int(0, static_cast<std::int64_t>(lattice.num_decisions()) - 1));
+    perception::ItemSet collected;
+    perception::ItemSet desired;
     for (perception::ItemId id = 0; id < universe.size(); ++id) {
-      if (rng.bernoulli(0.35)) v.collected.push_back(id);
-      if (rng.bernoulli(0.25)) v.desired.push_back(id);
+      if (rng.bernoulli(0.35)) collected.push_back(id);
+      if (rng.bernoulli(0.25)) desired.push_back(id);
     }
-    if (v.desired.empty()) v.desired.push_back(0);
+    if (desired.empty()) desired.push_back(0);
+    vehicles.add(decision, perception::kClaimFollowsDecision, false, collected,
+                 desired);
   }
-  const auto outcome = plane.run_round(vehicles, 0.8);
+  perception::RoundOutcome outcome;
+  plane.run_round_into(vehicles.view(), 0.8, {}, {},
+                       perception::DataPlaneMode::kPairwiseExact, outcome);
   std::printf("\ndata plane round at x = 0.8: mean utility %.3f, mean "
               "privacy cost %.3f, %zu items visible to an eavesdropper\n",
               outcome.mean_utility(), outcome.mean_privacy(),

@@ -23,44 +23,6 @@ void sort_unique(ItemSet& s) {
   s.erase(std::unique(s.begin(), s.end()), s.end());
 }
 
-/// AoS fleet accessor: adapts span<const Vehicle> to the kernel interface.
-struct AosFleet {
-  std::span<const Vehicle> v;
-  std::size_t size() const noexcept { return v.size(); }
-  core::DecisionId decision(std::size_t i) const noexcept {
-    return v[i].decision;
-  }
-  core::DecisionId claimed(std::size_t i) const noexcept {
-    return v[i].claimed();
-  }
-  bool revoked(std::size_t i) const noexcept { return v[i].revoked; }
-  std::span<const ItemId> collected(std::size_t i) const noexcept {
-    return v[i].collected;
-  }
-  std::span<const ItemId> desired(std::size_t i) const noexcept {
-    return v[i].desired;
-  }
-};
-
-/// SoA fleet accessor over a FleetView (flat arena + parallel arrays).
-struct SoaFleet {
-  FleetView f;
-  std::size_t size() const noexcept { return f.size(); }
-  core::DecisionId decision(std::size_t i) const noexcept {
-    return f.decision[i];
-  }
-  core::DecisionId claimed(std::size_t i) const noexcept {
-    return f.claimed(i);
-  }
-  bool revoked(std::size_t i) const noexcept { return f.revoked[i] != 0; }
-  std::span<const ItemId> collected(std::size_t i) const noexcept {
-    return f.collected_of(i);
-  }
-  std::span<const ItemId> desired(std::size_t i) const noexcept {
-    return f.desired_of(i);
-  }
-};
-
 }  // namespace
 
 double RoundOutcome::mean_utility() const {
@@ -88,15 +50,9 @@ EdgeServerDataPlane::EdgeServerDataPlane(const core::DecisionLattice& lattice,
   }
   decision_masks_.resize(k);
   for (core::DecisionId d = 0; d < k; ++d) decision_masks_[d] = lattice.mask(d);
-  refresh_item_bits();
-}
-
-void EdgeServerDataPlane::refresh_item_bits() {
-  // The universe may gain items after the plane is built; extend the cache
-  // lazily (ids are append-only).
-  while (item_bits_.size() < universe_.size()) {
-    const auto id = static_cast<ItemId>(item_bits_.size());
-    item_bits_.push_back(lattice_.sensor_bit(universe_.item(id).sensor));
+  item_bits_.resize(universe.size());
+  for (ItemId id = 0; id < universe.size(); ++id) {
+    item_bits_[id] = lattice.sensor_bit(universe.item(id).sensor);
   }
 }
 
@@ -112,16 +68,15 @@ void EdgeServerDataPlane::append_shared(core::DecisionId decision,
   }
 }
 
-ItemSet EdgeServerDataPlane::shared_items(const Vehicle& v) const {
-  const_cast<EdgeServerDataPlane*>(this)->refresh_item_bits();
+ItemSet EdgeServerDataPlane::shared_items(
+    core::DecisionId decision, std::span<const ItemId> collected) const {
   ItemSet shared;
-  append_shared(v.decision, v.collected, shared);
+  append_shared(decision, collected, shared);
   return shared;
 }
 
 void EdgeServerDataPlane::reserve_workspace(std::size_t vehicles,
                                             std::size_t items_per_vehicle) {
-  refresh_item_bits();
   const std::size_t k = lattice_.num_decisions();
   const std::size_t omega = universe_.size();
   ws_.upload_data.reserve(vehicles * items_per_vehicle);
@@ -136,66 +91,16 @@ void EdgeServerDataPlane::reserve_workspace(std::size_t vehicles,
   ws_.miss_table.reserve(k * omega);
 }
 
-RoundOutcome EdgeServerDataPlane::run_round(std::span<const Vehicle> vehicles,
-                                            double sharing_ratio) {
-  return run_round_with_server(vehicles, sharing_ratio, ItemSet{});
-}
-
-RoundOutcome EdgeServerDataPlane::run_round_with_server(
-    std::span<const Vehicle> vehicles, double sharing_ratio,
-    const ItemSet& server_items) {
-  return run_round_degraded(vehicles, sharing_ratio, CellFaultMask{},
-                            server_items);
-}
-
-RoundOutcome EdgeServerDataPlane::run_round_degraded(
-    std::span<const Vehicle> vehicles, double sharing_ratio,
-    const CellFaultMask& mask, const ItemSet& server_items) {
-  RoundOutcome out;
-  run_round_into(vehicles, sharing_ratio, mask, server_items,
-                 DataPlaneMode::kPairwiseExact, out);
-  return out;
-}
-
-RoundOutcome EdgeServerDataPlane::run_round_aggregated(
-    std::span<const Vehicle> vehicles, double sharing_ratio,
-    const CellFaultMask& mask, const ItemSet& server_items) {
-  RoundOutcome out;
-  run_round_into(vehicles, sharing_ratio, mask, server_items,
-                 DataPlaneMode::kClassAggregated, out);
-  return out;
-}
-
-void EdgeServerDataPlane::run_round_into(std::span<const Vehicle> vehicles,
-                                         double sharing_ratio,
-                                         const CellFaultMask& mask,
-                                         const ItemSet& server_items,
-                                         DataPlaneMode mode, RoundOutcome& out) {
-  run_round_generic(AosFleet{vehicles}, sharing_ratio, mask, server_items,
-                    mode, out);
-}
-
 void EdgeServerDataPlane::run_round_into(const FleetView& fleet,
                                          double sharing_ratio,
                                          const CellFaultMask& mask,
                                          const ItemSet& server_items,
                                          DataPlaneMode mode, RoundOutcome& out) {
-  run_round_generic(SoaFleet{fleet}, sharing_ratio, mask, server_items, mode,
-                    out);
-}
-
-template <typename Fleet>
-void EdgeServerDataPlane::run_round_generic(const Fleet& fleet,
-                                            double sharing_ratio,
-                                            const CellFaultMask& mask,
-                                            const ItemSet& server_items,
-                                            DataPlaneMode mode,
-                                            RoundOutcome& out) {
   AVCP_EXPECT(sharing_ratio >= 0.0 && sharing_ratio <= 1.0);
   AVCP_EXPECT(is_sorted_unique(server_items));
   const std::size_t n = fleet.size();
   AVCP_EXPECT(mask.upload_lost.empty() || mask.upload_lost.size() == n);
-  refresh_item_bits();
+  AVCP_EXPECT(item_bits_.size() == universe_.size());
 
   out.utility.assign(n, 0.0);
   out.privacy.assign(n, 0.0);
@@ -223,15 +128,14 @@ void EdgeServerDataPlane::run_round_generic(const Fleet& fleet,
 
   if (mode == DataPlaneMode::kClassAggregated) {
     AVCP_EXPECT(mask.delivery_lost.empty());
-    run_round_class_aggregated(fleet, sharing_ratio, mask, server_items, out);
+    run_round_class_aggregated(fleet, sharing_ratio, server_items, out);
     return;
   }
   AVCP_EXPECT(mask.delivery_lost.empty() || mask.delivery_lost.size() == n * n);
   run_round_exact(fleet, sharing_ratio, mask, server_items, out);
 }
 
-template <typename Fleet>
-void EdgeServerDataPlane::upload_phase(const Fleet& fleet,
+void EdgeServerDataPlane::upload_phase(const FleetView& fleet,
                                        const CellFaultMask& mask,
                                        RoundOutcome& out) {
   const std::size_t n = fleet.size();
@@ -246,7 +150,7 @@ void EdgeServerDataPlane::upload_phase(const Fleet& fleet,
       ws_.upload_end[a] = static_cast<std::uint32_t>(begin);
       continue;
     }
-    append_shared(fleet.decision(a), fleet.collected(a), ws_.upload_data);
+    append_shared(fleet.decision[a], fleet.collected_of(a), ws_.upload_data);
     ws_.upload_end[a] = static_cast<std::uint32_t>(ws_.upload_data.size());
     for (std::size_t i = begin; i < ws_.upload_data.size(); ++i) {
       ws_.seen[ws_.upload_data[i]] = 1;
@@ -270,8 +174,7 @@ void EdgeServerDataPlane::upload_phase(const Fleet& fleet,
   out.exposed_privacy = total > 0.0 ? exposed_mass / total : 0.0;
 }
 
-template <typename Fleet>
-void EdgeServerDataPlane::classify(const Fleet& fleet) {
+void EdgeServerDataPlane::classify(const FleetView& fleet) {
   const std::size_t k = lattice_.num_decisions();
   if (ws_.cls.size() < fleet.size()) ws_.cls.resize(fleet.size());
   for (std::size_t v = 0; v < fleet.size(); ++v) {
@@ -281,8 +184,7 @@ void EdgeServerDataPlane::classify(const Fleet& fleet) {
   }
 }
 
-template <typename Fleet>
-void EdgeServerDataPlane::run_round_exact(const Fleet& fleet,
+void EdgeServerDataPlane::run_round_exact(const FleetView& fleet,
                                           double sharing_ratio,
                                           const CellFaultMask& mask,
                                           const ItemSet& server_items,
@@ -305,13 +207,14 @@ void EdgeServerDataPlane::run_round_exact(const Fleet& fleet,
     // receiver is served nothing (and consumes no distribution draws;
     // revocation only ever happens on the already-perturbed Byzantine
     // path, so the clean path's RNG stream is untouched).
-    const std::span<const ItemId> collected = fleet.collected(a);
-    const std::span<const ItemId> desired = fleet.desired(a);
+    const std::span<const ItemId> collected = fleet.collected_of(a);
+    const std::span<const ItemId> desired = fleet.desired_of(a);
     AVCP_EXPECT(is_sorted_unique(collected));
+    AVCP_EXPECT(is_sorted_unique(desired));
     received.clear();
     received.insert(received.end(), collected.begin(), collected.end());
     received.insert(received.end(), server_items.begin(), server_items.end());
-    if (fleet.revoked(a)) {
+    if (fleet.revoked[a] != 0) {
       sort_unique(received);
       if (!desired.empty()) {
         out.utility[a] = measured_utility(universe_, received, desired);
@@ -414,11 +317,9 @@ double EdgeServerDataPlane::item_miss_prob(double sharing_ratio,
 // Self-delivery needs no correction on the utility side: a receiver's own
 // upload is a subset of its collected set, and collected items are already
 // excluded from the candidate walk.
-template <typename Fleet>
 void EdgeServerDataPlane::run_round_class_aggregated(
-    const Fleet& fleet, double sharing_ratio, const CellFaultMask& mask,
-    const ItemSet& server_items, RoundOutcome& out) {
-  (void)mask;  // upload losses were applied in the shared upload phase
+    const FleetView& fleet, double sharing_ratio, const ItemSet& server_items,
+    RoundOutcome& out) {
   const std::size_t n = fleet.size();
   const std::size_t k = lattice_.num_decisions();
   const std::size_t omega = universe_.size();
@@ -429,9 +330,9 @@ void EdgeServerDataPlane::run_round_class_aggregated(
 
   double deliveries_acc = 0.0;
   for (std::size_t a = 0; a < n; ++a) {
-    const std::span<const ItemId> collected = fleet.collected(a);
-    const std::span<const ItemId> desired = fleet.desired(a);
-    const bool revoked = fleet.revoked(a);
+    const std::span<const ItemId> collected = fleet.collected_of(a);
+    const std::span<const ItemId> desired = fleet.desired_of(a);
+    const bool revoked = fleet.revoked[a] != 0;
     AVCP_EXPECT(is_sorted_unique(collected));
     AVCP_EXPECT(is_sorted_unique(desired));
     const core::DecisionId cls_a = ws_.cls[a];
@@ -499,38 +400,13 @@ void EdgeServerDataPlane::run_round_class_aggregated(
   out.deliveries = static_cast<std::size_t>(std::llround(deliveries_acc));
 }
 
-EdgeServerDataPlane::DirectionalOutcome EdgeServerDataPlane::run_directional(
-    std::span<const Vehicle> senders, std::span<const Vehicle> receivers,
-    double sharing_ratio, DataPlaneMode mode) {
-  DirectionalOutcome out;
-  run_directional_into(senders, receivers, sharing_ratio, mode, out);
-  return out;
-}
-
-void EdgeServerDataPlane::run_directional_into(
-    std::span<const Vehicle> senders, std::span<const Vehicle> receivers,
-    double sharing_ratio, DataPlaneMode mode, DirectionalOutcome& out) {
-  run_directional_generic(AosFleet{senders}, AosFleet{receivers},
-                          sharing_ratio, mode, out);
-}
-
 void EdgeServerDataPlane::run_directional_into(const FleetView& senders,
                                                const FleetView& receivers,
                                                double sharing_ratio,
                                                DataPlaneMode mode,
                                                DirectionalOutcome& out) {
-  run_directional_generic(SoaFleet{senders}, SoaFleet{receivers},
-                          sharing_ratio, mode, out);
-}
-
-template <typename SenderFleet, typename ReceiverFleet>
-void EdgeServerDataPlane::run_directional_generic(const SenderFleet& senders,
-                                                  const ReceiverFleet& receivers,
-                                                  double sharing_ratio,
-                                                  DataPlaneMode mode,
-                                                  DirectionalOutcome& out) {
   AVCP_EXPECT(sharing_ratio >= 0.0 && sharing_ratio <= 1.0);
-  refresh_item_bits();
+  AVCP_EXPECT(item_bits_.size() == universe_.size());
   out.marginal_utility.assign(receivers.size(), 0.0);
   out.deliveries = 0;
 
@@ -538,7 +414,8 @@ void EdgeServerDataPlane::run_directional_generic(const SenderFleet& senders,
   ws_.upload_data.clear();
   if (ws_.upload_end.size() < ns) ws_.upload_end.resize(ns);
   for (std::size_t b = 0; b < ns; ++b) {
-    append_shared(senders.decision(b), senders.collected(b), ws_.upload_data);
+    append_shared(senders.decision[b], senders.collected_of(b),
+                  ws_.upload_data);
     ws_.upload_end[b] = static_cast<std::uint32_t>(ws_.upload_data.size());
   }
   classify(senders);
@@ -550,18 +427,18 @@ void EdgeServerDataPlane::run_directional_generic(const SenderFleet& senders,
   run_directional_exact(senders, receivers, sharing_ratio, out);
 }
 
-template <typename SenderFleet, typename ReceiverFleet>
-void EdgeServerDataPlane::run_directional_exact(const SenderFleet& senders,
-                                                const ReceiverFleet& receivers,
+void EdgeServerDataPlane::run_directional_exact(const FleetView& senders,
+                                                const FleetView& receivers,
                                                 double sharing_ratio,
                                                 DirectionalOutcome& out) {
   const std::size_t k = lattice_.num_decisions();
   ItemSet& received = ws_.received;
   for (std::size_t a = 0; a < receivers.size(); ++a) {
-    if (receivers.revoked(a)) continue;
-    const std::span<const ItemId> collected = receivers.collected(a);
-    const std::span<const ItemId> desired = receivers.desired(a);
+    if (receivers.revoked[a] != 0) continue;
+    const std::span<const ItemId> collected = receivers.collected_of(a);
+    const std::span<const ItemId> desired = receivers.desired_of(a);
     AVCP_EXPECT(is_sorted_unique(collected));
+    AVCP_EXPECT(is_sorted_unique(desired));
     const core::DecisionId cls_r = receivers.claimed(a);
     AVCP_EXPECT(cls_r < k);
     received.clear();
@@ -584,9 +461,8 @@ void EdgeServerDataPlane::run_directional_exact(const SenderFleet& senders,
   }
 }
 
-template <typename SenderFleet, typename ReceiverFleet>
 void EdgeServerDataPlane::run_directional_class_aggregated(
-    const SenderFleet& senders, const ReceiverFleet& receivers,
+    const FleetView& senders, const FleetView& receivers,
     double sharing_ratio, DirectionalOutcome& out) {
   const std::size_t k = lattice_.num_decisions();
   const std::size_t omega = universe_.size();
@@ -597,9 +473,9 @@ void EdgeServerDataPlane::run_directional_class_aggregated(
 
   double deliveries_acc = 0.0;
   for (std::size_t a = 0; a < receivers.size(); ++a) {
-    if (receivers.revoked(a)) continue;
-    const std::span<const ItemId> collected = receivers.collected(a);
-    const std::span<const ItemId> desired = receivers.desired(a);
+    if (receivers.revoked[a] != 0) continue;
+    const std::span<const ItemId> collected = receivers.collected_of(a);
+    const std::span<const ItemId> desired = receivers.desired_of(a);
     AVCP_EXPECT(is_sorted_unique(collected));
     AVCP_EXPECT(is_sorted_unique(desired));
     const core::DecisionId cls_r = receivers.claimed(a);

@@ -69,36 +69,6 @@ enum class DataPlaneMode : std::uint8_t {
   kClassAggregated = 1,
 };
 
-/// A participating vehicle within one edge-server cell.
-struct Vehicle {
-  /// Sentinel for `claim`: the vehicle claims its true decision.
-  static constexpr core::DecisionId kClaimFollowsDecision = ~core::DecisionId{0};
-
-  /// The decision the vehicle actually executes: it filters what the
-  /// vehicle uploads (shared_items).
-  core::DecisionId decision = 0;
-  /// The decision the vehicle *claims* toward the server. Lattice access
-  /// control runs on claims — the server cannot see inside a vehicle — so
-  /// a Byzantine free-rider claims share-everything (earning access to the
-  /// whole pool) while its true decision uploads nothing. Honest vehicles
-  /// leave the sentinel in place.
-  core::DecisionId claim = kClaimFollowsDecision;
-  /// Quarantined by the control plane: served nothing in the distribution
-  /// phase, its *reports* distrusted upstream — but its uploads are
-  /// accepted, exposed, and redistributed like any other (items are
-  /// verifiable sensor data; impounding them would only starve honest
-  /// receivers — see run_round_degraded). The vehicle keeps paying
-  /// privacy cost, and its realized upload mass stays observable to the
-  /// behavioural audit, so a falsely flagged vehicle can rehabilitate.
-  bool revoked = false;
-  ItemSet collected;  // S_a
-  ItemSet desired;    // D_a
-
-  core::DecisionId claimed() const noexcept {
-    return claim == kClaimFollowsDecision ? decision : claim;
-  }
-};
-
 /// Result of one data-sharing round in one cell.
 struct RoundOutcome {
   std::vector<double> utility;  // h_a per vehicle, in [0, 1]
@@ -121,8 +91,8 @@ struct RoundOutcome {
 
 /// Pre-resolved per-cell fault mask (see faults::FaultModel; perception
 /// stays independent of the fault layer by taking plain booleans). Empty
-/// vectors mean "no faults": the degraded entry points then follow exactly
-/// the clean code path, consuming the same RNG stream.
+/// vectors mean "no faults": a round then follows exactly the clean code
+/// path, consuming the same RNG stream.
 struct CellFaultMask {
   /// upload_lost[b]: vehicle b's upload never reaches the server — it
   /// contributes nothing to the pool and costs b no privacy.
@@ -143,11 +113,11 @@ struct CellFaultMask {
 /// one plane per edge server out over its thread pool); a single instance
 /// is not thread-safe.
 ///
-/// Allocation: all round entry points reuse an internal workspace whose
-/// buffers are grown to the high-water mark and never shrunk; the `_into`
-/// overloads additionally reuse the caller's outcome vectors, so repeated
-/// rounds over same-shaped fleets perform zero heap allocations after the
-/// first (warm-up) round — regression-locked in tests/allocation_guard_test.
+/// Allocation: both round entry points reuse an internal workspace whose
+/// buffers are grown to the high-water mark and never shrunk, and the
+/// caller's outcome vectors, so repeated rounds over same-shaped fleets
+/// perform zero heap allocations after the first (warm-up) round —
+/// regression-locked in tests/allocation_guard_test.
 class EdgeServerDataPlane {
  public:
   /// `lattice` and `universe` must outlive the plane.
@@ -156,46 +126,21 @@ class EdgeServerDataPlane {
                       core::AccessRule access = core::AccessRule::kSubsetOrEqual,
                       std::uint64_t seed = 1);
 
-  /// Runs one upload/distribute round at the given sharing ratio x.
-  RoundOutcome run_round(std::span<const Vehicle> vehicles, double sharing_ratio);
-
-  /// Like run_round, but the edge server additionally contributes its own
-  /// perception `server_items` (the paper's §VII second future-work item:
-  /// roadside infrastructure perceives its surroundings and distributes the
-  /// result to bypassing vehicles). Server items reach every vehicle
-  /// unconditionally — infrastructure data carries no passenger privacy
-  /// cost and is outside the lattice incentive loop.
-  RoundOutcome run_round_with_server(std::span<const Vehicle> vehicles,
-                                     double sharing_ratio,
-                                     const ItemSet& server_items);
-
-  /// Degraded-mode round: like run_round_with_server, but uploads and
-  /// deliveries flagged in `mask` are lost. With an empty mask this is the
-  /// clean round bit-for-bit (identical RNG consumption).
-  RoundOutcome run_round_degraded(std::span<const Vehicle> vehicles,
-                                  double sharing_ratio,
-                                  const CellFaultMask& mask,
-                                  const ItemSet& server_items = {});
-
-  /// Class-aggregated round (DataPlaneMode::kClassAggregated): equal to
-  /// run_round_degraded in distribution at item granularity, O(V·K) in the
-  /// fleet. `mask.delivery_lost` must be empty (per-pair faults cannot be
+  /// Runs one upload/distribute round at sharing ratio x with the selected
+  /// kernel into `out`, reusing its vectors.
+  ///
+  /// `server_items` (sorted, unique) is the edge server's own perception
+  /// (the paper's §VII second future-work item: roadside infrastructure
+  /// perceives its surroundings and distributes the result to bypassing
+  /// vehicles). Server items reach every vehicle unconditionally —
+  /// infrastructure data carries no passenger privacy cost and is outside
+  /// the lattice incentive loop.
+  ///
+  /// Uploads and deliveries flagged in `mask` are lost; an empty mask is
+  /// the clean round. kClassAggregated is equal to kPairwiseExact in
+  /// distribution at item granularity, O(V·K) in the fleet, and requires
+  /// `mask.delivery_lost` to be empty (per-pair faults cannot be
   /// aggregated; callers fall back to the exact kernel).
-  RoundOutcome run_round_aggregated(std::span<const Vehicle> vehicles,
-                                    double sharing_ratio,
-                                    const CellFaultMask& mask = {},
-                                    const ItemSet& server_items = {});
-
-  /// Zero-allocation core: runs one round with the selected kernel into
-  /// `out`, reusing its vectors. All by-value entry points above call this.
-  void run_round_into(std::span<const Vehicle> vehicles, double sharing_ratio,
-                      const CellFaultMask& mask, const ItemSet& server_items,
-                      DataPlaneMode mode, RoundOutcome& out);
-
-  /// SoA overload: the same kernels over a FleetView (perception/fleet_soa.h).
-  /// The kernels are templated over a fleet accessor, so an AoS span and a
-  /// FleetView holding the same logical fleet consume the same RNG stream
-  /// and produce byte-identical outcomes (tests/fleet_soa_test.cpp).
   void run_round_into(const FleetView& fleet, double sharing_ratio,
                       const CellFaultMask& mask, const ItemSet& server_items,
                       DataPlaneMode mode, RoundOutcome& out);
@@ -207,8 +152,10 @@ class EdgeServerDataPlane {
   /// (the sharded fleet engine reserves at ingest time).
   void reserve_workspace(std::size_t vehicles, std::size_t items_per_vehicle);
 
-  /// The items vehicle would upload under its decision (S_a ∩ P^{k_a}).
-  ItemSet shared_items(const Vehicle& v) const;
+  /// The items a vehicle holding `collected` would upload under
+  /// `decision` (S_a ∩ P^{k_a}).
+  ItemSet shared_items(core::DecisionId decision,
+                       std::span<const ItemId> collected) const;
 
   /// Result of a directional (cross-cell) round: senders upload, receivers
   /// receive; nothing flows the other way.
@@ -222,22 +169,10 @@ class EdgeServerDataPlane {
   /// One direction of the paper's inter-region exchange (Fig. 5, Eq. (4)'s
   /// x_j * gamma_ji term): vehicles of a *neighbouring* cell act as senders
   /// and this cell's vehicles as receivers, at the sender cell's sharing
-  /// ratio. Lattice admissibility applies as usual. The exact kernel's
-  /// draw order is one Bernoulli per readable (receiver, sender) pair,
-  /// receivers outer ascending, senders inner ascending.
-  DirectionalOutcome run_directional(std::span<const Vehicle> senders,
-                                     std::span<const Vehicle> receivers,
-                                     double sharing_ratio,
-                                     DataPlaneMode mode =
-                                         DataPlaneMode::kPairwiseExact);
-
-  /// Zero-allocation directional core; see run_round_into.
-  void run_directional_into(std::span<const Vehicle> senders,
-                            std::span<const Vehicle> receivers,
-                            double sharing_ratio, DataPlaneMode mode,
-                            DirectionalOutcome& out);
-
-  /// SoA overload of the directional core (see the FleetView run_round_into).
+  /// ratio, into `out` (vectors reused). Lattice admissibility applies as
+  /// usual. The exact kernel's draw order is one Bernoulli per readable
+  /// (receiver, sender) pair, receivers outer ascending, senders inner
+  /// ascending.
   void run_directional_into(const FleetView& senders,
                             const FleetView& receivers, double sharing_ratio,
                             DataPlaneMode mode, DirectionalOutcome& out);
@@ -282,7 +217,6 @@ class EdgeServerDataPlane {
     std::vector<double> miss_table;
   };
 
-  void refresh_item_bits();
   /// Appends collected ∩ P^decision to `out` via the per-decision sensor
   /// bitmask (no per-item lattice_.shares call).
   void append_shared(core::DecisionId decision,
@@ -295,24 +229,12 @@ class EdgeServerDataPlane {
     return {ws_.upload_data.data() + begin, end - begin};
   }
 
-  // The kernels are member templates over a fleet accessor (an AoS adapter
-  // over span<const Vehicle>, an SoA adapter over FleetView — both defined
-  // in data_plane.cpp), so the two layouts execute literally the same code:
-  // equal logical fleets consume equal RNG streams and produce byte-equal
-  // outcomes. Definitions and all instantiations live in data_plane.cpp.
-
   /// Upload phase shared by both kernels (identical results and — trivially,
   /// it consumes no randomness — identical RNG state).
-  template <typename Fleet>
-  void upload_phase(const Fleet& fleet, const CellFaultMask& mask,
+  void upload_phase(const FleetView& fleet, const CellFaultMask& mask,
                     RoundOutcome& out);
   /// Fills ws_.cls with claimed classes (validated against the lattice).
-  template <typename Fleet>
-  void classify(const Fleet& fleet);
-  template <typename Fleet>
-  void run_round_generic(const Fleet& fleet, double sharing_ratio,
-                         const CellFaultMask& mask, const ItemSet& server_items,
-                         DataPlaneMode mode, RoundOutcome& out);
+  void classify(const FleetView& fleet);
   /// Builds the per-class CompositionTable from the first `num_senders`
   /// uploads / ws_.cls entries (the buffers are high-water-marked and may
   /// hold stale rows from a larger earlier round).
@@ -323,27 +245,17 @@ class EdgeServerDataPlane {
   void build_miss_table(double sharing_ratio);
   double item_miss_prob(double sharing_ratio, std::uint32_t c) const;
 
-  template <typename Fleet>
-  void run_round_exact(const Fleet& fleet, double sharing_ratio,
+  void run_round_exact(const FleetView& fleet, double sharing_ratio,
                        const CellFaultMask& mask, const ItemSet& server_items,
                        RoundOutcome& out);
-  template <typename Fleet>
-  void run_round_class_aggregated(const Fleet& fleet, double sharing_ratio,
-                                  const CellFaultMask& mask,
+  void run_round_class_aggregated(const FleetView& fleet, double sharing_ratio,
                                   const ItemSet& server_items,
                                   RoundOutcome& out);
-  template <typename SenderFleet, typename ReceiverFleet>
-  void run_directional_generic(const SenderFleet& senders,
-                               const ReceiverFleet& receivers,
-                               double sharing_ratio, DataPlaneMode mode,
-                               DirectionalOutcome& out);
-  template <typename SenderFleet, typename ReceiverFleet>
-  void run_directional_exact(const SenderFleet& senders,
-                             const ReceiverFleet& receivers,
-                             double sharing_ratio, DirectionalOutcome& out);
-  template <typename SenderFleet, typename ReceiverFleet>
-  void run_directional_class_aggregated(const SenderFleet& senders,
-                                        const ReceiverFleet& receivers,
+  void run_directional_exact(const FleetView& senders,
+                             const FleetView& receivers, double sharing_ratio,
+                             DirectionalOutcome& out);
+  void run_directional_class_aggregated(const FleetView& senders,
+                                        const FleetView& receivers,
                                         double sharing_ratio,
                                         DirectionalOutcome& out);
 
@@ -355,7 +267,8 @@ class EdgeServerDataPlane {
   /// access_ (constant for the plane's lifetime).
   std::vector<std::uint8_t> readable_;
   /// Per-decision shared-sensor bitmask (lattice_.mask hoisted out of the
-  /// per-item loop) and per-item sensor bit, refreshed if the universe grew.
+  /// per-item loop) and per-item sensor bit, both filled at construction:
+  /// the universe must not grow afterwards (rounds check it).
   std::vector<core::SensorMask> decision_masks_;
   std::vector<core::SensorMask> item_bits_;
   Workspace ws_;

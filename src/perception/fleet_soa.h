@@ -1,15 +1,12 @@
-// Structure-of-arrays fleet storage for the million-vehicle engine.
+// Structure-of-arrays fleet storage: the data plane's one input layout.
 //
-// The AoS `perception::Vehicle` carries two heap-allocated ItemSets per
-// vehicle — at 1M vehicles that is 2M separately-allocated vectors whose
-// contents the data-plane kernels chase through pointer-dense memory.
-// FleetSoA stores the same logical fleet as parallel arrays (decision,
-// claim, revoked, fitness, reputation) with every vehicle's collected and
-// desired item ids packed into ONE flat arena, indexed by (offset, length)
-// spans. The layout is a pure representation change: the data-plane kernels
-// are templated over a fleet accessor, so an AoS span and a FleetView run
-// literally the same code and produce byte-identical RoundOutcomes for
-// identical logical content (regression-locked in tests/fleet_soa_test.cpp).
+// FleetSoA stores a fleet as parallel arrays (decision, claim, revoked,
+// fitness, reputation) with every vehicle's collected and desired item ids
+// packed into ONE flat arena, indexed by (offset, length) spans, rather than
+// two heap-allocated item sets per vehicle (at 1M vehicles, 2M separately
+// allocated vectors whose contents the kernels would chase through
+// pointer-dense memory). FleetView is the read view every data-plane round
+// consumes (perception/data_plane.h).
 //
 // ## Ownership and sharding rules (DESIGN.md §16)
 //
@@ -37,8 +34,7 @@ class Deserializer;
 
 namespace avcp::perception {
 
-/// Sentinel claim value: the vehicle claims its true decision (the same
-/// convention as Vehicle::kClaimFollowsDecision).
+/// Sentinel claim value: the vehicle claims its true decision.
 inline constexpr core::DecisionId kClaimFollowsDecision =
     ~core::DecisionId{0};
 
@@ -52,11 +48,20 @@ struct ItemSpan {
 /// what the data-plane kernels consume. Cheap to copy; valid only while the
 /// underlying fleet is unmodified.
 struct FleetView {
+  /// The decision each vehicle executes: it filters what the vehicle
+  /// uploads.
   std::span<const core::DecisionId> decision;
+  /// The decision each vehicle claims toward the server. Lattice access
+  /// control runs on claims (the server cannot see inside a vehicle), so a
+  /// Byzantine free-rider claims share-everything while its true decision
+  /// uploads nothing. Honest vehicles hold kClaimFollowsDecision.
   std::span<const core::DecisionId> claim;
+  /// Non-zero: quarantined by the control plane and served nothing in the
+  /// distribution phase. Its uploads are still accepted, exposed and
+  /// redistributed (see EdgeServerDataPlane::run_round_into).
   std::span<const std::uint8_t> revoked;
-  std::span<const ItemSpan> collected;
-  std::span<const ItemSpan> desired;
+  std::span<const ItemSpan> collected;  // S_a
+  std::span<const ItemSpan> desired;    // D_a
   std::span<const ItemId> arena;
 
   std::size_t size() const noexcept { return decision.size(); }

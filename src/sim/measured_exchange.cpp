@@ -60,8 +60,8 @@ const std::vector<double>& MeasuredExchange::per_decision_fitness(
     // Probes (one per class) guarantee every class is measured; the rest of
     // the fleet follows the region's empirical mix, shaping the pool.
     // Synthesis interleaves the collect/desire Bernoullis per item (the
-    // draw-order contract of the original AoS loop); collected streams
-    // straight into the arena while desired buffers through the scratch.
+    // seeded draw-order contract); collected streams straight into the
+    // arena while desired buffers through the scratch.
     fleet_.add(v < k ? static_cast<core::DecisionId>(v)
                      : static_cast<core::DecisionId>(rng.weighted_index(p)));
     desired_scratch_.clear();

@@ -354,7 +354,7 @@ RoundReport CooperativePerceptionSystem::run_round(
         // collections, the paper's Property 3.1(d) regime). With
         // n * collect_fraction >= 1 every item is observed by someone,
         // which is the realistic street scene. Record-then-scatter: the
-        // draws run in ascending item order exactly as the AoS loop did;
+        // draws run in ascending item order (the draw-order contract);
         // grouping each owner's items afterwards keeps them ascending.
         const double fleet_coverage = std::min(
             1.0, params_.collect_fraction * static_cast<double>(n));

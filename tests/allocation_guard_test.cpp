@@ -78,16 +78,19 @@ DataUniverse make_universe() {
   return universe;
 }
 
-std::vector<Vehicle> make_fleet(const DataUniverse& universe, std::size_t n) {
+FleetSoA make_fleet(const DataUniverse& universe, std::size_t n) {
   Rng rng(17);
-  std::vector<Vehicle> fleet(n);
-  for (auto& v : fleet) {
-    v.decision = static_cast<core::DecisionId>(rng.uniform_int(0, 7));
+  FleetSoA fleet;
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto decision = static_cast<core::DecisionId>(rng.uniform_int(0, 7));
+    ItemSet collected;
+    ItemSet desired;
     for (ItemId id = 0; id < universe.size(); ++id) {
-      if (rng.bernoulli(0.4)) v.collected.push_back(id);
-      if (rng.bernoulli(0.3)) v.desired.push_back(id);
+      if (rng.bernoulli(0.4)) collected.push_back(id);
+      if (rng.bernoulli(0.3)) desired.push_back(id);
     }
-    if (v.desired.empty()) v.desired.push_back(0);
+    if (desired.empty()) desired.push_back(0);
+    fleet.add(decision, kClaimFollowsDecision, false, collected, desired);
   }
   return fleet;
 }
@@ -99,7 +102,8 @@ TEST_P(AllocationGuard, SteadyStateRoundsAreAllocationFree) {
   const DecisionLattice lattice(3);
   const auto universe = make_universe();
   EdgeServerDataPlane plane(lattice, universe, AccessRule::kSubsetOrEqual, 9);
-  const auto fleet = make_fleet(universe, 60);
+  const FleetSoA soa = make_fleet(universe, 60);
+  const FleetView fleet = soa.view();
   const ItemSet server_items = {0, 5};
   RoundOutcome out;
   // Warm-up at x = 1 (maximal gather: every readable pair delivers) grows
@@ -119,8 +123,10 @@ TEST_P(AllocationGuard, SteadyStateDirectionalIsAllocationFree) {
   const DecisionLattice lattice(3);
   const auto universe = make_universe();
   EdgeServerDataPlane plane(lattice, universe, AccessRule::kSubsetOrEqual, 11);
-  const auto senders = make_fleet(universe, 40);
-  const auto receivers = make_fleet(universe, 40);
+  const FleetSoA sender_fleet = make_fleet(universe, 40);
+  const FleetSoA receiver_fleet = make_fleet(universe, 40);
+  const FleetView senders = sender_fleet.view();
+  const FleetView receivers = receiver_fleet.view();
   EdgeServerDataPlane::DirectionalOutcome out;
   plane.run_directional_into(senders, receivers, 1.0, mode, out);
   plane.run_directional_into(senders, receivers, 0.5, mode, out);
@@ -142,8 +148,10 @@ TEST(AllocationGuardShrink, SmallerFleetAfterLargerIsAllocationFree) {
   const DecisionLattice lattice(3);
   const auto universe = make_universe();
   EdgeServerDataPlane plane(lattice, universe, AccessRule::kSubsetOrEqual, 13);
-  const auto big = make_fleet(universe, 80);
-  const auto small = make_fleet(universe, 20);
+  const FleetSoA big_fleet = make_fleet(universe, 80);
+  const FleetSoA small_fleet = make_fleet(universe, 20);
+  const FleetView big = big_fleet.view();
+  const FleetView small = small_fleet.view();
   RoundOutcome big_out;
   RoundOutcome small_out;
   plane.run_round_into(big, 1.0, {}, {}, DataPlaneMode::kClassAggregated,
@@ -165,21 +173,16 @@ TEST(AllocationGuardShrink, SmallerFleetAfterLargerIsAllocationFree) {
   EXPECT_EQ(allocs, 0);
 }
 
-// The SoA round path carries the same guarantee: once the plane workspace
-// and the FleetSoA arena have hit their high-water marks, FleetView rounds
-// (including per-round item refills through reset_items + the open-set
-// builder) allocate nothing.
+// Per-round item refills carry the same guarantee: once the plane workspace
+// and the FleetSoA arena have hit their high-water marks, rounds over a fleet
+// refilled every round through reset_items + the open-set builder allocate
+// nothing.
 TEST(AllocationGuardSoA, SteadyStateFleetViewRoundsAreAllocationFree) {
   const DecisionLattice lattice(3);
   const auto universe = make_universe();
   EdgeServerDataPlane plane(lattice, universe, AccessRule::kSubsetOrEqual, 9);
-  const auto fleet = make_fleet(universe, 60);
-
-  FleetSoA soa;
-  soa.reserve(fleet.size(), 2 * universe.size() * fleet.size());
-  for (const Vehicle& v : fleet) {
-    soa.add(v.decision, v.claim, v.revoked, v.collected, v.desired);
-  }
+  FleetSoA soa = make_fleet(universe, 60);
+  soa.reserve(soa.size(), 2 * universe.size() * soa.size());
   RoundOutcome out;
   plane.run_round_into(soa.view(), 1.0, {}, {},
                        DataPlaneMode::kClassAggregated, out);

@@ -12,6 +12,7 @@
 
 #include "common/contracts.h"
 #include "common/rng.h"
+#include "perception/fleet_soa.h"
 
 namespace avcp::perception {
 namespace {
@@ -30,27 +31,55 @@ DataUniverse make_universe(std::size_t items_per_sensor = 2) {
   return universe;
 }
 
-Vehicle make_vehicle(core::DecisionId decision, ItemSet collected,
-                     ItemSet desired) {
-  Vehicle v;
-  v.decision = decision;
-  v.collected = std::move(collected);
-  v.desired = std::move(desired);
-  return v;
+/// Appends an honest vehicle: it claims its decision and is not revoked.
+void add_vehicle(FleetSoA& fleet, core::DecisionId decision,
+                 const ItemSet& collected, const ItemSet& desired) {
+  fleet.add(decision, kClaimFollowsDecision, false, collected, desired);
 }
 
-std::vector<Vehicle> random_fleet(const DataUniverse& universe, std::size_t n,
-                                  Rng& rng) {
-  std::vector<Vehicle> fleet(n);
-  for (auto& v : fleet) {
-    v.decision = static_cast<core::DecisionId>(rng.uniform_int(0, 7));
+FleetSoA random_fleet(const DataUniverse& universe, std::size_t n, Rng& rng) {
+  FleetSoA fleet;
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto decision = static_cast<core::DecisionId>(rng.uniform_int(0, 7));
+    ItemSet collected;
+    ItemSet desired;
     for (ItemId id = 0; id < universe.size(); ++id) {
-      if (rng.bernoulli(0.4)) v.collected.push_back(id);
-      if (rng.bernoulli(0.3)) v.desired.push_back(id);
+      if (rng.bernoulli(0.4)) collected.push_back(id);
+      if (rng.bernoulli(0.3)) desired.push_back(id);
     }
-    if (v.desired.empty()) v.desired.push_back(0);
+    if (desired.empty()) desired.push_back(0);
+    add_vehicle(fleet, decision, collected, desired);
   }
   return fleet;
+}
+
+RoundOutcome run(EdgeServerDataPlane& plane, const FleetSoA& fleet, double x,
+                 DataPlaneMode mode, const CellFaultMask& mask = {},
+                 const ItemSet& server_items = {}) {
+  RoundOutcome out;
+  plane.run_round_into(fleet.view(), x, mask, server_items, mode, out);
+  return out;
+}
+
+RoundOutcome exact_round(EdgeServerDataPlane& plane, const FleetSoA& fleet,
+                         double x) {
+  return run(plane, fleet, x, DataPlaneMode::kPairwiseExact);
+}
+
+RoundOutcome aggregated_round(EdgeServerDataPlane& plane,
+                              const FleetSoA& fleet, double x,
+                              const CellFaultMask& mask = {},
+                              const ItemSet& server_items = {}) {
+  return run(plane, fleet, x, DataPlaneMode::kClassAggregated, mask,
+             server_items);
+}
+
+EdgeServerDataPlane::DirectionalOutcome directional(
+    EdgeServerDataPlane& plane, const FleetSoA& senders,
+    const FleetSoA& receivers, double x, DataPlaneMode mode) {
+  EdgeServerDataPlane::DirectionalOutcome out;
+  plane.run_directional_into(senders.view(), receivers.view(), x, mode, out);
+  return out;
 }
 
 // At x = 0 and x = 1 neither kernel consumes randomness, and the aggregated
@@ -63,8 +92,8 @@ TEST(AggregatedKernel, DeterministicEndpointsMatchExactKernel) {
   for (const double x : {0.0, 1.0}) {
     EdgeServerDataPlane exact(lattice, universe, AccessRule::kSubsetOrEqual, 3);
     EdgeServerDataPlane agg(lattice, universe, AccessRule::kSubsetOrEqual, 3);
-    const auto a = exact.run_round(fleet, x);
-    const auto b = agg.run_round_aggregated(fleet, x);
+    const auto a = exact_round(exact, fleet, x);
+    const auto b = aggregated_round(agg, fleet, x);
     EXPECT_EQ(a.utility, b.utility) << "x = " << x;
     EXPECT_EQ(a.privacy, b.privacy) << "x = " << x;
     EXPECT_EQ(a.deliveries, b.deliveries) << "x = " << x;
@@ -82,8 +111,8 @@ TEST(AggregatedKernel, UploadPhaseIsSharedExactly) {
   const auto fleet = random_fleet(universe, 40, rng);
   EdgeServerDataPlane exact(lattice, universe, AccessRule::kSubsetOrEqual, 5);
   EdgeServerDataPlane agg(lattice, universe, AccessRule::kSubsetOrEqual, 6);
-  const auto a = exact.run_round(fleet, 0.37);
-  const auto b = agg.run_round_aggregated(fleet, 0.37);
+  const auto a = exact_round(exact, fleet, 0.37);
+  const auto b = aggregated_round(agg, fleet, 0.37);
   EXPECT_EQ(a.privacy, b.privacy);
   EXPECT_EQ(a.exposed_items, b.exposed_items);
   EXPECT_EQ(a.exposed_privacy, b.exposed_privacy);
@@ -98,12 +127,13 @@ TEST(AggregatedKernel, AccessMatrixAtFullRatio) {
   for (core::DecisionId receiver = 0; receiver < 8; ++receiver) {
     for (core::DecisionId sender = 0; sender < 8; ++sender) {
       EdgeServerDataPlane plane(lattice, universe);
-      Vehicle sender_v = make_vehicle(sender, {0, 2, 4}, {1});
-      const ItemSet upload = plane.shared_items(sender_v);
+      const ItemSet sender_items = {0, 2, 4};
+      const ItemSet upload = plane.shared_items(sender, sender_items);
       if (upload.empty()) continue;
-      const std::vector<Vehicle> fleet = {make_vehicle(receiver, {}, upload),
-                                          sender_v};
-      const auto outcome = plane.run_round_aggregated(fleet, 1.0);
+      FleetSoA fleet;
+      add_vehicle(fleet, receiver, {}, upload);
+      add_vehicle(fleet, sender, sender_items, {1});
+      const auto outcome = aggregated_round(plane, fleet, 1.0);
       const double expected = lattice.preceq(receiver, sender) ? 1.0 : 0.0;
       EXPECT_DOUBLE_EQ(outcome.utility[0], expected)
           << "receiver " << lattice.label(receiver) << " sender "
@@ -133,8 +163,8 @@ TEST(AggregatedKernel, DistributionallyEquivalentAcrossSeeds) {
                               seed);
     EdgeServerDataPlane agg(lattice, universe, AccessRule::kSubsetOrEqual,
                             seed * 31);
-    const auto a = exact.run_round(fleet, kRatio);
-    const auto b = agg.run_round_aggregated(fleet, kRatio);
+    const auto a = exact_round(exact, fleet, kRatio);
+    const auto b = aggregated_round(agg, fleet, kRatio);
     exact_utility += a.mean_utility();
     agg_utility += b.mean_utility();
     exact_deliveries += static_cast<double>(a.deliveries);
@@ -158,8 +188,8 @@ TEST(AggregatedKernel, SeededRunsAreReproducible) {
   const auto fleet = random_fleet(universe, 30, rng);
   EdgeServerDataPlane p1(lattice, universe, AccessRule::kSubsetOrEqual, 42);
   EdgeServerDataPlane p2(lattice, universe, AccessRule::kSubsetOrEqual, 42);
-  const auto a = p1.run_round_aggregated(fleet, 0.6);
-  const auto b = p2.run_round_aggregated(fleet, 0.6);
+  const auto a = aggregated_round(p1, fleet, 0.6);
+  const auto b = aggregated_round(p2, fleet, 0.6);
   EXPECT_EQ(a.utility, b.utility);
   EXPECT_EQ(a.deliveries, b.deliveries);
 }
@@ -168,9 +198,10 @@ TEST(AggregatedKernel, ServerItemsReachEveryoneUnconditionally) {
   const DecisionLattice lattice(3);
   const auto universe = make_universe();
   EdgeServerDataPlane plane(lattice, universe);
-  const std::vector<Vehicle> fleet = {make_vehicle(7, {}, {0, 4})};
+  FleetSoA fleet;
+  add_vehicle(fleet, 7, {}, {0, 4});
   const auto outcome =
-      plane.run_round_aggregated(fleet, 0.0, CellFaultMask{}, ItemSet{0, 4});
+      aggregated_round(plane, fleet, 0.0, CellFaultMask{}, ItemSet{0, 4});
   EXPECT_DOUBLE_EQ(outcome.utility[0], 1.0);
   EXPECT_DOUBLE_EQ(outcome.privacy[0], 0.0);
 }
@@ -179,10 +210,10 @@ TEST(AggregatedKernel, RevokedReceiverServedNothing) {
   const DecisionLattice lattice(3);
   const auto universe = make_universe();
   EdgeServerDataPlane plane(lattice, universe);
-  std::vector<Vehicle> fleet = {make_vehicle(0, {2}, {0}),
-                                make_vehicle(0, {0}, {2})};
-  fleet[0].revoked = true;
-  const auto outcome = plane.run_round_aggregated(fleet, 1.0);
+  FleetSoA fleet;
+  fleet.add(0, kClaimFollowsDecision, /*revoked=*/true, ItemSet{2}, ItemSet{0});
+  add_vehicle(fleet, 0, {0}, {2});
+  const auto outcome = aggregated_round(plane, fleet, 1.0);
   EXPECT_DOUBLE_EQ(outcome.utility[0], 0.0);  // quarantined: no deliveries
   EXPECT_DOUBLE_EQ(outcome.utility[1], 1.0);  // its upload still circulates
 }
@@ -191,11 +222,12 @@ TEST(AggregatedKernel, UploadLossShrinksThePool) {
   const DecisionLattice lattice(3);
   const auto universe = make_universe();
   EdgeServerDataPlane plane(lattice, universe);
-  const std::vector<Vehicle> fleet = {make_vehicle(0, {2}, {0}),
-                                      make_vehicle(0, {0}, {2})};
+  FleetSoA fleet;
+  add_vehicle(fleet, 0, {2}, {0});
+  add_vehicle(fleet, 0, {0}, {2});
   CellFaultMask mask;
   mask.upload_lost = {0, 1};  // vehicle 1's upload never arrives
-  const auto outcome = plane.run_round_aggregated(fleet, 1.0, mask);
+  const auto outcome = aggregated_round(plane, fleet, 1.0, mask);
   EXPECT_EQ(outcome.uploads_lost, 1u);
   EXPECT_DOUBLE_EQ(outcome.utility[0], 0.0);  // its desired item was lost
   EXPECT_DOUBLE_EQ(outcome.utility[1], 1.0);
@@ -206,11 +238,11 @@ TEST(AggregatedKernel, RejectsPerPairDeliveryFaults) {
   const DecisionLattice lattice(3);
   const auto universe = make_universe();
   EdgeServerDataPlane plane(lattice, universe);
-  const std::vector<Vehicle> fleet = {make_vehicle(0, {0}, {2})};
+  FleetSoA fleet;
+  add_vehicle(fleet, 0, {0}, {2});
   CellFaultMask mask;
   mask.delivery_lost = {0};
-  EXPECT_THROW(plane.run_round_aggregated(fleet, 0.5, mask),
-               ContractViolation);
+  EXPECT_THROW(aggregated_round(plane, fleet, 0.5, mask), ContractViolation);
 }
 
 TEST(AggregatedKernel, FreeRiderClaimGovernsAccess) {
@@ -219,10 +251,10 @@ TEST(AggregatedKernel, FreeRiderClaimGovernsAccess) {
   EdgeServerDataPlane plane(lattice, universe);
   // True decision P8 (share nothing) but claims P1: the claim earns access
   // to everything — in the aggregated kernel exactly as in the exact one.
-  Vehicle liar = make_vehicle(7, {}, {0});
-  liar.claim = 0;
-  const std::vector<Vehicle> fleet = {liar, make_vehicle(0, {0}, {2})};
-  const auto outcome = plane.run_round_aggregated(fleet, 1.0);
+  FleetSoA fleet;
+  fleet.add(7, /*claim=*/0, false, ItemSet{}, ItemSet{0});  // the liar
+  add_vehicle(fleet, 0, {0}, {2});
+  const auto outcome = aggregated_round(plane, fleet, 1.0);
   EXPECT_DOUBLE_EQ(outcome.utility[0], 1.0);
   EXPECT_DOUBLE_EQ(outcome.privacy[0], 0.0);  // uploaded nothing
 }
@@ -238,10 +270,10 @@ TEST(AggregatedKernel, DirectionalEndpointsMatchExact) {
   for (const double x : {0.0, 1.0}) {
     EdgeServerDataPlane exact(lattice, universe, AccessRule::kSubsetOrEqual, 2);
     EdgeServerDataPlane agg(lattice, universe, AccessRule::kSubsetOrEqual, 2);
-    const auto a = exact.run_directional(senders, receivers, x,
-                                         DataPlaneMode::kPairwiseExact);
-    const auto b = agg.run_directional(senders, receivers, x,
-                                       DataPlaneMode::kClassAggregated);
+    const auto a = directional(exact, senders, receivers, x,
+                               DataPlaneMode::kPairwiseExact);
+    const auto b = directional(agg, senders, receivers, x,
+                               DataPlaneMode::kClassAggregated);
     EXPECT_EQ(a.marginal_utility, b.marginal_utility) << "x = " << x;
     EXPECT_EQ(a.deliveries, b.deliveries) << "x = " << x;
   }
@@ -261,10 +293,10 @@ TEST(AggregatedKernel, DirectionalDistributionallyEquivalent) {
                               seed);
     EdgeServerDataPlane agg(lattice, universe, AccessRule::kSubsetOrEqual,
                             seed * 17);
-    const auto a = exact.run_directional(senders, receivers, 0.5,
-                                         DataPlaneMode::kPairwiseExact);
-    const auto b = agg.run_directional(senders, receivers, 0.5,
-                                       DataPlaneMode::kClassAggregated);
+    const auto a = directional(exact, senders, receivers, 0.5,
+                               DataPlaneMode::kPairwiseExact);
+    const auto b = directional(agg, senders, receivers, 0.5,
+                               DataPlaneMode::kClassAggregated);
     for (const double u : a.marginal_utility) exact_marginal += u;
     for (const double u : b.marginal_utility) agg_marginal += u;
   }

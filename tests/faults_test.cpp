@@ -395,43 +395,35 @@ perception::DataUniverse small_universe() {
   return universe;
 }
 
-std::vector<perception::Vehicle> make_vehicles(
-    const core::DecisionLattice& lattice,
-    const perception::DataUniverse& universe, std::size_t n) {
+perception::FleetSoA make_vehicles(const core::DecisionLattice& lattice,
+                                   const perception::DataUniverse& universe,
+                                   std::size_t n) {
   Rng rng(5);
-  std::vector<perception::Vehicle> vehicles(n);
+  perception::FleetSoA vehicles;
   for (std::size_t v = 0; v < n; ++v) {
-    vehicles[v].decision = static_cast<core::DecisionId>(rng.uniform_int(
+    const auto decision = static_cast<core::DecisionId>(rng.uniform_int(
         0, static_cast<std::int64_t>(lattice.num_decisions()) - 1));
+    perception::ItemSet collected;
+    perception::ItemSet desired;
     for (perception::ItemId item = 0; item < universe.size(); ++item) {
-      if (rng.bernoulli(0.5)) vehicles[v].collected.push_back(item);
-      if (rng.bernoulli(0.4)) vehicles[v].desired.push_back(item);
+      if (rng.bernoulli(0.5)) collected.push_back(item);
+      if (rng.bernoulli(0.4)) desired.push_back(item);
     }
+    vehicles.add(decision, perception::kClaimFollowsDecision, false, collected,
+                 desired);
   }
   return vehicles;
 }
 
-TEST(DegradedDataPlaneTest, EmptyMaskMatchesCleanRound) {
-  const core::DecisionLattice lattice(3);
-  const auto universe = small_universe();
-  const auto vehicles = make_vehicles(lattice, universe, 12);
-
-  perception::EdgeServerDataPlane clean(lattice, universe,
-                                        core::AccessRule::kSubsetOrEqual, 3);
-  perception::EdgeServerDataPlane degraded(lattice, universe,
-                                           core::AccessRule::kSubsetOrEqual, 3);
-  for (int repeat = 0; repeat < 4; ++repeat) {
-    const auto a = clean.run_round(vehicles, 0.7);
-    const auto b =
-        degraded.run_round_degraded(vehicles, 0.7, perception::CellFaultMask{});
-    EXPECT_EQ(a.utility, b.utility);
-    EXPECT_EQ(a.privacy, b.privacy);
-    EXPECT_EQ(a.exposed_items, b.exposed_items);
-    EXPECT_EQ(a.exposed_privacy, b.exposed_privacy);
-    EXPECT_EQ(a.deliveries, b.deliveries);
-    EXPECT_EQ(b.uploads_lost, 0u);
-    EXPECT_EQ(b.deliveries_lost, 0u);
-  }
+/// One exact-kernel round under `mask`.
+perception::RoundOutcome exact_round(perception::EdgeServerDataPlane& plane,
+                                     const perception::FleetSoA& vehicles,
+                                     double x,
+                                     const perception::CellFaultMask& mask) {
+  perception::RoundOutcome out;
+  plane.run_round_into(vehicles.view(), x, mask, {},
+                       perception::DataPlaneMode::kPairwiseExact, out);
+  return out;
 }
 
 TEST(DegradedDataPlaneTest, UploadMaskRemovesPrivacyAndPool) {
@@ -443,7 +435,7 @@ TEST(DegradedDataPlaneTest, UploadMaskRemovesPrivacyAndPool) {
   mask.upload_lost.assign(vehicles.size(), 1);  // every upload lost
   perception::EdgeServerDataPlane plane(lattice, universe,
                                         core::AccessRule::kSubsetOrEqual, 3);
-  const auto outcome = plane.run_round_degraded(vehicles, 1.0, mask);
+  const auto outcome = exact_round(plane, vehicles, 1.0, mask);
   EXPECT_EQ(outcome.exposed_items, 0u);
   EXPECT_EQ(outcome.exposed_privacy, 0.0);
   EXPECT_EQ(outcome.deliveries, 0u);
@@ -463,8 +455,8 @@ TEST(DegradedDataPlaneTest, DeliveryMaskPreservesPrivacyStream) {
                                         core::AccessRule::kSubsetOrEqual, 9);
   perception::EdgeServerDataPlane lossy(lattice, universe,
                                         core::AccessRule::kSubsetOrEqual, 9);
-  const auto a = clean.run_round(vehicles, 0.8);
-  const auto b = lossy.run_round_degraded(vehicles, 0.8, mask);
+  const auto a = exact_round(clean, vehicles, 0.8, {});
+  const auto b = exact_round(lossy, vehicles, 0.8, mask);
   // The uplink phase is untouched: privacy and exposure are bitwise equal.
   EXPECT_EQ(a.privacy, b.privacy);
   EXPECT_EQ(a.exposed_items, b.exposed_items);

@@ -1,173 +1,17 @@
-// The SoA layout contract: FleetSoA is a representation change, not a
-// semantics change. For any logical fleet, running the data plane over the
-// AoS span and over the FleetView consumes the same RNG stream and produces
-// byte-equal RoundOutcome / DirectionalOutcome endpoints — every double
-// compared with ==, not a tolerance.
+// FleetSoA's builders and views: whole-span, fixed-window and streaming
+// appends, the per-round item refill (roster and arena capacity kept), and
+// copies from another view.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
-#include "common/rng.h"
-#include "core/lattice.h"
-#include "perception/data_plane.h"
 #include "perception/fleet_soa.h"
 #include "perception/measure.h"
 
 namespace avcp::perception {
 namespace {
-
-DataUniverse make_universe(std::size_t items_per_sensor = 10) {
-  Rng rng(7);
-  const double privacy[] = {1.0, 0.4, 0.1};
-  return DataUniverse::synthetic(3, items_per_sensor, privacy, rng);
-}
-
-ItemSet sample_items(Rng& rng, std::size_t omega, double fraction) {
-  ItemSet out;
-  for (ItemId id = 0; id < omega; ++id) {
-    if (rng.bernoulli(fraction)) out.push_back(id);
-  }
-  return out;
-}
-
-/// A deliberately messy fleet: claims diverging from decisions, revoked
-/// vehicles, empty collected and desired sets.
-std::vector<Vehicle> make_fleet(std::size_t n, std::size_t k,
-                                std::size_t omega, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Vehicle> fleet(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    fleet[v].decision =
-        static_cast<core::DecisionId>(rng.uniform_int(0, k - 1));
-    if (rng.bernoulli(0.3)) {
-      fleet[v].claim = static_cast<core::DecisionId>(rng.uniform_int(0, k - 1));
-    }
-    fleet[v].revoked = rng.bernoulli(0.1);
-    fleet[v].collected = sample_items(rng, omega, rng.bernoulli(0.1) ? 0.0 : 0.4);
-    fleet[v].desired = sample_items(rng, omega, rng.bernoulli(0.1) ? 0.0 : 0.3);
-  }
-  return fleet;
-}
-
-FleetSoA mirror(const std::vector<Vehicle>& fleet) {
-  FleetSoA soa;
-  for (const Vehicle& v : fleet) {
-    soa.add(v.decision, v.claim, v.revoked, v.collected, v.desired);
-  }
-  return soa;
-}
-
-void expect_outcomes_equal(const RoundOutcome& a, const RoundOutcome& b) {
-  ASSERT_EQ(a.utility.size(), b.utility.size());
-  for (std::size_t i = 0; i < a.utility.size(); ++i) {
-    ASSERT_EQ(a.utility[i], b.utility[i]) << "vehicle " << i;
-    ASSERT_EQ(a.privacy[i], b.privacy[i]) << "vehicle " << i;
-  }
-  EXPECT_EQ(a.exposed_items, b.exposed_items);
-  EXPECT_EQ(a.exposed_privacy, b.exposed_privacy);
-  EXPECT_EQ(a.deliveries, b.deliveries);
-  EXPECT_EQ(a.uploads_lost, b.uploads_lost);
-  EXPECT_EQ(a.deliveries_lost, b.deliveries_lost);
-}
-
-class FleetSoAEquivalence : public ::testing::TestWithParam<DataPlaneMode> {};
-
-TEST_P(FleetSoAEquivalence, RoundOutcomesAreByteEqual) {
-  const core::DecisionLattice lattice(3);
-  const DataUniverse universe = make_universe();
-  const auto fleet = make_fleet(60, lattice.num_decisions(), universe.size(),
-                                /*seed=*/11);
-  const FleetSoA soa = mirror(fleet);
-
-  for (const double x : {0.0, 0.37, 0.8, 1.0}) {
-    EdgeServerDataPlane aos_plane(lattice, universe, core::AccessRule::kSubsetOrEqual, 99);
-    EdgeServerDataPlane soa_plane(lattice, universe, core::AccessRule::kSubsetOrEqual, 99);
-    RoundOutcome aos_out;
-    RoundOutcome soa_out;
-    // Several consecutive rounds: RNG stream positions must track exactly.
-    for (int round = 0; round < 3; ++round) {
-      aos_plane.run_round_into(fleet, x, {}, {}, GetParam(), aos_out);
-      soa_plane.run_round_into(soa.view(), x, {}, {}, GetParam(), soa_out);
-      expect_outcomes_equal(aos_out, soa_out);
-    }
-  }
-}
-
-TEST_P(FleetSoAEquivalence, ServerItemsAndUploadLossMatch) {
-  const core::DecisionLattice lattice(3);
-  const DataUniverse universe = make_universe();
-  const auto fleet = make_fleet(40, lattice.num_decisions(), universe.size(),
-                                /*seed=*/29);
-  const FleetSoA soa = mirror(fleet);
-
-  const ItemSet server_items = {1, 5, 9, 17};
-  CellFaultMask mask;
-  mask.upload_lost.assign(fleet.size(), 0);
-  Rng mask_rng(4);
-  for (auto& f : mask.upload_lost) f = mask_rng.bernoulli(0.2) ? 1 : 0;
-
-  EdgeServerDataPlane aos_plane(lattice, universe, core::AccessRule::kSubsetOrEqual, 5);
-  EdgeServerDataPlane soa_plane(lattice, universe, core::AccessRule::kSubsetOrEqual, 5);
-  RoundOutcome aos_out;
-  RoundOutcome soa_out;
-  aos_plane.run_round_into(fleet, 0.6, mask, server_items, GetParam(), aos_out);
-  soa_plane.run_round_into(soa.view(), 0.6, mask, server_items, GetParam(),
-                           soa_out);
-  expect_outcomes_equal(aos_out, soa_out);
-}
-
-TEST_P(FleetSoAEquivalence, DirectionalOutcomesAreByteEqual) {
-  const core::DecisionLattice lattice(3);
-  const DataUniverse universe = make_universe();
-  const auto senders = make_fleet(25, lattice.num_decisions(), universe.size(),
-                                  /*seed=*/31);
-  const auto receivers = make_fleet(35, lattice.num_decisions(),
-                                    universe.size(), /*seed=*/37);
-  const FleetSoA soa_senders = mirror(senders);
-  const FleetSoA soa_receivers = mirror(receivers);
-
-  EdgeServerDataPlane aos_plane(lattice, universe, core::AccessRule::kSubsetOrEqual, 123);
-  EdgeServerDataPlane soa_plane(lattice, universe, core::AccessRule::kSubsetOrEqual, 123);
-  EdgeServerDataPlane::DirectionalOutcome aos_out;
-  EdgeServerDataPlane::DirectionalOutcome soa_out;
-  aos_plane.run_directional_into(senders, receivers, 0.55, GetParam(), aos_out);
-  soa_plane.run_directional_into(soa_senders.view(), soa_receivers.view(),
-                                 0.55, GetParam(), soa_out);
-  ASSERT_EQ(aos_out.marginal_utility.size(), soa_out.marginal_utility.size());
-  for (std::size_t i = 0; i < aos_out.marginal_utility.size(); ++i) {
-    ASSERT_EQ(aos_out.marginal_utility[i], soa_out.marginal_utility[i]);
-  }
-  EXPECT_EQ(aos_out.deliveries, soa_out.deliveries);
-}
-
-TEST_P(FleetSoAEquivalence, ExactDeliveryLossMaskMatches) {
-  if (GetParam() == DataPlaneMode::kClassAggregated) {
-    GTEST_SKIP() << "per-pair delivery loss is exact-kernel-only";
-  }
-  const core::DecisionLattice lattice(3);
-  const DataUniverse universe = make_universe();
-  const auto fleet = make_fleet(30, lattice.num_decisions(), universe.size(),
-                                /*seed=*/43);
-  const FleetSoA soa = mirror(fleet);
-
-  CellFaultMask mask;
-  mask.delivery_lost.assign(fleet.size() * fleet.size(), 0);
-  Rng mask_rng(9);
-  for (auto& f : mask.delivery_lost) f = mask_rng.bernoulli(0.1) ? 1 : 0;
-
-  EdgeServerDataPlane aos_plane(lattice, universe, core::AccessRule::kSubsetOrEqual, 77);
-  EdgeServerDataPlane soa_plane(lattice, universe, core::AccessRule::kSubsetOrEqual, 77);
-  RoundOutcome aos_out;
-  RoundOutcome soa_out;
-  aos_plane.run_round_into(fleet, 0.7, mask, {}, GetParam(), aos_out);
-  soa_plane.run_round_into(soa.view(), 0.7, mask, {}, GetParam(), soa_out);
-  expect_outcomes_equal(aos_out, soa_out);
-}
-
-INSTANTIATE_TEST_SUITE_P(BothKernels, FleetSoAEquivalence,
-                         ::testing::Values(DataPlaneMode::kPairwiseExact,
-                                           DataPlaneMode::kClassAggregated));
 
 TEST(FleetSoA, BuildersAndViewsAgree) {
   FleetSoA fleet;
