@@ -1,6 +1,5 @@
 #include "perception/data_plane.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/contracts.h"
@@ -18,9 +17,20 @@ constexpr std::size_t kMissPowCache = 64;
 /// win. A pure perf switch: both paths compute identical doubles.
 constexpr std::size_t kMissTableMinFleet = 2048;
 
-void sort_unique(ItemSet& s) {
-  std::sort(s.begin(), s.end());
-  s.erase(std::unique(s.begin(), s.end()), s.end());
+/// Contract for an item set the plane stamps without walking it itself:
+/// sorted and unique, so its last id bounds every id inside the universe.
+void expect_item_set(std::span<const ItemId> s, std::size_t omega) {
+  AVCP_EXPECT(is_sorted_unique(s));
+  AVCP_EXPECT(s.empty() || s.back() < omega);
+}
+
+/// One step of the sorted/unique/in-universe check fused into a walk that
+/// already reads every id of a set: `next` is the least id the walk may
+/// meet next (0 before the first).
+inline void expect_next_item(ItemId id, std::size_t& next,
+                             std::size_t omega) {
+  AVCP_EXPECT(id >= next && id < omega);
+  next = std::size_t{id} + 1;
 }
 
 }  // namespace
@@ -51,19 +61,23 @@ EdgeServerDataPlane::EdgeServerDataPlane(const core::DecisionLattice& lattice,
   decision_masks_.resize(k);
   for (core::DecisionId d = 0; d < k; ++d) decision_masks_[d] = lattice.mask(d);
   item_bits_.resize(universe.size());
+  item_utility_.resize(universe.size());
   for (ItemId id = 0; id < universe.size(); ++id) {
-    item_bits_[id] = lattice.sensor_bit(universe.item(id).sensor);
+    const DataItem& item = universe.item(id);
+    item_bits_[id] = lattice.sensor_bit(item.sensor);
+    item_utility_[id] = item.utility_weight;
   }
+  ws_.stamp.assign(universe.size(), 0);
 }
 
 void EdgeServerDataPlane::append_shared(core::DecisionId decision,
                                         std::span<const ItemId> collected,
                                         std::vector<ItemId>& out) const {
   AVCP_EXPECT(decision < lattice_.num_decisions());
-  AVCP_EXPECT(is_sorted_unique(collected));
   const core::SensorMask dmask = decision_masks_[decision];
+  std::size_t next = 0;
   for (const ItemId id : collected) {
-    AVCP_EXPECT(id < item_bits_.size());
+    expect_next_item(id, next, item_bits_.size());
     if ((dmask & item_bits_[id]) != 0) out.push_back(id);
   }
 }
@@ -81,7 +95,6 @@ void EdgeServerDataPlane::reserve_workspace(std::size_t vehicles,
   const std::size_t omega = universe_.size();
   ws_.upload_data.reserve(vehicles * items_per_vehicle);
   ws_.upload_end.reserve(vehicles);
-  ws_.seen.reserve(omega);
   ws_.cls.reserve(vehicles);
   ws_.class_senders.reserve(k);
   ws_.class_items.reserve(k);
@@ -97,10 +110,10 @@ void EdgeServerDataPlane::run_round_into(const FleetView& fleet,
                                          const ItemSet& server_items,
                                          DataPlaneMode mode, RoundOutcome& out) {
   AVCP_EXPECT(sharing_ratio >= 0.0 && sharing_ratio <= 1.0);
-  AVCP_EXPECT(is_sorted_unique(server_items));
+  AVCP_EXPECT(item_bits_.size() == universe_.size());
+  expect_item_set(server_items, item_bits_.size());
   const std::size_t n = fleet.size();
   AVCP_EXPECT(mask.upload_lost.empty() || mask.upload_lost.size() == n);
-  AVCP_EXPECT(item_bits_.size() == universe_.size());
 
   out.utility.assign(n, 0.0);
   out.privacy.assign(n, 0.0);
@@ -142,36 +155,55 @@ void EdgeServerDataPlane::upload_phase(const FleetView& fleet,
   const std::size_t omega = universe_.size();
   ws_.upload_data.clear();
   if (ws_.upload_end.size() < n) ws_.upload_end.resize(n);
-  ws_.seen.assign(omega, 0);
+  const std::uint64_t uploaded = ++ws_.tag;
   for (std::size_t a = 0; a < n; ++a) {
     const std::size_t begin = ws_.upload_data.size();
+    const std::span<const ItemId> collected = fleet.collected_of(a);
     if (!mask.upload_lost.empty() && mask.upload_lost[a]) {
+      // Never uploaded, but still held: the receive side stamps it.
+      expect_item_set(collected, omega);
       ++out.uploads_lost;
       ws_.upload_end[a] = static_cast<std::uint32_t>(begin);
       continue;
     }
-    append_shared(fleet.decision[a], fleet.collected_of(a), ws_.upload_data);
+    append_shared(fleet.decision[a], collected, ws_.upload_data);
     ws_.upload_end[a] = static_cast<std::uint32_t>(ws_.upload_data.size());
     for (std::size_t i = begin; i < ws_.upload_data.size(); ++i) {
-      ws_.seen[ws_.upload_data[i]] = 1;
+      ws_.stamp[ws_.upload_data[i]] = uploaded;
     }
     out.privacy[a] = privacy_cost(
         universe_, std::span<const ItemId>(ws_.upload_data).subspan(begin));
   }
-  // Eavesdropper view: everything any upload carried. The ascending flag
+  // Eavesdropper view: everything any upload carried. The ascending stamp
   // walk sums privacy weights in exactly the order privacy_cost walks the
-  // old sorted union, so exposure is bit-identical to the sort-based path
-  // without the O(total·log) per-round sort.
+  // sorted union, so exposure is bit-identical to a sort-based path
+  // without its O(total·log) per-round sort.
   std::size_t exposed = 0;
   double exposed_mass = 0.0;
   for (ItemId id = 0; id < omega; ++id) {
-    if (ws_.seen[id] == 0) continue;
+    if (ws_.stamp[id] != uploaded) continue;
     ++exposed;
     exposed_mass += universe_.item(id).privacy_weight;
   }
   out.exposed_items = exposed;
   const double total = universe_.total_privacy_weight();
   out.exposed_privacy = total > 0.0 ? exposed_mass / total : 0.0;
+}
+
+double EdgeServerDataPlane::stamped_utility(std::span<const ItemId> desired,
+                                            std::uint64_t tag) const {
+  const std::size_t omega = item_utility_.size();
+  double num = 0.0;
+  double den = 0.0;
+  std::size_t next = 0;
+  for (const ItemId d : desired) {
+    expect_next_item(d, next, omega);
+    const double w = item_utility_[d];
+    den += w;
+    if (ws_.stamp[d] == tag) num += w;
+  }
+  AVCP_ENSURE(den > 0.0);
+  return num / den;
 }
 
 void EdgeServerDataPlane::classify(const FleetView& fleet) {
@@ -198,52 +230,41 @@ void EdgeServerDataPlane::run_round_exact(const FleetView& fleet,
   // either way, so a clean run and a delivery-loss run share the upload
   // phase bit-for-bit. See the draw-order contract in data_plane.h: one
   // draw per readable ordered pair, regardless of upload contents.
-  ItemSet& received = ws_.received;
+  std::uint64_t* stamp = ws_.stamp.data();
   for (std::size_t a = 0; a < n; ++a) {
-    // Gather all accepted uploads first, then sort/deduplicate once — a
-    // per-sender set_union would make large cells quadratic in fleet size.
-    // Access control runs on *claimed* decisions: the server cannot verify
-    // what a vehicle withholds, only what it declares. A quarantined
-    // receiver is served nothing (and consumes no distribution draws;
-    // revocation only ever happens on the already-perturbed Byzantine
-    // path, so the clean path's RNG stream is untouched).
-    const std::span<const ItemId> collected = fleet.collected_of(a);
+    // Stamp what the receiver holds after the round under a fresh tag: its
+    // own collection (validated in the upload phase), the server items and
+    // every accepted upload; an item stamped twice is simply held. Access
+    // control runs on *claimed* decisions: the server cannot verify what a
+    // vehicle withholds, only what it declares. A quarantined receiver is
+    // served nothing (and consumes no distribution draws; revocation only
+    // ever happens on the already-perturbed Byzantine path, so the clean
+    // path's RNG stream is untouched).
+    const std::uint64_t tag = ++ws_.tag;
+    for (const ItemId id : fleet.collected_of(a)) stamp[id] = tag;
+    for (const ItemId id : server_items) stamp[id] = tag;
+    if (fleet.revoked[a] == 0) {
+      const std::size_t row = ws_.cls[a] * k;
+      for (std::size_t b = 0; b < n; ++b) {
+        if (a == b) continue;
+        if (readable_[row + ws_.cls[b]] == 0) continue;
+        if (!rng_.bernoulli(sharing_ratio)) continue;
+        const std::span<const ItemId> up = upload(b);
+        // Empty upload: the draw above is already consumed (contract), so
+        // the loss probe, delivery bookkeeping, and stamping can be
+        // skipped without perturbing the stream.
+        if (up.empty()) continue;
+        if (!mask.delivery_lost.empty() && mask.delivery_lost[a * n + b]) {
+          out.deliveries_lost += up.size();
+          continue;
+        }
+        out.deliveries += up.size();
+        for (const ItemId id : up) stamp[id] = tag;
+      }
+    }
     const std::span<const ItemId> desired = fleet.desired_of(a);
-    AVCP_EXPECT(is_sorted_unique(collected));
-    AVCP_EXPECT(is_sorted_unique(desired));
-    received.clear();
-    received.insert(received.end(), collected.begin(), collected.end());
-    received.insert(received.end(), server_items.begin(), server_items.end());
-    if (fleet.revoked[a] != 0) {
-      sort_unique(received);
-      if (!desired.empty()) {
-        out.utility[a] = measured_utility(universe_, received, desired);
-      }
-      continue;
-    }
-    const std::size_t row = ws_.cls[a] * k;
-    for (std::size_t b = 0; b < n; ++b) {
-      if (a == b) continue;
-      if (readable_[row + ws_.cls[b]] == 0) continue;
-      if (!rng_.bernoulli(sharing_ratio)) continue;
-      const std::span<const ItemId> up = upload(b);
-      // Empty upload: the draw above is already consumed (contract), so
-      // the loss probe, delivery bookkeeping, and append can be skipped
-      // without perturbing the stream.
-      if (up.empty()) continue;
-      if (!mask.delivery_lost.empty() && mask.delivery_lost[a * n + b]) {
-        out.deliveries_lost += up.size();
-        continue;
-      }
-      out.deliveries += up.size();
-      received.insert(received.end(), up.begin(), up.end());
-    }
-    sort_unique(received);
-    if (!desired.empty()) {
-      out.utility[a] = measured_utility(universe_, received, desired);
-    } else {
-      out.utility[a] = 0.0;  // nothing desired: utility trivially zero
-    }
+    // Nothing desired: utility trivially zero (out.utility starts zeroed).
+    if (!desired.empty()) out.utility[a] = stamped_utility(desired, tag);
   }
 }
 
@@ -330,11 +351,11 @@ void EdgeServerDataPlane::run_round_class_aggregated(
 
   double deliveries_acc = 0.0;
   for (std::size_t a = 0; a < n; ++a) {
+    // Collected sets were validated in the upload phase; the desired set
+    // is checked inside the walk below, which reads every id anyway.
     const std::span<const ItemId> collected = fleet.collected_of(a);
     const std::span<const ItemId> desired = fleet.desired_of(a);
     const bool revoked = fleet.revoked[a] != 0;
-    AVCP_EXPECT(is_sorted_unique(collected));
-    AVCP_EXPECT(is_sorted_unique(desired));
     const core::DecisionId cls_a = ws_.cls[a];
 
     // Deliveries: one Binomial(n_l, x) draw per readable sender class, in
@@ -372,10 +393,12 @@ void EdgeServerDataPlane::run_round_class_aggregated(
         use_table ? ws_.miss_table.data() + cls_a * omega : nullptr;
     double num = 0.0;
     double den = 0.0;
+    std::size_t next = 0;
     std::size_t pc = 0;  // cursor into collected
     std::size_t ps = 0;  // cursor into server_items
     for (const ItemId d : desired) {
-      const double w = universe_.item(d).utility_weight;
+      expect_next_item(d, next, omega);
+      const double w = item_utility_[d];
       den += w;
       while (pc < collected.size() && collected[pc] < d) ++pc;
       while (ps < server_items.size() && server_items[ps] < d) ++ps;
@@ -432,31 +455,28 @@ void EdgeServerDataPlane::run_directional_exact(const FleetView& senders,
                                                 double sharing_ratio,
                                                 DirectionalOutcome& out) {
   const std::size_t k = lattice_.num_decisions();
-  ItemSet& received = ws_.received;
+  std::uint64_t* stamp = ws_.stamp.data();
   for (std::size_t a = 0; a < receivers.size(); ++a) {
     if (receivers.revoked[a] != 0) continue;
     const std::span<const ItemId> collected = receivers.collected_of(a);
-    const std::span<const ItemId> desired = receivers.desired_of(a);
-    AVCP_EXPECT(is_sorted_unique(collected));
-    AVCP_EXPECT(is_sorted_unique(desired));
+    expect_item_set(collected, ws_.stamp.size());
     const core::DecisionId cls_r = receivers.claimed(a);
     AVCP_EXPECT(cls_r < k);
-    received.clear();
+    // Stamp every delivery, then un-stamp what the receiver already holds:
+    // the items left under the tag are received \ collected.
+    const std::uint64_t tag = ++ws_.tag;
     for (std::size_t b = 0; b < senders.size(); ++b) {
       if (readable_[cls_r * k + ws_.cls[b]] == 0) continue;
       if (!rng_.bernoulli(sharing_ratio)) continue;
       const std::span<const ItemId> up = upload(b);
       if (up.empty()) continue;  // draw already consumed (contract)
       out.deliveries += up.size();
-      received.insert(received.end(), up.begin(), up.end());
+      for (const ItemId id : up) stamp[id] = tag;
     }
-    sort_unique(received);
-    ws_.scratch.clear();
-    std::set_difference(received.begin(), received.end(), collected.begin(),
-                        collected.end(), std::back_inserter(ws_.scratch));
-    if (!ws_.scratch.empty() && !desired.empty()) {
-      out.marginal_utility[a] =
-          measured_utility(universe_, ws_.scratch, desired);
+    for (const ItemId id : collected) stamp[id] = 0;
+    const std::span<const ItemId> desired = receivers.desired_of(a);
+    if (!desired.empty()) {
+      out.marginal_utility[a] = stamped_utility(desired, tag);
     }
   }
 }
@@ -476,8 +496,7 @@ void EdgeServerDataPlane::run_directional_class_aggregated(
     if (receivers.revoked[a] != 0) continue;
     const std::span<const ItemId> collected = receivers.collected_of(a);
     const std::span<const ItemId> desired = receivers.desired_of(a);
-    AVCP_EXPECT(is_sorted_unique(collected));
-    AVCP_EXPECT(is_sorted_unique(desired));
+    expect_item_set(collected, omega);
     const core::DecisionId cls_r = receivers.claimed(a);
     AVCP_EXPECT(cls_r < k);
 
@@ -498,9 +517,11 @@ void EdgeServerDataPlane::run_directional_class_aggregated(
         use_table ? ws_.miss_table.data() + cls_r * omega : nullptr;
     double num = 0.0;
     double den = 0.0;
+    std::size_t next = 0;
     std::size_t pc = 0;
     for (const ItemId d : desired) {
-      const double w = universe_.item(d).utility_weight;
+      expect_next_item(d, next, omega);
+      const double w = item_utility_[d];
       den += w;
       while (pc < collected.size() && collected[pc] < d) ++pc;
       if (pc < collected.size() && collected[pc] == d) {

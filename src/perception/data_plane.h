@@ -129,12 +129,15 @@ class EdgeServerDataPlane {
   /// Runs one upload/distribute round at sharing ratio x with the selected
   /// kernel into `out`, reusing its vectors.
   ///
-  /// `server_items` (sorted, unique) is the edge server's own perception
-  /// (the paper's §VII second future-work item: roadside infrastructure
-  /// perceives its surroundings and distributes the result to bypassing
-  /// vehicles). Server items reach every vehicle unconditionally —
-  /// infrastructure data carries no passenger privacy cost and is outside
-  /// the lattice incentive loop.
+  /// Every item set in `fleet` and `server_items` must be sorted, unique
+  /// and inside the universe; the kernels check it (ContractViolation).
+  ///
+  /// `server_items` is the edge server's own perception (the paper's §VII
+  /// second future-work item: roadside infrastructure perceives its
+  /// surroundings and distributes the result to bypassing vehicles).
+  /// Server items reach every vehicle unconditionally — infrastructure
+  /// data carries no passenger privacy cost and is outside the lattice
+  /// incentive loop.
   ///
   /// Uploads and deliveries flagged in `mask` are lost; an empty mask is
   /// the clean round. kClassAggregated is equal to kPairwiseExact in
@@ -172,7 +175,8 @@ class EdgeServerDataPlane {
   /// ratio, into `out` (vectors reused). Lattice admissibility applies as
   /// usual. The exact kernel's draw order is one Bernoulli per readable
   /// (receiver, sender) pair, receivers outer ascending, senders inner
-  /// ascending.
+  /// ascending. Item sets obey run_round_into's contract; a revoked
+  /// receiver is skipped unread.
   void run_directional_into(const FleetView& senders,
                             const FleetView& receivers, double sharing_ratio,
                             DataPlaneMode mode, DirectionalOutcome& out);
@@ -193,14 +197,15 @@ class EdgeServerDataPlane {
     /// b's upload spans [upload_end[b-1], upload_end[b]) (0 for b == 0).
     std::vector<ItemId> upload_data;
     std::vector<std::uint32_t> upload_end;
-    /// seen[id] != 0 iff some upload carried `id` this round: the
-    /// eavesdropper view as a dense flag array instead of a sorted union
-    /// (the union's sort was O(total upload items · log) per round — the
-    /// dominant cost at engine scale; the ascending flag walk reproduces
-    /// privacy_cost's summation order bit-for-bit).
-    std::vector<std::uint8_t> seen;
-    ItemSet received;  // exact path: per-receiver gather buffer
-    ItemSet scratch;   // exact directional: received \ collected
+    /// One stamp per universe item (sized at construction) and the last tag
+    /// handed out. Each item set the plane marks takes a fresh tag, so
+    /// `stamp[id] == tag` is membership, nothing is ever cleared, and the
+    /// 64-bit tag cannot wrap. A round's uploads take the first tag (the
+    /// eavesdropper view); each receiver of an exact kernel then takes one
+    /// for what it holds after the round. An ascending walk over the stamps
+    /// sums in the order of a merge over the sorted sets, bit for bit.
+    std::vector<std::uint64_t> stamp;
+    std::uint64_t tag = 0;
     /// Claimed decision class per vehicle (this round).
     std::vector<core::DecisionId> cls;
     /// CompositionTable (aggregated kernel), rebuilt per round:
@@ -230,9 +235,18 @@ class EdgeServerDataPlane {
   }
 
   /// Upload phase shared by both kernels (identical results and — trivially,
-  /// it consumes no randomness — identical RNG state).
+  /// it consumes no randomness — identical RNG state). It validates every
+  /// vehicle's collected set, upload-lost ones included, so the receive
+  /// side may stamp them unchecked.
   void upload_phase(const FleetView& fleet, const CellFaultMask& mask,
                     RoundOutcome& out);
+  /// f_a of the items stamped `tag`: one ascending walk over `desired`
+  /// sums every weight into the denominator and each stamped one into the
+  /// numerator (measured_utility's operands in its order). `desired` must
+  /// be non-empty; the walk checks that it is strictly ascending and inside
+  /// the universe.
+  double stamped_utility(std::span<const ItemId> desired,
+                         std::uint64_t tag) const;
   /// Fills ws_.cls with claimed classes (validated against the lattice).
   void classify(const FleetView& fleet);
   /// Builds the per-class CompositionTable from the first `num_senders`
@@ -267,10 +281,12 @@ class EdgeServerDataPlane {
   /// access_ (constant for the plane's lifetime).
   std::vector<std::uint8_t> readable_;
   /// Per-decision shared-sensor bitmask (lattice_.mask hoisted out of the
-  /// per-item loop) and per-item sensor bit, both filled at construction:
-  /// the universe must not grow afterwards (rounds check it).
+  /// per-item loop), per-item sensor bit and per-item utility weight, all
+  /// filled at construction: the universe must not grow afterwards (rounds
+  /// check it).
   std::vector<core::SensorMask> decision_masks_;
   std::vector<core::SensorMask> item_bits_;
+  std::vector<double> item_utility_;
   Workspace ws_;
 };
 

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <ios>
+#include <iterator>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "common/contracts.h"
 #include "common/rng.h"
@@ -336,6 +341,85 @@ TEST(DataPlane, UnsortedDesiredSetIsRejectedByEveryKernel) {
   }
 }
 
+// The receive side stamps collected sets without walking them in order, so
+// their sorted-unique contract is checked where it is cheapest: in the
+// upload phase for every vehicle of a round, upload-lost ones included, and
+// per receiver on the directional shape. Every kernel rejects an unsorted
+// collected set in each of those places.
+TEST(DataPlane, UnsortedCollectedSetIsRejectedByEveryKernel) {
+  const DecisionLattice lattice(3);
+  const auto universe = make_universe();
+  FleetSoA holder;
+  add_vehicle(holder, 0, {4, 0}, {0, 4});
+  FleetSoA lost;
+  add_vehicle(lost, 0, {4, 0}, {0, 4});
+  add_vehicle(lost, 0, {2}, {0});
+  CellFaultMask lose_first;
+  lose_first.upload_lost = {1, 0};
+  FleetSoA senders;
+  add_vehicle(senders, 0, {0, 4}, {});
+  FleetSoA receivers;
+  add_vehicle(receivers, 0, {4, 0}, {0, 4});
+  for (const DataPlaneMode mode :
+       {DataPlaneMode::kPairwiseExact, DataPlaneMode::kClassAggregated}) {
+    EdgeServerDataPlane plane(lattice, universe);
+    RoundOutcome round;
+    EXPECT_THROW(
+        plane.run_round_into(holder.view(), 0.5, {}, {}, mode, round),
+        ContractViolation)
+        << "uploaded, mode " << static_cast<int>(mode);
+    EXPECT_THROW(
+        plane.run_round_into(lost.view(), 0.5, lose_first, {}, mode, round),
+        ContractViolation)
+        << "upload lost, mode " << static_cast<int>(mode);
+    DirectionalOutcome directional;
+    EXPECT_THROW(plane.run_directional_into(senders.view(), receivers.view(),
+                                            0.5, mode, directional),
+                 ContractViolation)
+        << "directional receiver, mode " << static_cast<int>(mode);
+  }
+}
+
+// Every id that indexes a per-item stamp or table is checked against the
+// universe, including the sets no utility walk reads: the server items, an
+// upload-lost vehicle's collected set (it is still held, so it is stamped)
+// and a directional receiver's collected set (un-stamped after delivery).
+TEST(DataPlane, OutOfUniverseIdsAreRejectedByEveryKernel) {
+  const DecisionLattice lattice(3);
+  const auto universe = make_universe();
+  const auto outside = static_cast<ItemId>(universe.size());
+  FleetSoA holder;
+  add_vehicle(holder, 0, {0}, {4});
+  FleetSoA lost;
+  add_vehicle(lost, 0, {0, outside}, {4});
+  add_vehicle(lost, 0, {4}, {0});
+  CellFaultMask lose_first;
+  lose_first.upload_lost = {1, 0};
+  FleetSoA senders;
+  add_vehicle(senders, 0, {0, 4}, {});
+  FleetSoA receivers;
+  add_vehicle(receivers, 0, {1, outside}, {0, 4});
+  for (const DataPlaneMode mode :
+       {DataPlaneMode::kPairwiseExact, DataPlaneMode::kClassAggregated}) {
+    EdgeServerDataPlane plane(lattice, universe);
+    RoundOutcome round;
+    EXPECT_THROW(plane.run_round_into(holder.view(), 0.5, {},
+                                      ItemSet{4, outside}, mode, round),
+                 ContractViolation)
+        << "server items, mode " << static_cast<int>(mode);
+    EXPECT_THROW(
+        plane.run_round_into(lost.view(), 0.5, lose_first, {}, mode, round),
+        ContractViolation)
+        << "upload-lost collected set, mode " << static_cast<int>(mode);
+    DirectionalOutcome directional;
+    EXPECT_THROW(plane.run_directional_into(senders.view(), receivers.view(),
+                                            0.5, mode, directional),
+                 ContractViolation)
+        << "directional receiver's collected set, mode "
+        << static_cast<int>(mode);
+  }
+}
+
 // The plane builds its per-item table once, from the universe it is given:
 // a universe that gains items afterwards is refused at the next round
 // instead of being served from a stale (or silently regrown) table.
@@ -596,6 +680,254 @@ TEST(DataPlane, OutcomeBitsArePinnedAcrossCommits) {
       kernel_output_hash(DataPlaneMode::kClassAggregated);
   EXPECT_EQ(exact, 0x2f3aacb1dc56aadbULL) << std::hex << exact;
   EXPECT_EQ(aggregated, 0xb336fe14950e32acULL) << std::hex << aggregated;
+}
+
+// ---------------------------------------------------------------------------
+// Differential oracle: the exact kernels against a sort-merge reference
+// ---------------------------------------------------------------------------
+
+/// What the reference computes of one round: the receive side only.
+struct ReferenceOutcome {
+  std::vector<double> utility;
+  std::size_t deliveries = 0;
+  std::size_t deliveries_lost = 0;
+};
+
+/// The exact kernels written the plain way: gather what each receiver holds
+/// into a vector, sort and deduplicate it, and merge it with the desired set
+/// through measured_utility (after a set_difference with the collected set
+/// on the directional shape). Uploads are filtered through
+/// DecisionLattice::shares item by item. `rng_` replays the documented draw
+/// order: one Bernoulli per readable ordered pair, receivers outer
+/// ascending, senders inner ascending, none for a revoked receiver.
+class SortMergeReference {
+ public:
+  SortMergeReference(const DecisionLattice& lattice,
+                     const DataUniverse& universe, AccessRule access,
+                     std::uint64_t seed)
+      : lattice_(lattice), universe_(universe), access_(access), rng_(seed) {}
+
+  ReferenceOutcome round(const FleetView& fleet, double x,
+                         const CellFaultMask& mask,
+                         const ItemSet& server_items) {
+    const std::size_t n = fleet.size();
+    const std::vector<ItemSet> up = uploads(fleet, mask.upload_lost);
+    ReferenceOutcome out;
+    out.utility.assign(n, 0.0);
+    for (std::size_t a = 0; a < n; ++a) {
+      const std::span<const ItemId> collected = fleet.collected_of(a);
+      ItemSet received(collected.begin(), collected.end());
+      received.insert(received.end(), server_items.begin(),
+                      server_items.end());
+      if (fleet.revoked[a] == 0) {
+        for (std::size_t b = 0; b < n; ++b) {
+          if (a == b || !readable(fleet.claimed(a), fleet.claimed(b))) {
+            continue;
+          }
+          if (!rng_.bernoulli(x) || up[b].empty()) continue;
+          if (!mask.delivery_lost.empty() && mask.delivery_lost[a * n + b]) {
+            out.deliveries_lost += up[b].size();
+            continue;
+          }
+          out.deliveries += up[b].size();
+          received.insert(received.end(), up[b].begin(), up[b].end());
+        }
+      }
+      sort_unique(received);
+      const std::span<const ItemId> desired = fleet.desired_of(a);
+      if (!desired.empty()) {
+        out.utility[a] = measured_utility(universe_, received, desired);
+      }
+    }
+    return out;
+  }
+
+  ReferenceOutcome directional(const FleetView& senders,
+                               const FleetView& receivers, double x) {
+    const std::vector<ItemSet> up = uploads(senders, {});
+    ReferenceOutcome out;
+    out.utility.assign(receivers.size(), 0.0);
+    for (std::size_t a = 0; a < receivers.size(); ++a) {
+      if (receivers.revoked[a] != 0) continue;
+      ItemSet received;
+      for (std::size_t b = 0; b < senders.size(); ++b) {
+        if (!readable(receivers.claimed(a), senders.claimed(b))) continue;
+        if (!rng_.bernoulli(x) || up[b].empty()) continue;
+        out.deliveries += up[b].size();
+        received.insert(received.end(), up[b].begin(), up[b].end());
+      }
+      sort_unique(received);
+      const std::span<const ItemId> collected = receivers.collected_of(a);
+      ItemSet fresh;
+      std::set_difference(received.begin(), received.end(),
+                          collected.begin(), collected.end(),
+                          std::back_inserter(fresh));
+      const std::span<const ItemId> desired = receivers.desired_of(a);
+      if (!fresh.empty() && !desired.empty()) {
+        out.utility[a] = measured_utility(universe_, fresh, desired);
+      }
+    }
+    return out;
+  }
+
+ private:
+  static void sort_unique(ItemSet& s) {
+    std::sort(s.begin(), s.end());
+    s.erase(std::unique(s.begin(), s.end()), s.end());
+  }
+
+  bool readable(core::DecisionId receiver, core::DecisionId sender) const {
+    return access_ == AccessRule::kSubsetOrEqual
+               ? lattice_.preceq(receiver, sender)
+               : lattice_.precedes(receiver, sender);
+  }
+
+  std::vector<ItemSet> uploads(
+      const FleetView& fleet,
+      const std::vector<std::uint8_t>& upload_lost) const {
+    std::vector<ItemSet> up(fleet.size());
+    for (std::size_t b = 0; b < fleet.size(); ++b) {
+      if (!upload_lost.empty() && upload_lost[b] != 0) continue;
+      for (const ItemId id : fleet.collected_of(b)) {
+        if (lattice_.shares(fleet.decision[b], universe_.item(id).sensor)) {
+          up[b].push_back(id);
+        }
+      }
+    }
+    return up;
+  }
+
+  const DecisionLattice& lattice_;
+  const DataUniverse& universe_;
+  AccessRule access_;
+  Rng rng_;
+};
+
+/// Per-vehicle utilities compared as bit patterns, plus the delivery
+/// counters.
+::testing::AssertionResult same_receive_side(
+    std::span<const double> utility, std::size_t deliveries,
+    std::size_t deliveries_lost, const ReferenceOutcome& want) {
+  if (utility.size() != want.utility.size()) {
+    return ::testing::AssertionFailure()
+           << utility.size() << " utilities, want " << want.utility.size();
+  }
+  for (std::size_t v = 0; v < utility.size(); ++v) {
+    if (std::bit_cast<std::uint64_t>(utility[v]) !=
+        std::bit_cast<std::uint64_t>(want.utility[v])) {
+      return ::testing::AssertionFailure()
+             << "vehicle " << v << ": utility " << utility[v] << ", want "
+             << want.utility[v];
+    }
+  }
+  if (deliveries != want.deliveries ||
+      deliveries_lost != want.deliveries_lost) {
+    return ::testing::AssertionFailure()
+           << "deliveries " << deliveries << "/" << deliveries_lost
+           << " lost, want " << want.deliveries << "/"
+           << want.deliveries_lost;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// The stamp kernels must reproduce the sort-merge kernels they replaced,
+// bit for bit, on seeded messy fleets: overlapping uploads, server items
+// that overlap collected sets, claims that differ from decisions, revoked
+// receivers, empty desired sets, upload and delivery loss, both access
+// rules, and the ratios where draws are skipped (0, 1) or consumed (0.37).
+// Consecutive rounds share one stream, so any shift in the draw order
+// surfaces in a later round.
+TEST(DataPlane, StampKernelMatchesSortMergeReference) {
+  const DecisionLattice lattice(3);
+  const DataUniverse universe = make_synthetic_universe();
+  const std::size_t k = lattice.num_decisions();
+  const std::size_t omega = universe.size();
+  const ItemSet no_server_items;
+  const ItemSet server_items = {1, 5, 9, 17, 23};
+  const CellFaultMask clean;
+
+  // What the fleets and rounds exercised, so the oracle cannot pass
+  // vacuously on a degenerate seed.
+  const EdgeServerDataPlane probe(lattice, universe);
+  std::size_t overlapping_uploads = 0;
+  std::size_t revoked = 0;
+  std::size_t false_claims = 0;
+  std::size_t empty_desired = 0;
+  std::size_t served_items_held = 0;
+  std::size_t uploads_lost = 0;
+  std::size_t deliveries_lost = 0;
+
+  for (const AccessRule access :
+       {AccessRule::kSubsetOrEqual, AccessRule::kStrictSubset}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const FleetSoA fleet = make_messy_fleet(48, k, omega, 100 + seed);
+      const FleetSoA senders = make_messy_fleet(20, k, omega, 200 + seed);
+      const FleetView view = fleet.view();
+      std::vector<std::size_t> uploaders(omega, 0);
+      for (std::size_t v = 0; v < view.size(); ++v) {
+        for (const ItemId id :
+             probe.shared_items(view.decision[v], view.collected_of(v))) {
+          ++uploaders[id];
+        }
+        revoked += view.revoked[v];
+        false_claims += view.claimed(v) != view.decision[v] ? 1 : 0;
+        empty_desired += view.desired_of(v).empty() ? 1 : 0;
+        for (const ItemId id : server_items) {
+          served_items_held += set_contains(view.collected_of(v), id) ? 1 : 0;
+        }
+      }
+      overlapping_uploads += static_cast<std::size_t>(std::count_if(
+          uploaders.begin(), uploaders.end(),
+          [](std::size_t c) { return c >= 2; }));
+      CellFaultMask lossy;
+      Rng fault_rng(seed);
+      for (std::size_t v = 0; v < view.size(); ++v) {
+        lossy.upload_lost.push_back(fault_rng.bernoulli(0.2) ? 1 : 0);
+      }
+      for (std::size_t i = 0; i < view.size() * view.size(); ++i) {
+        lossy.delivery_lost.push_back(fault_rng.bernoulli(0.15) ? 1 : 0);
+      }
+
+      for (const double x : {0.0, 0.37, 1.0}) {
+        EdgeServerDataPlane plane(lattice, universe, access, seed);
+        SortMergeReference reference(lattice, universe, access, seed);
+        const std::pair<const CellFaultMask*, const ItemSet*> rounds[] = {
+            {&clean, &no_server_items},
+            {&clean, &server_items},
+            {&lossy, &server_items},
+            {&lossy, &no_server_items}};
+        for (std::size_t r = 0; r < std::size(rounds); ++r) {
+          const auto [mask, served] = rounds[r];
+          RoundOutcome got;
+          plane.run_round_into(view, x, *mask, *served,
+                               DataPlaneMode::kPairwiseExact, got);
+          const ReferenceOutcome want = reference.round(view, x, *mask,
+                                                        *served);
+          EXPECT_TRUE(same_receive_side(got.utility, got.deliveries,
+                                        got.deliveries_lost, want))
+              << "access " << static_cast<int>(access) << " seed " << seed
+              << " x " << x << " round " << r;
+          uploads_lost += got.uploads_lost;
+          deliveries_lost += got.deliveries_lost;
+        }
+        DirectionalOutcome got;
+        plane.run_directional_into(senders.view(), view, x,
+                                   DataPlaneMode::kPairwiseExact, got);
+        EXPECT_TRUE(same_receive_side(
+            got.marginal_utility, got.deliveries, 0,
+            reference.directional(senders.view(), view, x)))
+            << "directional, access " << static_cast<int>(access) << " seed "
+            << seed << " x " << x;
+      }
+    }
+  }
+  EXPECT_GT(overlapping_uploads, 0u);
+  EXPECT_GT(revoked, 0u);
+  EXPECT_GT(false_claims, 0u);
+  EXPECT_GT(empty_desired, 0u);
+  EXPECT_GT(served_items_held, 0u);
+  EXPECT_GT(uploads_lost, 0u);
+  EXPECT_GT(deliveries_lost, 0u);
 }
 
 }  // namespace
