@@ -129,12 +129,13 @@ void BM_LowerBound(bench::State& state) {
 }
 BENCHMARK(BM_LowerBound);
 
-void BM_BrandesBetweenness(bench::State& state) {
+void brandes_case(bench::State& state, roadnet::PathMetric metric) {
   roadnet::CityParams params;
   params.rows = static_cast<std::uint32_t>(state.range(0));
   params.cols = static_cast<std::uint32_t>(state.range(0));
   const auto graph = roadnet::build_city(params);
   roadnet::BetweennessOptions opts;
+  opts.metric = metric;
   opts.num_threads = static_cast<std::size_t>(state.range(1));
   for ([[maybe_unused]] auto _ : state) {
     bench::DoNotOptimize(roadnet::segment_betweenness(graph, opts));
@@ -142,11 +143,23 @@ void BM_BrandesBetweenness(bench::State& state) {
   state.SetLabel(std::to_string(graph.num_segments()) + " segments, " +
                  std::to_string(state.range(1)) + " threads");
 }
+
+// Hop count: the BFS pass the set-up clustering runs.
+void BM_BrandesBetweenness(bench::State& state) {
+  brandes_case(state, roadnet::PathMetric::kHops);
+}
 BENCHMARK(BM_BrandesBetweenness)
     ->Args({8, 1})
     ->Args({16, 1})
     ->Args({16, 4})
     ->Args({16, 8});
+
+// Travel time: the Dijkstra pass the service layer's re-clustering pays
+// for every epoch.
+void BM_BrandesBetweennessTravelTime(bench::State& state) {
+  brandes_case(state, roadnet::PathMetric::kTravelTime);
+}
+BENCHMARK(BM_BrandesBetweennessTravelTime)->Args({8, 1})->Args({16, 1});
 
 void BM_Clustering(bench::State& state) {
   roadnet::CityParams params;

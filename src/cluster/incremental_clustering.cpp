@@ -7,6 +7,16 @@
 
 namespace avcp::cluster {
 
+namespace {
+
+double congested_weight(const roadnet::RoadGraph& g, roadnet::SegmentId s,
+                        std::int64_t load, double congestion_alpha) {
+  return g.segment(s).travel_time_s() *
+         (1.0 + congestion_alpha * static_cast<double>(load));
+}
+
+}  // namespace
+
 std::vector<double> IncrementalClustering::load_weights(
     const roadnet::RoadGraph& g, std::span<const std::int64_t> loads,
     double congestion_alpha) {
@@ -14,8 +24,7 @@ std::vector<double> IncrementalClustering::load_weights(
   std::vector<double> weights(g.num_segments());
   for (roadnet::SegmentId s = 0; s < g.num_segments(); ++s) {
     AVCP_EXPECT(loads[s] >= 0);
-    weights[s] = g.segment(s).travel_time_s() *
-                 (1.0 + congestion_alpha * static_cast<double>(loads[s]));
+    weights[s] = congested_weight(g, s, loads[s], congestion_alpha);
   }
   return weights;
 }
@@ -37,14 +46,17 @@ IncrementalClustering::RefreshStats IncrementalClustering::apply(
   RefreshStats stats;
   if (deltas.empty()) return stats;
 
-  // Fold duplicates into the counts first, then hand the incremental
-  // betweenness one final weight per touched segment, in segment-id order
-  // so the update is independent of delta ordering.
+  // Fold duplicates into a copy of the counts first, then hand the
+  // incremental betweenness one final weight per touched segment, in
+  // segment-id order so the update is independent of delta ordering. The
+  // counts are committed only once the whole batch has been accepted, so a
+  // rejected batch leaves loads, centrality and clustering as they were.
+  pending_.assign(loads_.begin(), loads_.end());
   touched_.assign(g_.num_segments(), 0);
   for (const LoadDelta& d : deltas) {
     AVCP_EXPECT(d.segment < g_.num_segments());
-    loads_[d.segment] += d.delta;
-    AVCP_EXPECT(loads_[d.segment] >= 0);
+    pending_[d.segment] += d.delta;
+    AVCP_EXPECT(pending_[d.segment] >= 0);
     touched_[d.segment] = 1;
   }
   segments_.clear();
@@ -52,12 +64,12 @@ IncrementalClustering::RefreshStats IncrementalClustering::apply(
   for (roadnet::SegmentId s = 0; s < g_.num_segments(); ++s) {
     if (touched_[s] == 0) continue;
     segments_.push_back(s);
-    weights_.push_back(g_.segment(s).travel_time_s() *
-                       (1.0 + opts_.congestion_alpha *
-                                  static_cast<double>(loads_[s])));
+    weights_.push_back(
+        congested_weight(g_, s, pending_[s], opts_.congestion_alpha));
   }
 
   const auto up = inc_.update_weights(segments_, weights_);
+  for (const roadnet::SegmentId s : segments_) loads_[s] = pending_[s];
   stats.segments_changed = up.segments_changed;
   stats.sources_affected = up.sources_affected;
   stats.chunks_recomputed = up.chunks_recomputed;
@@ -74,19 +86,18 @@ IncrementalClustering::RefreshStats IncrementalClustering::apply(
 
 void IncrementalClustering::set_loads(std::span<const std::int64_t> loads) {
   AVCP_EXPECT(loads.size() == g_.num_segments());
-  std::vector<roadnet::SegmentId> segments;
-  std::vector<double> weights;
+  for (const std::int64_t load : loads) AVCP_EXPECT(load >= 0);
+  segments_.clear();
+  weights_.clear();
   for (roadnet::SegmentId s = 0; s < g_.num_segments(); ++s) {
-    AVCP_EXPECT(loads[s] >= 0);
     if (loads[s] == loads_[s]) continue;
-    loads_[s] = loads[s];
-    segments.push_back(s);
-    weights.push_back(g_.segment(s).travel_time_s() *
-                      (1.0 + opts_.congestion_alpha *
-                                 static_cast<double>(loads_[s])));
+    segments_.push_back(s);
+    weights_.push_back(
+        congested_weight(g_, s, loads[s], opts_.congestion_alpha));
   }
-  if (segments.empty()) return;
-  const auto up = inc_.update_weights(segments, weights);
+  if (segments_.empty()) return;
+  const auto up = inc_.update_weights(segments_, weights_);
+  for (const roadnet::SegmentId s : segments_) loads_[s] = loads[s];
   if (up.chunks_recomputed > 0) {
     clustering_ = cluster_segments(g_, inc_.centrality(), opts_.clustering);
   }

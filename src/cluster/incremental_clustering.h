@@ -60,11 +60,12 @@ class IncrementalClustering {
 
   /// Folds the deltas into the load counts (duplicates accumulate; a
   /// segment's running count must never go negative) and refreshes
-  /// centrality and clustering.
+  /// centrality and clustering. A rejected batch changes nothing.
   RefreshStats apply(std::span<const LoadDelta> deltas);
 
   /// Replaces every load count at once (checkpoint restore). The refreshed
-  /// state is identical to a fresh object constructed over these loads.
+  /// state is identical to a fresh object constructed over these loads. A
+  /// rejected vector changes nothing.
   void set_loads(std::span<const std::int64_t> loads);
 
   const Clustering& clustering() const noexcept { return clustering_; }
@@ -91,8 +92,10 @@ class IncrementalClustering {
   std::vector<std::int64_t> loads_;
   roadnet::IncrementalBetweenness inc_;
   Clustering clustering_;
-  /// Grow-only apply() scratch: steady-state refreshes that end up
-  /// changing no weight (e.g. congestion_alpha == 0) allocate nothing.
+  /// Grow-only apply() / set_loads() scratch: steady-state refreshes that
+  /// end up changing no weight (e.g. congestion_alpha == 0) allocate
+  /// nothing. pending_ holds the counts of a batch until it is accepted.
+  std::vector<std::int64_t> pending_;
   std::vector<std::uint8_t> touched_;
   std::vector<roadnet::SegmentId> segments_;
   std::vector<double> weights_;

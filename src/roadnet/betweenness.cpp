@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <thread>
 #include <utility>
@@ -28,25 +27,122 @@ double edge_weight(const RoadGraph& g, SegmentId s, PathMetric metric) {
   return 1.0;
 }
 
-/// Reusable workspace of one Brandes pass, sized once from the graph so a
-/// pass never reallocates. A chunk task builds one and reuses it for every
-/// source of its chunk, so scratch memory is bounded by the running lanes.
-struct BrandesScratch {
-  explicit BrandesScratch(const RoadGraph& g) {
+/// Read-only CSR copy of the graph's adjacency for one batch of passes:
+/// node v's arcs are arcs[begin[v], begin[v + 1]) in neighbors(v) order,
+/// with weight[a] = weights[arcs[a].segment] beside them (empty on the
+/// kHops BFS path). Each entry point builds one and shares it across its
+/// chunk tasks, so the pass walks contiguous arrays instead of calling
+/// neighbors() and gathering weights per arc.
+struct FlatAdjacency {
+  FlatAdjacency(const RoadGraph& g, std::span<const double> weights) {
     const std::size_t n = g.num_intersections();
+    begin.resize(n + 1);
+    arcs.reserve(2 * g.num_segments());
+    for (NodeId v = 0; v < n; ++v) {
+      const std::span<const Hop> hops = g.neighbors(v);
+      arcs.insert(arcs.end(), hops.begin(), hops.end());
+      begin[v + 1] = static_cast<std::uint32_t>(arcs.size());
+    }
+    if (weights.empty()) return;
+    weight.resize(arcs.size());
+    for (std::size_t a = 0; a < arcs.size(); ++a) {
+      weight[a] = weights[arcs[a].segment];
+    }
+  }
+
+  std::size_t num_nodes() const noexcept { return begin.size() - 1; }
+
+  std::vector<std::uint32_t> begin;
+  std::vector<Hop> arcs;
+  std::vector<double> weight;
+};
+
+/// Dijkstra's heap entry: the bit pattern of a tentative distance and the
+/// node it reaches.
+struct HeapKey {
+  std::uint64_t dist_bits;
+  NodeId node;
+};
+
+/// Lexicographic (dist, node) order. The compares combine through bitwise
+/// & and |, so choosing between two children costs no data-dependent
+/// branch: which child is smaller is a coin flip to a branch predictor.
+bool key_less(const HeapKey& a, const HeapKey& b) {
+  return (a.dist_bits < b.dist_bits) |
+         ((a.dist_bits == b.dist_bits) & (a.node < b.node));
+}
+
+// Dijkstra's binary min-heap over HeapKey, with lazy deletion (a node is
+// pushed again on every strict improvement and its stale entries are
+// skipped when popped). It pops in ascending (dist, node) order of the
+// distances as doubles, the order any exact priority queue over
+// (double, NodeId) pairs pops in, so the settle order and every output bit
+// do not depend on how the heap is built, because:
+//  - (dist, node) is a strict total order over the heap's entries, stale
+//    ones included: a node is pushed again only with a strictly smaller
+//    dist, so no two entries tie;
+//  - dist starts at +0.0 at the source and grows only by adding
+//    non-negative weights;
+//  - a NaN or infinite candidate never passes the strict-improvement test
+//    (nd < dist[w] - tol is false for both), so every key is a finite
+//    non-negative double, and those order exactly like their bit patterns
+//    read as unsigned integers.
+
+void heap_sift_up(std::vector<HeapKey>& heap, std::size_t hole, HeapKey key) {
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / 2;
+    if (!key_less(key, heap[parent])) break;
+    heap[hole] = heap[parent];
+    hole = parent;
+  }
+  heap[hole] = key;
+}
+
+void heap_push(std::vector<HeapKey>& heap, HeapKey key) {
+  heap.push_back(key);
+  heap_sift_up(heap, heap.size() - 1, key);
+}
+
+/// Removes and returns the minimum, bottom-up: the hole at the root walks
+/// to a leaf along the smaller child, one branch-free compare per level,
+/// and the former last entry, usually among the largest, sifts up from
+/// that leaf, usually not far.
+HeapKey heap_pop(std::vector<HeapKey>& heap) {
+  const HeapKey top = heap.front();
+  const HeapKey last = heap.back();
+  heap.pop_back();
+  const std::size_t size = heap.size();
+  if (size == 0) return top;
+  std::size_t hole = 0;
+  std::size_t child = 1;
+  for (; child + 1 < size; child = 2 * hole + 1) {
+    child += static_cast<std::size_t>(key_less(heap[child + 1], heap[child]));
+    heap[hole] = heap[child];
+    hole = child;
+  }
+  if (child < size) {
+    heap[hole] = heap[child];
+    hole = child;
+  }
+  heap_sift_up(heap, hole, last);
+  return top;
+}
+
+/// Reusable workspace of one Brandes pass, sized once from the adjacency
+/// so a pass never reallocates. A chunk task builds one and reuses it for
+/// every source of its chunk, so scratch memory is bounded by the running
+/// lanes.
+struct BrandesScratch {
+  explicit BrandesScratch(const FlatAdjacency& adj) {
+    const std::size_t n = adj.num_nodes();
     dist.resize(n);
     sigma.resize(n);
     delta.resize(n);
-    pred_begin.resize(n);
     pred_count.resize(n);
-    std::size_t degree_sum = 0;
-    for (NodeId v = 0; v < n; ++v) {
-      pred_begin[v] = static_cast<std::uint32_t>(degree_sum);
-      degree_sum += g.neighbors(v).size();
-    }
-    pred_hops.resize(degree_sum);
+    pred_hops.resize(adj.arcs.size());
     order.reserve(n);
-    heap.reserve(1 + degree_sum);
+    if (adj.weight.empty()) return;
+    heap.reserve(1 + adj.arcs.size());
     settled.resize(n);
   }
 
@@ -54,37 +150,31 @@ struct BrandesScratch {
   std::vector<double> dist;
   std::vector<double> sigma;  // shortest-path counts
   std::vector<double> delta;  // dependencies
-  /// Predecessor slots laid out CSR over the adjacency: node w's
-  /// predecessors are pred_hops[pred_begin[w], pred_begin[w] +
+  /// Predecessor slots laid out over the adjacency's offsets: node w's
+  /// predecessors are pred_hops[adj.begin[w], adj.begin[w] +
   /// pred_count[w]). A pass relaxes each directed segment once, so w
   /// receives at most degree(w) of them.
-  std::vector<std::uint32_t> pred_begin;
   std::vector<std::uint32_t> pred_count;
   std::vector<Hop> pred_hops;
   /// Nodes in settle order (nondecreasing distance); the BFS queue too.
   std::vector<NodeId> order;
-  /// Dijkstra's binary min-heap over (dist, node), driven by
-  /// std::push_heap / std::pop_heap with std::greater<>. A node is pushed
-  /// again only with a strictly smaller dist, so no two entries tie and
-  /// the keys alone fix the settle order. One push per strict improvement
-  /// plus the source bounds it by 1 + the sum of degrees.
-  std::vector<std::pair<double, NodeId>> heap;
+  /// The Dijkstra heap. One push per strict improvement plus the source
+  /// bounds it by 1 + the sum of degrees.
+  std::vector<HeapKey> heap;
   std::vector<std::uint8_t> settled;
 };
 
 /// One Brandes accumulation pass from `source`, adding each segment's
-/// pair-dependency into `centrality`. An empty `weights` span selects the
-/// unweighted BFS path (the kHops metric); otherwise weights[segment] is
-/// the segment's traversal cost (Dijkstra). The pass's distances land in
-/// `dist` (n entries): scratch.dist, or IncrementalBetweenness's cached
-/// array for the source, which it reads for affected-source detection.
-void accumulate_from_source(const RoadGraph& g, NodeId source,
-                            std::span<const double> weights,
+/// pair-dependency into `centrality`. An adjacency without weights selects
+/// the unweighted BFS path (the kHops metric); otherwise the arc weights
+/// are the traversal costs (Dijkstra). The pass's distances land in `dist`
+/// (n entries): scratch.dist, or IncrementalBetweenness's cached array for
+/// the source, which it reads for affected-source detection.
+void accumulate_from_source(const FlatAdjacency& adj, NodeId source,
                             std::span<double> dist, BrandesScratch& scratch,
                             std::vector<double>& centrality) {
   std::vector<double>& sigma = scratch.sigma;
   std::vector<double>& delta = scratch.delta;
-  const std::vector<std::uint32_t>& pred_begin = scratch.pred_begin;
   std::vector<std::uint32_t>& pred_count = scratch.pred_count;
   std::vector<Hop>& pred_hops = scratch.pred_hops;
   std::vector<NodeId>& order = scratch.order;
@@ -97,11 +187,12 @@ void accumulate_from_source(const RoadGraph& g, NodeId source,
   dist[source] = 0.0;
   sigma[source] = 1.0;
 
-  if (weights.empty()) {
+  if (adj.weight.empty()) {
     order.push_back(source);
     for (std::size_t head = 0; head < order.size(); ++head) {
       const NodeId v = order[head];
-      for (const Hop& hop : g.neighbors(v)) {
+      for (std::uint32_t a = adj.begin[v]; a < adj.begin[v + 1]; ++a) {
+        const Hop hop = adj.arcs[a];
         const NodeId w = hop.node;
         if (dist[w] == std::numeric_limits<double>::infinity()) {
           dist[w] = dist[v] + 1.0;
@@ -109,16 +200,16 @@ void accumulate_from_source(const RoadGraph& g, NodeId source,
         }
         if (dist[w] == dist[v] + 1.0) {
           sigma[w] += sigma[v];
-          pred_hops[pred_begin[w] + pred_count[w]++] = Hop{hop.segment, v};
+          pred_hops[adj.begin[w] + pred_count[w]++] = Hop{hop.segment, v};
         }
       }
     }
   } else {
-    auto& heap = scratch.heap;
+    std::vector<HeapKey>& heap = scratch.heap;
     std::vector<std::uint8_t>& settled = scratch.settled;
     std::fill(settled.begin(), settled.end(), std::uint8_t{0});
     heap.clear();
-    heap.emplace_back(0.0, source);
+    heap.push_back(HeapKey{std::bit_cast<std::uint64_t>(0.0), source});
     // Tie tolerance *relative* to the candidate distance: equal-cost paths
     // accumulated through different chains drift apart by O(eps * length),
     // so a fixed absolute window both misses ties on km-scale distance /
@@ -127,26 +218,26 @@ void accumulate_from_source(const RoadGraph& g, NodeId source,
     // drift of any realistic chain and far below any real length gap.
     constexpr double kTieTolRel = 1e-12;
     while (!heap.empty()) {
-      std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-      const auto [d, v] = heap.back();
-      heap.pop_back();
+      const HeapKey top = heap_pop(heap);
+      const NodeId v = top.node;
       if (settled[v] != 0) continue;
       settled[v] = 1;
       order.push_back(v);
-      for (const Hop& hop : g.neighbors(v)) {
+      const double d = std::bit_cast<double>(top.dist_bits);
+      for (std::uint32_t a = adj.begin[v]; a < adj.begin[v + 1]; ++a) {
+        const Hop hop = adj.arcs[a];
         const NodeId w = hop.node;
-        const double nd = d + weights[hop.segment];
+        const double nd = d + adj.weight[a];
         const double tol = kTieTolRel * nd;  // dist[w] may be +inf
         if (nd < dist[w] - tol) {
           dist[w] = nd;
           sigma[w] = sigma[v];
-          pred_hops[pred_begin[w]] = Hop{hop.segment, v};
+          pred_hops[adj.begin[w]] = Hop{hop.segment, v};
           pred_count[w] = 1;
-          heap.emplace_back(nd, w);
-          std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+          heap_push(heap, HeapKey{std::bit_cast<std::uint64_t>(nd), w});
         } else if (std::abs(nd - dist[w]) <= tol && settled[w] == 0) {
           sigma[w] += sigma[v];
-          pred_hops[pred_begin[w] + pred_count[w]++] = Hop{hop.segment, v};
+          pred_hops[adj.begin[w] + pred_count[w]++] = Hop{hop.segment, v};
         }
       }
     }
@@ -155,7 +246,7 @@ void accumulate_from_source(const RoadGraph& g, NodeId source,
   // Back-propagate dependencies in reverse settle order.
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const NodeId w = *it;
-    const Hop* preds = pred_hops.data() + pred_begin[w];
+    const Hop* preds = pred_hops.data() + adj.begin[w];
     for (std::uint32_t p = 0; p < pred_count[w]; ++p) {
       const Hop& pred = preds[p];
       const double share = sigma[pred.node] / sigma[w] * (1.0 + delta[w]);
@@ -218,13 +309,14 @@ std::vector<double> betweenness_from_sources(
   const std::size_t num_chunks = chunk_count(sources.size());
   std::vector<std::vector<double>> partials(
       num_chunks, std::vector<double>(g.num_segments(), 0.0));
+  const FlatAdjacency adj(g, weights);
   ThreadPool pool(num_threads);
   pool.parallel_for(0, num_chunks, [&](std::size_t c) {
     const std::size_t begin = sources.size() * c / num_chunks;
     const std::size_t end = sources.size() * (c + 1) / num_chunks;
-    BrandesScratch scratch(g);
+    BrandesScratch scratch(adj);
     for (std::size_t s = begin; s < end; ++s) {
-      accumulate_from_source(g, sources[s], weights, scratch.dist, scratch,
+      accumulate_from_source(adj, sources[s], scratch.dist, scratch,
                              partials[c]);
     }
   });
@@ -321,6 +413,12 @@ IncrementalBetweenness::IncrementalBetweenness(const RoadGraph& g,
 IncrementalBetweenness::UpdateStats IncrementalBetweenness::update_weights(
     std::span<const SegmentId> segments, std::span<const double> new_weights) {
   AVCP_EXPECT(segments.size() == new_weights.size());
+  // Validate the whole batch before writing anything, so a rejected batch
+  // leaves the weights, caches and centrality as they were.
+  for (std::size_t i = 0; i < segments.size(); ++i) {
+    AVCP_EXPECT(segments[i] < g_.num_segments());
+    AVCP_EXPECT(std::isfinite(new_weights[i]) && new_weights[i] > 0.0);
+  }
 
   // Apply sequentially so later duplicates win, capturing min(old, new) per
   // applied change: a source unaffected by every individual change (no
@@ -330,9 +428,7 @@ IncrementalBetweenness::UpdateStats IncrementalBetweenness::update_weights(
   changes.clear();
   for (std::size_t i = 0; i < segments.size(); ++i) {
     const SegmentId s = segments[i];
-    AVCP_EXPECT(s < g_.num_segments());
     const double w = new_weights[i];
-    AVCP_EXPECT(std::isfinite(w) && w > 0.0);
     const double old = weights_[s];
     if (std::bit_cast<std::uint64_t>(old) == std::bit_cast<std::uint64_t>(w)) {
       continue;
@@ -397,16 +493,17 @@ IncrementalBetweenness::UpdateStats IncrementalBetweenness::update_weights(
 
 void IncrementalBetweenness::recompute_chunks() {
   const std::size_t n = g_.num_intersections();
+  const FlatAdjacency adj(g_, weights_);
   pool_.parallel_for(0, num_chunks_, [&](std::size_t c) {
     if (dirty_[c] == 0) return;
     std::vector<double>& partial = partials_[c];
     partial.assign(g_.num_segments(), 0.0);
-    BrandesScratch scratch(g_);
+    BrandesScratch scratch(adj);
     const std::size_t begin = n * c / num_chunks_;
     const std::size_t end = n * (c + 1) / num_chunks_;
     for (std::size_t s = begin; s < end; ++s) {
-      accumulate_from_source(g_, static_cast<NodeId>(s), weights_, dists_[s],
-                             scratch, partial);
+      accumulate_from_source(adj, static_cast<NodeId>(s), dists_[s], scratch,
+                             partial);
     }
   });
 }

@@ -2,15 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <numeric>
 #include <queue>
 #include <span>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "common/contracts.h"
 #include "common/rng.h"
 #include "roadnet/builders.h"
 
@@ -484,6 +490,370 @@ TEST(Betweenness, OutputBitsArePinnedAcrossCommits) {
       7612762528795956256ULL};
   EXPECT_EQ(grid, expected_grid);
   EXPECT_EQ(city, expected_city);
+}
+
+/// One pass of the Brandes accumulation as it stood before the flat
+/// adjacency and the hand-written heap, kept as a differential oracle:
+/// std::push_heap / std::pop_heap over (dist, node) pairs, neighbors(),
+/// weights[segment] and the same relative tie tolerance. An empty
+/// `weights` selects the BFS path, as in the library.
+void reference_pass(const RoadGraph& g, NodeId source,
+                    std::span<const double> weights,
+                    std::vector<double>& centrality) {
+  const std::size_t n = g.num_intersections();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> dist(n, kInf);
+  std::vector<double> sigma(n, 0.0);
+  std::vector<double> delta(n, 0.0);
+  std::vector<std::vector<Hop>> preds(n);
+  std::vector<NodeId> order;
+  dist[source] = 0.0;
+  sigma[source] = 1.0;
+  if (weights.empty()) {
+    order.push_back(source);
+    for (std::size_t head = 0; head < order.size(); ++head) {
+      const NodeId v = order[head];
+      for (const Hop& hop : g.neighbors(v)) {
+        const NodeId w = hop.node;
+        if (dist[w] == kInf) {
+          dist[w] = dist[v] + 1.0;
+          order.push_back(w);
+        }
+        if (dist[w] == dist[v] + 1.0) {
+          sigma[w] += sigma[v];
+          preds[w].push_back(Hop{hop.segment, v});
+        }
+      }
+    }
+  } else {
+    std::vector<std::pair<double, NodeId>> heap{{0.0, source}};
+    std::vector<bool> settled(n, false);
+    constexpr double kTieTolRel = 1e-12;
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+      const auto [d, v] = heap.back();
+      heap.pop_back();
+      if (settled[v]) continue;
+      settled[v] = true;
+      order.push_back(v);
+      for (const Hop& hop : g.neighbors(v)) {
+        const NodeId w = hop.node;
+        const double nd = d + weights[hop.segment];
+        const double tol = kTieTolRel * nd;
+        if (nd < dist[w] - tol) {
+          dist[w] = nd;
+          sigma[w] = sigma[v];
+          preds[w].assign(1, Hop{hop.segment, v});
+          heap.emplace_back(nd, w);
+          std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+        } else if (std::abs(nd - dist[w]) <= tol && !settled[w]) {
+          sigma[w] += sigma[v];
+          preds[w].push_back(Hop{hop.segment, v});
+        }
+      }
+    }
+  }
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const NodeId w = *it;
+    for (const Hop& pred : preds[w]) {
+      const double share = sigma[pred.node] / sigma[w] * (1.0 + delta[w]);
+      centrality[pred.segment] += share;
+      delta[pred.node] += share;
+    }
+  }
+}
+
+/// The reference passes over `sources`, split into the library's <= 64
+/// contiguous chunks, each chunk's partial summed in source order and the
+/// partials reduced in chunk order, then scaled and normalised.
+std::vector<double> reference_betweenness(const RoadGraph& g,
+                                          std::span<const NodeId> sources,
+                                          double scale, bool normalize,
+                                          std::span<const double> weights) {
+  const std::size_t num_chunks =
+      std::min<std::size_t>(64, std::max<std::size_t>(1, sources.size()));
+  std::vector<double> centrality(g.num_segments(), 0.0);
+  std::vector<double> partial(g.num_segments());
+  for (std::size_t c = 0; c < num_chunks; ++c) {
+    std::fill(partial.begin(), partial.end(), 0.0);
+    const std::size_t begin = sources.size() * c / num_chunks;
+    const std::size_t end = sources.size() * (c + 1) / num_chunks;
+    for (std::size_t s = begin; s < end; ++s) {
+      reference_pass(g, sources[s], weights, partial);
+    }
+    for (std::size_t i = 0; i < centrality.size(); ++i) {
+      centrality[i] += partial[i];
+    }
+  }
+  double norm = 2.0;
+  if (normalize) {
+    const auto n = static_cast<double>(g.num_intersections());
+    if (n > 2.0) norm *= (n - 1.0) * (n - 2.0);
+  }
+  for (double& c : centrality) c = c * scale / norm;
+  return centrality;
+}
+
+/// Per-segment costs of a metric; empty for kHops, which runs BFS.
+std::vector<double> reference_metric_weights(const RoadGraph& g,
+                                             PathMetric metric) {
+  std::vector<double> w;
+  if (metric == PathMetric::kHops) return w;
+  for (SegmentId s = 0; s < g.num_segments(); ++s) {
+    w.push_back(metric == PathMetric::kDistance ? g.segment(s).length_m
+                                                : g.segment(s).travel_time_s());
+  }
+  return w;
+}
+
+/// The sampled entry point's source draw: a partial Fisher-Yates shuffle.
+std::vector<NodeId> reference_sample(std::size_t n, std::size_t k, Rng& rng) {
+  std::vector<NodeId> pool(n);
+  std::iota(pool.begin(), pool.end(), NodeId{0});
+  for (std::size_t i = 0; i < k; ++i) {
+    const auto j = static_cast<std::size_t>(
+        rng.uniform_int(static_cast<std::int64_t>(i),
+                        static_cast<std::int64_t>(n) - 1));
+    std::swap(pool[i], pool[j]);
+  }
+  pool.resize(k);
+  return pool;
+}
+
+::testing::AssertionResult same_bits(std::span<const double> got,
+                                     std::span<const double> want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << got.size() << " values, want " << want.size();
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(got[i]) !=
+        std::bit_cast<std::uint64_t>(want[i])) {
+      return ::testing::AssertionFailure()
+             << "segment " << i << ": " << got[i] << ", want " << want[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Every entry point on `g` against the reference, at 1 and 4 threads:
+/// each metric exact and sampled, `weights` through the weighted entry
+/// point (normalised and raw), and IncrementalBetweenness from `weights`
+/// through seeded updates that draw new values from `weights` itself, so
+/// tie-heavy inputs stay tie-heavy.
+void expect_matches_reference(const RoadGraph& g,
+                              const std::vector<double>& weights,
+                              std::uint64_t seed, const std::string& name) {
+  const std::size_t n = g.num_intersections();
+  std::vector<NodeId> all(n);
+  std::iota(all.begin(), all.end(), NodeId{0});
+  const std::size_t num_sampled = std::max<std::size_t>(1, n / 3);
+  for (const auto metric :
+       {PathMetric::kHops, PathMetric::kDistance, PathMetric::kTravelTime}) {
+    const std::vector<double> costs = reference_metric_weights(g, metric);
+    const std::vector<double> exact =
+        reference_betweenness(g, all, 1.0, true, costs);
+    Rng reference_rng(seed);
+    const std::vector<NodeId> picked =
+        reference_sample(n, num_sampled, reference_rng);
+    const std::vector<double> sampled = reference_betweenness(
+        g, picked,
+        static_cast<double>(n) / static_cast<double>(num_sampled), true,
+        costs);
+    for (const std::size_t threads : {1u, 4u}) {
+      BetweennessOptions opts;
+      opts.metric = metric;
+      opts.num_threads = threads;
+      EXPECT_TRUE(same_bits(segment_betweenness(g, opts), exact))
+          << name << " metric " << static_cast<int>(metric) << " threads "
+          << threads;
+      Rng rng(seed);
+      EXPECT_TRUE(same_bits(
+          sampled_segment_betweenness(g, num_sampled, rng, opts), sampled))
+          << name << " sampled, metric " << static_cast<int>(metric)
+          << " threads " << threads;
+    }
+  }
+  for (const bool normalize : {true, false}) {
+    const std::vector<double> expected =
+        reference_betweenness(g, all, 1.0, normalize, weights);
+    for (const std::size_t threads : {1u, 4u}) {
+      BetweennessOptions opts;
+      opts.normalize = normalize;
+      opts.num_threads = threads;
+      EXPECT_TRUE(
+          same_bits(segment_betweenness_weighted(g, weights, opts), expected))
+          << name << " weighted, normalize " << normalize << " threads "
+          << threads;
+    }
+  }
+
+  BetweennessOptions four;
+  four.num_threads = 4;
+  IncrementalBetweenness serial(g, weights);
+  IncrementalBetweenness parallel(g, weights, four);
+  std::vector<double> current = weights;
+  Rng update_rng(derive_seed(seed, {0xB5u}));
+  for (int step = 0; step <= 3; ++step) {
+    const std::vector<double> expected =
+        reference_betweenness(g, all, 1.0, true, current);
+    EXPECT_TRUE(same_bits(serial.centrality(), expected))
+        << name << " incremental, 1 thread, step " << step;
+    EXPECT_TRUE(same_bits(parallel.centrality(), expected))
+        << name << " incremental, 4 threads, step " << step;
+    if (g.num_segments() == 0 || step == 3) break;
+    const auto last = static_cast<std::int64_t>(g.num_segments()) - 1;
+    std::vector<SegmentId> segments;
+    std::vector<double> updated;
+    for (int u = 0; u < 12; ++u) {
+      const auto s = static_cast<SegmentId>(update_rng.uniform_int(0, last));
+      const double w =
+          weights[static_cast<std::size_t>(update_rng.uniform_int(0, last))];
+      segments.push_back(s);
+      updated.push_back(w);
+      current[s] = w;  // later duplicates win
+    }
+    serial.update_weights(segments, updated);
+    parallel.update_weights(segments, updated);
+    EXPECT_TRUE(same_bits(serial.weights(), current)) << name;
+  }
+}
+
+/// Two `rows` x `cols` grids side by side with no segment between them.
+/// Component A holds the first half of the nodes and segments.
+RoadGraph two_components(std::uint32_t rows, std::uint32_t cols) {
+  RoadGraph g;
+  for (int part = 0; part < 2; ++part) {
+    const auto base = static_cast<NodeId>(g.num_intersections());
+    for (std::uint32_t r = 0; r < rows; ++r) {
+      for (std::uint32_t c = 0; c < cols; ++c) {
+        g.add_intersection(PointM{100.0 * c + 1e4 * part, 100.0 * r});
+      }
+    }
+    for (std::uint32_t r = 0; r < rows; ++r) {
+      for (std::uint32_t c = 0; c < cols; ++c) {
+        const NodeId v = base + r * cols + c;
+        if (c + 1 < cols) g.add_segment(v, v + 1, RoadClass::kLocal);
+        if (r + 1 < rows) g.add_segment(v, v + cols, RoadClass::kLocal);
+      }
+    }
+  }
+  g.finalize();
+  return g;
+}
+
+TEST(Betweenness, FlatPassMatchesReferencePass) {
+  // The pass walks a flat copy of the adjacency and a hand-written heap;
+  // the reference above walks neighbors() and std::push_heap/pop_heap. Any
+  // change in settle order, summation order or tie handling shows up as a
+  // differing bit on the tie-heavy inputs.
+  for (const auto& [rows, cols, seed] :
+       {std::tuple<std::uint32_t, std::uint32_t, std::uint64_t>{6, 7, 3},
+        {10, 12, 8},
+        {12, 14, 5}}) {
+    CityParams params;
+    params.rows = rows;
+    params.cols = cols;
+    params.seed = seed;
+    const RoadGraph city = build_city(params);
+    Rng rng(seed);
+    expect_matches_reference(city, tie_heavy_weights(city, rng), seed,
+                             "city " + std::to_string(rows) + "x" +
+                                 std::to_string(cols));
+  }
+
+  const RoadGraph grid = make_grid(9, 12);
+  Rng grid_rng(61);
+  expect_matches_reference(grid, tie_heavy_weights(grid, grid_rng), 61,
+                           "tie-heavy grid");
+
+  // The paper city under congestion-scaled travel times, as the service
+  // layer refreshes it.
+  CityParams paper;
+  paper.rows = 18;
+  paper.cols = 24;
+  paper.seed = 2022;
+  const RoadGraph paper_city = build_city(paper);
+  Rng load_rng(67);
+  std::vector<double> congested(paper_city.num_segments());
+  for (SegmentId s = 0; s < paper_city.num_segments(); ++s) {
+    const auto load = static_cast<double>(load_rng.uniform_int(0, 8));
+    congested[s] = paper_city.segment(s).travel_time_s() * (1.0 + 0.05 * load);
+  }
+  expect_matches_reference(paper_city, congested, 67, "paper city");
+
+  RoadGraph single;
+  single.add_intersection(PointM{0.0, 0.0});
+  single.finalize();
+  expect_matches_reference(single, {}, 71, "single intersection");
+
+  const RoadGraph split = two_components(4, 5);
+  Rng split_rng(73);
+  const std::vector<double> split_weights = tie_heavy_weights(split, split_rng);
+  expect_matches_reference(split, split_weights, 73, "two components");
+
+  // Updates confined to component A cannot reach a source in B: its
+  // distances to both endpoints are infinite, so update_weights skips it
+  // and the chunks holding only B's sources stay clean.
+  const std::size_t half_segments = split.num_segments() / 2;
+  std::vector<NodeId> all(split.num_intersections());
+  std::iota(all.begin(), all.end(), NodeId{0});
+  IncrementalBetweenness inc(split, split_weights);
+  std::vector<double> current = split_weights;
+  std::vector<SegmentId> segments;
+  std::vector<double> updated;
+  for (SegmentId s = 0; s < half_segments; s += 3) {
+    segments.push_back(s);
+    updated.push_back(current[s] + 1.0);
+    current[s] += 1.0;
+  }
+  const auto stats = inc.update_weights(segments, updated);
+  EXPECT_GT(stats.chunks_recomputed, 0u);
+  EXPECT_LE(stats.sources_affected, split.num_intersections() / 2);
+  EXPECT_LT(stats.chunks_recomputed, inc.num_chunks());
+  EXPECT_TRUE(same_bits(inc.centrality(),
+                        reference_betweenness(split, all, 1.0, true, current)));
+}
+
+TEST(IncrementalBetweenness, RejectedBatchLeavesStateUntouched) {
+  // update_weights checks the whole batch before it writes anything: a bad
+  // entry after a valid one must not leave the valid one applied, or
+  // weights() would no longer be the weights centrality() was computed on.
+  const RoadGraph g = make_grid(5, 6);
+  Rng rng(29);
+  const std::vector<double> weights = tie_heavy_weights(g, rng);
+  IncrementalBetweenness inc(g, weights);
+  const std::vector<double> before = inc.centrality();
+  const std::vector<double> scratch = segment_betweenness_weighted(g, weights);
+  const double changed = weights[0] + 1.0;
+  const auto past_end = static_cast<SegmentId>(g.num_segments());
+  const std::vector<SegmentId> bad_segment = {0, past_end};
+  const std::vector<double> bad_segment_weights = {changed, 2.0};
+  EXPECT_THROW(inc.update_weights(bad_segment, bad_segment_weights),
+               ContractViolation);
+  EXPECT_TRUE(same_bits(inc.weights(), weights));
+  EXPECT_TRUE(same_bits(inc.centrality(), before));
+  EXPECT_TRUE(same_bits(inc.centrality(), scratch));
+
+  const std::vector<SegmentId> segments = {0, 1};
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    const std::vector<double> bad_weights = {changed, bad};
+    EXPECT_THROW(inc.update_weights(segments, bad_weights), ContractViolation);
+    EXPECT_TRUE(same_bits(inc.weights(), weights));
+    EXPECT_TRUE(same_bits(inc.centrality(), before));
+    EXPECT_TRUE(same_bits(inc.centrality(), scratch));
+  }
+
+  // The valid entry on its own still applies.
+  const SegmentId first = 0;
+  inc.update_weights(std::span<const SegmentId>(&first, 1),
+                     std::span<const double>(&changed, 1));
+  std::vector<double> after = weights;
+  after[0] = changed;
+  EXPECT_TRUE(same_bits(inc.weights(), after));
+  EXPECT_TRUE(
+      same_bits(inc.centrality(), segment_betweenness_weighted(g, after)));
 }
 
 }  // namespace

@@ -136,5 +136,64 @@ TEST(IncrementalClustering, RejectsNegativeLoad) {
                ContractViolation);
 }
 
+TEST(IncrementalClustering, RejectedBatchLeavesLoadsUntouched) {
+  // apply() and set_loads() check the whole batch before they commit: a
+  // bad entry after a valid one must leave loads, centrality and
+  // clustering exactly as they were.
+  const auto g = roadnet::make_grid(4, 5);
+  const double alpha = 0.1;
+  const auto opts = make_opts(1, alpha);
+  IncrementalClustering inc(g, opts);
+  std::vector<std::int64_t> loads(g.num_segments(), 0);
+  Rng rng(17);
+  inc.apply(random_deltas(rng, loads, 6));
+  const std::vector<double> centrality = inc.centrality();
+  const cluster::Clustering clustering = inc.clustering();
+  const auto expect_untouched = [&](const char* what) {
+    EXPECT_EQ(std::vector<std::int64_t>(inc.loads().begin(),
+                                        inc.loads().end()),
+              loads)
+        << what;
+    EXPECT_EQ(inc.centrality(), centrality) << what;
+    expect_clusterings_equal(inc.clustering(), clustering);
+  };
+
+  const roadnet::SegmentId valid = 0;
+  const auto empty = static_cast<roadnet::SegmentId>(
+      std::find(loads.begin() + 1, loads.end(), 0) - loads.begin());
+  ASSERT_LT(empty, g.num_segments());
+  const std::vector<LoadDelta> underflow = {{valid, 2}, {empty, -1}};
+  EXPECT_THROW(inc.apply(underflow), ContractViolation);
+  expect_untouched("underflow");
+  // The running count must stay non-negative even if the batch nets out.
+  const std::vector<LoadDelta> dip = {{valid, 2}, {empty, -1}, {empty, 3}};
+  EXPECT_THROW(inc.apply(dip), ContractViolation);
+  expect_untouched("dip");
+  const std::vector<LoadDelta> out_of_range = {
+      {valid, 2}, {static_cast<roadnet::SegmentId>(g.num_segments()), 1}};
+  EXPECT_THROW(inc.apply(out_of_range), ContractViolation);
+  expect_untouched("out of range");
+  std::vector<std::int64_t> negative = loads;
+  negative[valid] += 2;
+  negative.back() = -1;
+  EXPECT_THROW(inc.set_loads(negative), ContractViolation);
+  expect_untouched("set_loads");
+
+  // The valid part of the rejected batches still applies and matches the
+  // from-scratch pipeline.
+  const LoadDelta add{valid, 2};
+  inc.apply(std::span<const LoadDelta>(&add, 1));
+  loads[valid] += 2;
+  ASSERT_EQ(
+      std::vector<std::int64_t>(inc.loads().begin(), inc.loads().end()),
+      loads);
+  expect_clusterings_equal(inc.clustering(),
+                           IncrementalClustering::scratch(g, loads, opts));
+  EXPECT_EQ(inc.centrality(),
+            roadnet::segment_betweenness_weighted(
+                g, IncrementalClustering::load_weights(g, loads, alpha),
+                opts.betweenness));
+}
+
 }  // namespace
 }  // namespace avcp
