@@ -2,13 +2,14 @@
 // defence posture on the measured plant, each cell against the same seeded
 // clean twin.
 //
-// The scenario is the closed control loop of the system tests: a 3-region
-// beta-4.0 chain whose share-everything floors are recomputed every round
-// from the pipeline's aggregated density telemetry (density_weighted_fields
-// + FdsController::set_desired). The clean twin routes through a fully
+// Every cell is one scenario::run_scenario run of the shared plant
+// (scenario/scenario.h): a 3-region beta-4.0 chain whose share-everything
+// floors are recomputed every round from the pipeline's aggregated density
+// telemetry (density_weighted_fields + FdsController::set_desired). The
+// clean twin is the kNone scenario under the robust defense — a fully
 // armed pipeline over an attacker-free fleet (bit-identical to the bare
-// plant per the system_byzantine tests) so both arms ingest telemetry the
-// same way. Per cell:
+// plant per the system_byzantine tests) — so both arms ingest telemetry
+// the same way. Per cell:
 //
 //   ratio_error_tail        mean over tail rounds/regions of |x - x_clean|
 //   observed_error_tail     mean |observed p(P1) - honest truth| (how far
@@ -50,14 +51,10 @@
 #include <vector>
 
 #include "byzantine/adversary_model.h"
-#include "byzantine/report_pipeline.h"
-#include "core/fds.h"
-#include "core/sensor_model.h"
 #include "scenario/scenario.h"
 #include "sim/metrics.h"
 
 #include "bench_common.h"
-#include "system/system.h"
 
 using namespace avcp;
 
@@ -89,8 +86,6 @@ BenchConfig smoke_config() {
 }
 
 constexpr std::size_t kRegions = 3;
-constexpr double kBaseFloor = 0.7;
-constexpr double kFloorSlope = 0.6;
 
 const char* strategy_name(byzantine::AttackStrategy s) {
   switch (s) {
@@ -103,128 +98,36 @@ const char* strategy_name(byzantine::AttackStrategy s) {
   return "?";
 }
 
-/// Same plant as bench_faults: betas rich enough that the desired field is
-/// attainable, so the clean loop settles and deviations are attack-caused.
-core::MultiRegionGame make_game() {
-  core::GameConfig config;
-  config.lattice = core::DecisionLattice(3);
-  const auto tables = core::paper_decision_tables(config.lattice);
-  config.utility = tables.utility;
-  config.privacy = tables.privacy;
-  config.step_size = 0.5;
-  std::vector<core::RegionSpec> regions(kRegions);
-  for (std::size_t i = 0; i < regions.size(); ++i) {
-    regions[i].beta = 4.0;
-    regions[i].gamma_self = 1.0;
-    if (i > 0) {
-      regions[i].neighbors.emplace_back(static_cast<core::RegionId>(i - 1),
-                                        0.3);
-    }
-    if (i + 1 < regions.size()) {
-      regions[i].neighbors.emplace_back(static_cast<core::RegionId>(i + 1),
-                                        0.3);
-    }
+/// One static-sweep cell as a scenario: the shared beta-4.0 chain plant at
+/// the sweep's fleet size and round budget. With `attack` null it is the
+/// clean twin (kNone under the robust defense).
+scenario::ScenarioConfig static_cell(const BenchConfig& config,
+                                     const byzantine::AdversaryParams* attack,
+                                     bool robust) {
+  scenario::ScenarioConfig sc;
+  sc.name = "bench-static-cell";
+  sc.plant.regions = kRegions;
+  sc.plant.vehicles_per_region = config.vehicles;
+  sc.plant.rounds = config.rounds;
+  sc.plant.tail_rounds = config.tail_rounds;
+  if (attack != nullptr) {
+    sc.attack = scenario::AttackKind::kStatic;
+    sc.static_attack = *attack;
   }
-  return core::MultiRegionGame(std::move(config), std::move(regions));
+  sc.defense = robust ? scenario::DefenseKind::kRobust
+                      : scenario::DefenseKind::kTrusting;
+  return sc;
 }
 
-byzantine::PipelineOptions robust_options() {
-  byzantine::PipelineOptions options;
-  options.aggregator.mode = byzantine::AggregationMode::kMedian;
-  options.aggregator.reject_outliers = true;
-  return options;
-}
-
-byzantine::PipelineOptions trusting_options() {
-  byzantine::PipelineOptions options;  // mean mode, no rejection
-  options.enforce_quarantine = false;
-  options.telemetry_weight = 0.0;
-  options.behavior_weight = 0.0;
-  return options;
-}
-
-system::SystemParams plant_params(const BenchConfig& config) {
-  system::SystemParams params;
-  params.vehicles_per_region = config.vehicles;
-  params.seed = 11;
-  return params;
-}
-
-core::DesiredFields initial_fields() {
-  core::DesiredFields fields(kRegions, 8);
-  for (core::RegionId i = 0; i < kRegions; ++i) {
-    fields.set_target(i, 0, Interval{kBaseFloor, 1.0});
-  }
-  return fields;
-}
-
-/// One run of the telemetry-closed loop; x trajectory + honest states out.
-struct RunResult {
-  std::vector<std::vector<double>> x;          // [round][region]
-  std::vector<core::GameState> honest;         // post-revision honest truth
-  std::vector<std::vector<double>> observed0;  // cloud's p(P1) per region
-  std::size_t outliers_rejected = 0;
-  std::size_t quarantined = 0;
-  double precision = 1.0;
-  double recall = 1.0;
-};
-
-RunResult run_loop(const core::MultiRegionGame& game, const BenchConfig& config,
-                   const byzantine::AdversaryModel* adversary,
-                   const byzantine::PipelineOptions& popts) {
-  const auto params = plant_params(config);
-  byzantine::ReportPipeline pipeline(kRegions, 8, params.vehicles_per_region,
-                                     popts);
-  system::CooperativePerceptionSystem plant(game, params, nullptr, adversary,
-                                            &pipeline);
-  plant.init_from(game.uniform_state());
-
-  core::FdsOptions fopts;
-  fopts.max_step = 0.15;
-  core::FdsController controller(game, initial_fields(), fopts);
-
-  RunResult result;
-  result.x.reserve(config.rounds);
-  result.honest.reserve(config.rounds);
-  for (std::size_t t = 0; t < config.rounds; ++t) {
-    const auto report = plant.run_round(controller);
-    controller.set_desired(byzantine::density_weighted_fields(
-        kRegions, 8, report.byzantine.density, kBaseFloor, kFloorSlope));
-    result.x.push_back(report.x);
-    result.honest.push_back(plant.honest_state());
-    std::vector<double> observed(kRegions);
-    for (core::RegionId i = 0; i < kRegions; ++i) {
-      observed[i] = report.byzantine.observed.p[i][0];
-      result.outliers_rejected += report.byzantine.outliers_rejected[i];
-    }
-    result.observed0.push_back(std::move(observed));
-  }
-
-  std::vector<std::uint8_t> truth;
-  std::vector<std::uint8_t> flagged;
-  for (core::RegionId i = 0; i < kRegions; ++i) {
-    for (std::size_t v = 0; v < params.vehicles_per_region; ++v) {
-      const bool bad = adversary != nullptr && adversary->ever_attacks(i, v);
-      const bool q = pipeline.reputation().quarantined(i, v);
-      truth.push_back(bad ? 1 : 0);
-      flagged.push_back(q ? 1 : 0);
-      result.quarantined += q ? 1 : 0;
-    }
-  }
-  const auto stats = sim::detection_stats(truth, flagged);
-  result.precision = stats.precision;
-  result.recall = stats.recall;
-  return result;
-}
-
+/// The cell metrics a single scenario run does not report itself.
 struct CellMetrics {
   double ratio_error_tail = 0.0;
-  double observed_error_tail = 0.0;
   double observed_error_all = 0.0;
   long honest_converged_round = -1;
 };
 
-CellMetrics compare(const RunResult& clean, const RunResult& run,
+CellMetrics compare(const scenario::ScenarioResult& clean,
+                    const scenario::ScenarioResult& run,
                     const BenchConfig& config) {
   CellMetrics m;
   const std::size_t from = config.rounds - config.tail_rounds;
@@ -232,13 +135,10 @@ CellMetrics compare(const RunResult& clean, const RunResult& run,
   for (std::size_t t = from; t < config.rounds; ++t) {
     for (core::RegionId i = 0; i < kRegions; ++i) {
       m.ratio_error_tail += std::abs(run.x[t][i] - clean.x[t][i]);
-      m.observed_error_tail +=
-          std::abs(run.observed0[t][i] - run.honest[t].p[i][0]);
       ++n;
     }
   }
   m.ratio_error_tail /= static_cast<double>(n);
-  m.observed_error_tail /= static_cast<double>(n);
   for (std::size_t t = 0; t < config.rounds; ++t) {
     for (core::RegionId i = 0; i < kRegions; ++i) {
       m.observed_error_all +=
@@ -247,8 +147,8 @@ CellMetrics compare(const RunResult& clean, const RunResult& run,
   }
   m.observed_error_all /=
       static_cast<double>(config.rounds * kRegions);
-  const std::size_t converged =
-      sim::rounds_to_reconverge(run.honest, initial_fields(), 0, 1e-9);
+  const std::size_t converged = sim::rounds_to_reconverge(
+      run.honest, scenario::floor_fields(kRegions, 8), 0, 1e-9);
   if (converged != sim::kNoReconvergence) {
     m.honest_converged_round = static_cast<long>(converged);
   }
@@ -256,8 +156,8 @@ CellMetrics compare(const RunResult& clean, const RunResult& run,
 }
 
 void print_cell(const char* defense, byzantine::AttackStrategy strategy,
-                double fraction, const RunResult& run, const CellMetrics& m,
-                bool last) {
+                double fraction, const scenario::ScenarioResult& run,
+                const CellMetrics& m, bool last) {
   std::printf(
       "    {\"strategy\": \"%s\", \"fraction\": %.2f, \"defense\": \"%s\",\n"
       "     \"ratio_error_tail\": %.6f, \"observed_error_tail\": %.6f,\n"
@@ -266,9 +166,9 @@ void print_cell(const char* defense, byzantine::AttackStrategy strategy,
       "     \"precision\": %.4f, \"recall\": %.4f,\n"
       "     \"quarantined\": %zu, \"outliers_rejected\": %zu}%s\n",
       strategy_name(strategy), fraction, defense, m.ratio_error_tail,
-      m.observed_error_tail, m.observed_error_all, m.honest_converged_round,
-      run.precision,
-      run.recall, run.quarantined, run.outliers_rejected, last ? "" : ",");
+      run.observed_error_tail, m.observed_error_all, m.honest_converged_round,
+      run.precision, run.recall, run.quarantined, run.outliers_rejected,
+      last ? "" : ",");
 }
 
 // ---------------------------------------------------------------------------
@@ -378,9 +278,8 @@ int main(int argc, char** argv) {
   }
   if (adaptive) return run_adaptive(smoke);
   const BenchConfig config = smoke ? smoke_config() : BenchConfig{};
-  const auto game = make_game();
-
-  const RunResult clean = run_loop(game, config, nullptr, robust_options());
+  const scenario::ScenarioResult clean =
+      scenario::run_scenario(static_cell(config, nullptr, true));
 
   std::printf("{\n");
   std::printf("  \"bench\": \"bench_byzantine\",\n");
@@ -405,10 +304,9 @@ int main(int argc, char** argv) {
       if (strategy == byzantine::AttackStrategy::kColludingBias) {
         aparams.target_region = 0;
       }
-      const byzantine::AdversaryModel adversary(aparams);
       for (const bool robust : {false, true}) {
-        const auto popts = robust ? robust_options() : trusting_options();
-        const RunResult run = run_loop(game, config, &adversary, popts);
+        const scenario::ScenarioResult run =
+            scenario::run_scenario(static_cell(config, &aparams, robust));
         const CellMetrics m = compare(clean, run, config);
         print_cell(robust ? "robust" : "trusting", strategy, fraction, run, m,
                    ++emitted == cells);

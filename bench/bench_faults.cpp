@@ -18,9 +18,9 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/sensor_model.h"
 #include "faults/degraded_controller.h"
 #include "faults/fault_model.h"
+#include "scenario/scenario.h"
 #include "sim/metrics.h"
 #include "system/system.h"
 
@@ -33,39 +33,6 @@ std::size_t kRounds = 150;
 // servers go down, so rounds-to-reconverge measures real recovery work.
 constexpr std::size_t kOutageStart = 4;
 std::size_t kTailRounds = 30;  // tail window for degradation means
-
-/// 3-region chain with betas rich enough that an all-sensors-dominant
-/// desired field is attainable on the measured plant (cf. system tests).
-core::MultiRegionGame make_game() {
-  core::GameConfig config;
-  config.lattice = core::DecisionLattice(3);
-  const auto tables = core::paper_decision_tables(config.lattice);
-  config.utility = tables.utility;
-  config.privacy = tables.privacy;
-  config.step_size = 0.5;
-  std::vector<core::RegionSpec> regions(3);
-  for (std::size_t i = 0; i < regions.size(); ++i) {
-    regions[i].beta = 4.0;
-    regions[i].gamma_self = 1.0;
-    if (i > 0) {
-      regions[i].neighbors.emplace_back(static_cast<core::RegionId>(i - 1),
-                                        0.3);
-    }
-    if (i + 1 < regions.size()) {
-      regions[i].neighbors.emplace_back(static_cast<core::RegionId>(i + 1),
-                                        0.3);
-    }
-  }
-  return core::MultiRegionGame(std::move(config), std::move(regions));
-}
-
-core::DesiredFields make_fields(const core::MultiRegionGame& game) {
-  core::DesiredFields fields(game.num_regions(), game.num_decisions());
-  for (core::RegionId i = 0; i < game.num_regions(); ++i) {
-    fields.set_target(i, 0, Interval{0.7, 1.0});  // P1: share everything
-  }
-  return fields;
-}
 
 struct CellResult {
   double loss_rate = 0.0;
@@ -107,7 +74,8 @@ CellResult run_cell(const core::MultiRegionGame& game, double loss_rate,
   system::CooperativePerceptionSystem plant(game, params, &model);
   plant.init_from(game.uniform_state());
 
-  const auto fields = make_fields(game);
+  const auto fields =
+      scenario::floor_fields(game.num_regions(), game.num_decisions());
   core::FdsOptions fds_options;
   fds_options.max_step = 0.15;
   core::FdsController fds(game, fields, fds_options);
@@ -198,7 +166,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
-  const auto game = make_game();
+  // The shared scenario plant: a 3-region beta-4.0 chain whose
+  // all-sensors-dominant desired field is attainable on the measured plant.
+  const auto game = scenario::chain_game(3, 4.0);
   std::vector<double> loss_rates = {0.0, 0.1, 0.3};
   std::vector<std::size_t> durations = {0, 10, 25};
   if (smoke) {

@@ -35,6 +35,7 @@
 
 #include "bench_common.h"
 #include "net/link_model.h"
+#include "scenario/scenario.h"
 #include "sim/metrics.h"
 #include "system/system.h"
 
@@ -62,39 +63,6 @@ constexpr std::size_t kHealBoundRounds = 30;
 // Degradation may slow convergence, never stop it: every cell must attain
 // the fields within this many rounds of the clean twin's attainment.
 constexpr std::size_t kAttainSlackRounds = 15;
-
-/// 3-region chain, beta 4.0 — the bench_faults plant, whose desired field
-/// is attainable on the measured system.
-core::MultiRegionGame make_game() {
-  core::GameConfig config;
-  config.lattice = core::DecisionLattice(3);
-  const auto tables = core::paper_decision_tables(config.lattice);
-  config.utility = tables.utility;
-  config.privacy = tables.privacy;
-  config.step_size = 0.5;
-  std::vector<core::RegionSpec> regions(3);
-  for (std::size_t i = 0; i < regions.size(); ++i) {
-    regions[i].beta = 4.0;
-    regions[i].gamma_self = 1.0;
-    if (i > 0) {
-      regions[i].neighbors.emplace_back(static_cast<core::RegionId>(i - 1),
-                                        0.3);
-    }
-    if (i + 1 < regions.size()) {
-      regions[i].neighbors.emplace_back(static_cast<core::RegionId>(i + 1),
-                                        0.3);
-    }
-  }
-  return core::MultiRegionGame(std::move(config), std::move(regions));
-}
-
-core::DesiredFields make_fields(const core::MultiRegionGame& game) {
-  core::DesiredFields fields(game.num_regions(), game.num_decisions());
-  for (core::RegionId i = 0; i < game.num_regions(); ++i) {
-    fields.set_target(i, 0, Interval{0.7, 1.0});
-  }
-  return fields;
-}
 
 /// How far the state sits outside the desired fields: max over
 /// (region, decision) of the distance from p to its target interval.
@@ -177,7 +145,8 @@ Trajectory run_plant(const core::MultiRegionGame& game,
   system::CooperativePerceptionSystem plant(game, params, nullptr);
   plant.init_from(game.uniform_state());
 
-  const auto fields = make_fields(game);
+  const auto fields =
+      scenario::floor_fields(game.num_regions(), game.num_decisions());
   core::FdsOptions options;
   options.max_step = 0.15;
   core::FdsController controller(game, fields, options);
@@ -354,8 +323,11 @@ int main(int argc, char** argv) {
     patterns = {PartitionPattern::kNone, PartitionPattern::kIsolate};
   }
 
-  const auto game = make_game();
-  const auto fields = make_fields(game);
+  // The shared scenario plant (the bench_faults one): a 3-region beta-4.0
+  // chain whose desired field is attainable on the measured system.
+  const auto game = scenario::chain_game(3, 4.0);
+  const auto fields =
+      scenario::floor_fields(game.num_regions(), game.num_decisions());
 
   // The clean twin every cell diffs against: transport off entirely.
   const Trajectory clean = run_plant(game, net::NetParams{});

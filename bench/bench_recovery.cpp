@@ -28,47 +28,12 @@
 #include "checkpoint/checkpoint.h"
 #include "checkpoint/policy.h"
 #include "checkpoint/recovery.h"
-#include "core/sensor_model.h"
 #include "faults/crash_injector.h"
 #include "faults/fault_model.h"
+#include "scenario/scenario.h"
 #include "system/system.h"
 
 using namespace avcp;
-
-namespace {
-
-core::MultiRegionGame make_game() {
-  core::GameConfig config;
-  config.lattice = core::DecisionLattice(3);
-  const auto tables = core::paper_decision_tables(config.lattice);
-  config.utility = tables.utility;
-  config.privacy = tables.privacy;
-  config.step_size = 0.5;
-  std::vector<core::RegionSpec> regions(3);
-  for (std::size_t i = 0; i < regions.size(); ++i) {
-    regions[i].beta = 4.0;
-    regions[i].gamma_self = 1.0;
-    if (i > 0) {
-      regions[i].neighbors.emplace_back(static_cast<core::RegionId>(i - 1),
-                                        0.3);
-    }
-    if (i + 1 < regions.size()) {
-      regions[i].neighbors.emplace_back(static_cast<core::RegionId>(i + 1),
-                                        0.3);
-    }
-  }
-  return core::MultiRegionGame(std::move(config), std::move(regions));
-}
-
-core::DesiredFields make_fields(const core::MultiRegionGame& game) {
-  core::DesiredFields fields(game.num_regions(), game.num_decisions());
-  for (core::RegionId i = 0; i < game.num_regions(); ++i) {
-    fields.set_target(i, 0, Interval{0.7, 1.0});
-  }
-  return fields;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::string dir = "ckpt-recovery";
@@ -91,8 +56,9 @@ int main(int argc, char** argv) {
   }
   if (smoke) rounds = 12;
 
-  const auto game = make_game();
-  const auto fields = make_fields(game);
+  const auto game = scenario::chain_game(3, 4.0);
+  const auto fields =
+      scenario::floor_fields(game.num_regions(), game.num_decisions());
   core::FdsController controller(game, fields, bench::bench_fds_options());
 
   // A lossy link layer, so the cumulative fault counters exercise the

@@ -16,6 +16,8 @@ constexpr std::uint64_t kAdaptiveStream = 0x6164617074697665ULL;  // "adaptive"
 constexpr std::uint64_t kDesignate = 1;
 constexpr std::uint64_t kShift = 2;
 constexpr std::uint64_t kStagger = 3;
+/// Snapshot kind tag ("ADAPTIVE"), distinct from AdversaryModel's.
+constexpr std::uint64_t kSnapshotKind = 0x4556495450414441ULL;
 
 /// Absorbs one value into the running hash (splitmix64 finalizer over a
 /// boost-style combine), matching the fault and adversary layers' scheme.
@@ -278,6 +280,7 @@ std::size_t AdaptiveAdversary::total_dormant() const {
 }
 
 void AdaptiveAdversary::save_state(Serializer& s) const {
+  s.put_u64(kSnapshotKind);
   s.put_u64(cells_.size());
   s.put_u64(vehicles_per_region_);
   s.put_u64(rounds_);
@@ -297,6 +300,8 @@ void AdaptiveAdversary::save_state(Serializer& s) const {
 }
 
 void AdaptiveAdversary::load_state(Deserializer& d) {
+  Deserializer::check(d.get_u64() == kSnapshotKind,
+                      "AdaptiveAdversary snapshot: adversary kind mismatch");
   Deserializer::check(d.get_u64() == cells_.size(),
                       "AdaptiveAdversary region count mismatch");
   Deserializer::check(d.get_u64() == vehicles_per_region_,

@@ -70,18 +70,6 @@ enum class AdaptivePolicy : std::uint8_t {
   kChurnExploit = 3,
 };
 
-/// What the defender lets an attacker see about itself each round. The
-/// channel is defender-controlled: it publishes the EWMA score and the
-/// exclusion verdict but never the trust posterior.
-struct AdversaryObservation {
-  /// The vehicle's published (EWMA-smoothed) reputation score.
-  double own_score = 0.0;
-  /// The vehicle is currently excluded (quarantined or distrusted).
-  bool excluded = false;
-  /// Region mates currently quarantined (collective-detection signal).
-  std::size_t region_quarantined = 0;
-};
-
 struct AdaptiveAdversaryParams {
   /// Fraction of each region's fleet designated as adaptive attackers.
   double attacker_fraction = 0.0;
@@ -116,33 +104,35 @@ struct AdaptiveAdversaryParams {
   void validate() const;
 };
 
-class AdaptiveAdversary {
+class AdaptiveAdversary final : public Adversary {
  public:
   AdaptiveAdversary(std::size_t num_regions, std::size_t vehicles_per_region,
                     AdaptiveAdversaryParams params);
 
   const AdaptiveAdversaryParams& params() const noexcept { return params_; }
-  bool active() const noexcept { return active_; }
+  bool active() const noexcept override { return active_; }
 
   /// Pure hash of (seed, region, vehicle) — round-independent designation,
   /// same scheme as AdversaryModel but on a distinct stream.
-  bool is_attacker(core::RegionId region, std::size_t vehicle) const noexcept;
+  bool is_attacker(core::RegionId region,
+                   std::size_t vehicle) const noexcept override;
 
   /// Every designated adaptive attacker defects in at least one round of a
   /// long enough run — the ground-truth positive set for detection
   /// metrics and the set honest-fleet statistics exclude.
-  bool ever_attacks(core::RegionId region, std::size_t vehicle) const noexcept {
+  bool ever_attacks(core::RegionId region,
+                    std::size_t vehicle) const noexcept override {
     return is_attacker(region, vehicle);
   }
 
   /// Freezes this round's attack plan from the current machine states.
   /// Serial: call on the round thread before any parallel stage.
-  void begin_round(std::size_t round);
+  void begin_round(std::size_t round) override;
 
   /// The vehicle defects this round (frozen-plan lookup; requires
   /// begin_round(round) to have run). Safe from parallel stages.
   bool attacking(std::size_t round, core::RegionId region,
-                 std::size_t vehicle) const noexcept;
+                 std::size_t vehicle) const noexcept override;
 
   /// The decision actually played in the data plane: the share-nothing
   /// lattice bottom while defecting (free-ride), `honest` otherwise.
@@ -150,7 +140,7 @@ class AdaptiveAdversary {
                                      std::size_t vehicle,
                                      core::DecisionId honest,
                                      const core::DecisionLattice& lattice)
-      const noexcept;
+      const noexcept override;
 
   /// The falsified S1 report while defecting: claim the share-everything
   /// top, telemetry untouched (the adaptive strategies lie only where the
@@ -158,31 +148,32 @@ class AdaptiveAdversary {
   /// non-defecting triples.
   VehicleReport falsify(std::size_t round, core::RegionId region,
                         std::size_t vehicle,
-                        VehicleReport honest) const noexcept;
+                        VehicleReport honest) const noexcept override;
 
   /// Delivers the defender-published feedback for one designated attacker.
   /// Serial: the system calls this on its round thread after the
   /// pipeline's end_round, in (region, vehicle) order.
   void observe(core::RegionId region, std::size_t vehicle,
-               const AdversaryObservation& obs);
+               const AdversaryObservation& obs) override;
 
   /// Advances every attacker's state machine one round. Serial, after all
   /// observe() calls for the round.
-  void end_round(std::size_t round);
+  void end_round(std::size_t round) override;
 
   /// Rounds folded in so far (== end_round calls).
   std::size_t rounds() const noexcept { return rounds_; }
 
   /// Attackers currently dormant (backed off for good after exclusion or
   /// a fully-suppressed probe).
-  std::size_t total_dormant() const;
+  std::size_t total_dormant() const override;
 
-  /// Checkpoint hooks: every per-vehicle machine plus the round counter.
-  /// Call between rounds only (after end_round, before the next
-  /// begin_round); the frozen plan is rebuilt by begin_round and is not
-  /// part of the state. load_state rejects a mismatched fleet shape.
-  void save_state(Serializer& s) const;
-  void load_state(Deserializer& d);
+  /// Checkpoint hooks: the kind tag, then every per-vehicle machine plus
+  /// the round counter. Call between rounds only (after end_round, before
+  /// the next begin_round); the frozen plan is rebuilt by begin_round and
+  /// is not part of the state. load_state rejects another kind's snapshot
+  /// and a mismatched fleet shape.
+  void save_state(Serializer& s) const override;
+  void load_state(Deserializer& d) override;
 
  private:
   enum class Phase : std::uint8_t {

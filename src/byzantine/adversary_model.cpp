@@ -2,6 +2,7 @@
 
 #include "common/contracts.h"
 #include "common/rng.h"
+#include "common/serial.h"
 
 namespace avcp::byzantine {
 
@@ -11,6 +12,9 @@ namespace {
 /// faults::FaultModel streams so a run combining both layers draws
 /// independent schedules from independent seeds.
 constexpr std::uint64_t kAttackerStream = 0x627974726169746fULL;
+
+/// Snapshot kind tag ("OPENLOOP"), distinct from AdaptiveAdversary's.
+constexpr std::uint64_t kSnapshotKind = 0x504f4f4c4e45504fULL;
 
 /// Absorbs one value into the running hash (splitmix64 finalizer over a
 /// boost-style combine), matching the fault layer's scheme.
@@ -115,6 +119,15 @@ VehicleReport AdversaryModel::falsify(std::size_t round, core::RegionId region,
       break;
   }
   return r;
+}
+
+void AdversaryModel::save_state(Serializer& s) const {
+  s.put_u64(kSnapshotKind);
+}
+
+void AdversaryModel::load_state(Deserializer& d) {
+  Deserializer::check(d.get_u64() == kSnapshotKind,
+                      "AdversaryModel snapshot: adversary kind mismatch");
 }
 
 }  // namespace avcp::byzantine

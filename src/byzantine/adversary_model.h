@@ -68,30 +68,32 @@ struct AdversaryParams {
   bool any() const noexcept;
 };
 
-class AdversaryModel {
+class AdversaryModel final : public Adversary {
  public:
   explicit AdversaryModel(AdversaryParams params);
 
   const AdversaryParams& params() const noexcept { return params_; }
-  bool active() const noexcept { return active_; }
+  bool active() const noexcept override { return active_; }
 
   /// The vehicle is designated an attacker (round-independent; the pure
   /// hash of (seed, region, vehicle) every consumer sees). Designation is
   /// scope-blind: a kColludingBias designee outside the target region is
   /// still "designated" but never misbehaves — see ever_attacks().
-  bool is_attacker(core::RegionId region, std::size_t vehicle) const noexcept;
+  bool is_attacker(core::RegionId region,
+                   std::size_t vehicle) const noexcept override;
 
   /// The vehicle misbehaves in at least one round of any run: designated
   /// *and* inside the strategy's target scope. This is the ground-truth
   /// positive set for detection precision/recall, and the set honest-fleet
   /// statistics exclude; a colluder in a non-target region is permanently
   /// honest and belongs to neither.
-  bool ever_attacks(core::RegionId region, std::size_t vehicle) const noexcept;
+  bool ever_attacks(core::RegionId region,
+                    std::size_t vehicle) const noexcept override;
 
   /// The vehicle misbehaves *this round*: designated, inside the strategy's
   /// target scope, and (kFlipFlop) inside an attack window.
   bool attacking(std::size_t round, core::RegionId region,
-                 std::size_t vehicle) const noexcept;
+                 std::size_t vehicle) const noexcept override;
 
   /// The decision the vehicle actually plays in the data plane. Free-riding
   /// strategies (kInflateSharing, kColludingBias, kFlipFlop while on)
@@ -102,14 +104,19 @@ class AdversaryModel {
                                      std::size_t vehicle,
                                      core::DecisionId honest,
                                      const core::DecisionLattice& lattice)
-      const noexcept;
+      const noexcept override;
 
   /// The falsified report the vehicle submits this round (claimed decision
   /// 0 is the lattice's share-everything top by construction). Returns
   /// `honest` unchanged for non-attacking triples.
   VehicleReport falsify(std::size_t round, core::RegionId region,
                         std::size_t vehicle,
-                        VehicleReport honest) const noexcept;
+                        VehicleReport honest) const noexcept override;
+
+  /// Checkpoint hooks. The model has no mutable state, so its snapshot is
+  /// its kind tag alone; load_state rejects any other kind's snapshot.
+  void save_state(Serializer& s) const override;
+  void load_state(Deserializer& d) override;
 
  private:
   AdversaryParams params_;

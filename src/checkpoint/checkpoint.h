@@ -67,7 +67,7 @@ class CheckpointError : public SerialError {
 
 /// Bumped whenever the framing or any engine payload layout changes; a
 /// file with a different version is rejected (no cross-version migration).
-inline constexpr std::uint32_t kSchemaVersion = 3;
+inline constexpr std::uint32_t kSchemaVersion = 4;
 
 /// Well-known section ids. A file may carry any subset; readers ask for
 /// the ones their wiring expects and reject on absence.
@@ -75,7 +75,7 @@ inline constexpr std::uint32_t kSectionSystem = 0x01;      // system plant
 inline constexpr std::uint32_t kSectionAgentSim = 0x02;    // agent simulator
 inline constexpr std::uint32_t kSectionTraceReplay = 0x03; // trace replay
 inline constexpr std::uint32_t kSectionController = 0x04;  // cloud controller
-inline constexpr std::uint32_t kSectionMeanField = 0x05;   // mean-field runner
+inline constexpr std::uint32_t kSectionMeanField = 0x05;   // mean-field state
 inline constexpr std::uint32_t kSectionAux = 0x06;         // caller extras
 inline constexpr std::uint32_t kSectionService = 0x07;     // service engine
 

@@ -188,13 +188,6 @@ IntervalSet FdsController::feasible_set(const GameState& state,
   return feasible_set(probe, i);
 }
 
-IntervalSet FdsController::prioritized_feasible_set(
-    const GameState& state, std::span<const double> x_prev, RegionId i) const {
-  RateProbe probe(game_);
-  probe.set(state, x_prev);
-  return prioritized_feasible_set(probe, i);
-}
-
 IntervalSet FdsController::feasible_set(RateProbe& probe, RegionId i) const {
   IntervalSet set = IntervalSet::whole(0.0, 1.0);
   for (DecisionId k = 0; k < game_.num_decisions(); ++k) {

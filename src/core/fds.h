@@ -122,15 +122,6 @@ class FdsController final : public Controller {
   IntervalSet feasible_set(const GameState& state,
                            std::span<const double> x_prev, RegionId i) const;
 
-  /// Best-effort set when the full intersection is empty: per-decision sets
-  /// are intersected greedily in decreasing order of target violation, and
-  /// any constraint that would empty the set is skipped. The result always
-  /// contains at least the constraints of the most-violated decision, so
-  /// the controller keeps making progress where Algorithm 2 would stall.
-  IntervalSet prioritized_feasible_set(const GameState& state,
-                                       std::span<const double> x_prev,
-                                       RegionId i) const;
-
   /// Algorithm 2 lines 12-18 for every region (Jacobi update: each region
   /// sees the previous round's ratios of its neighbours).
   std::vector<double> next_x(const GameState& state,
@@ -160,8 +151,13 @@ class FdsController final : public Controller {
   /// round starts it from that round's inputs, so nothing in it is state.
   RateProbe probe_;
 
-  // The sets above, over the state and ratios held by `probe`.
+  // feasible_set above, over the state and ratios held by `probe`.
   IntervalSet feasible_set(RateProbe& probe, RegionId i) const;
+  /// Best-effort set when the full intersection is empty: per-decision sets
+  /// are intersected greedily in decreasing order of target violation, and
+  /// any constraint that would empty the set is skipped. The result always
+  /// contains at least the constraints of the most-violated decision, so
+  /// the controller keeps making progress where Algorithm 2 would stall.
   IntervalSet prioritized_feasible_set(RateProbe& probe, RegionId i) const;
   IntervalSet decision_feasible_set(RateProbe& probe, RegionId i,
                                     DecisionId k) const;

@@ -187,4 +187,14 @@ GameState MultiRegionGame::broadcast_state(std::span<const double> p) const {
   return state;
 }
 
+std::vector<double> MultiRegionGame::sensor_privacy() const {
+  const DecisionLattice& lat = lattice();
+  std::vector<double> weights(lat.num_sensors(), 0.0);
+  for (std::size_t s = 0; s < lat.num_sensors(); ++s) {
+    const DecisionId singleton = lat.decision_of(lat.sensor_bit(s));
+    weights[s] = std::max(1e-3, config_.privacy[singleton]);
+  }
+  return weights;
+}
+
 }  // namespace avcp::core

@@ -122,6 +122,12 @@ class MultiRegionGame {
   /// simplex (validated).
   GameState broadcast_state(std::span<const double> p) const;
 
+  /// Per-sensor privacy weights for a measured data universe: each
+  /// sensor's singleton-decision privacy g_k, floored at 1e-3. This
+  /// recovers the paper's camera > lidar > radar sensitivity ordering from
+  /// whatever tables the game carries.
+  std::vector<double> sensor_privacy() const;
+
  private:
   GameConfig config_;
   std::vector<RegionSpec> regions_;

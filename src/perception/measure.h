@@ -67,6 +67,18 @@ class DataUniverse {
   /// Summed privacy weight of a set (ascending iteration order).
   double privacy_weight(std::span<const ItemId> s) const;
 
+  /// Realized round fitness of one vehicle, the revision signal of every
+  /// measured plant: beta * utility minus the fraction of the vehicle's
+  /// own collected privacy mass that its normalised `uploaded` privacy cost
+  /// exposed (zero when it collected no privacy mass).
+  double realized_fitness(double beta, double utility, double uploaded,
+                          std::span<const ItemId> collected) const {
+    const double own_mass = privacy_weight(collected);
+    const double exposed =
+        own_mass > 0.0 ? uploaded * total_privacy_ / own_mass : 0.0;
+    return beta * utility - exposed;
+  }
+
   /// Random universe: `items_per_sensor` items per sensor type with the
   /// given per-sensor privacy weight and unit utility weights.
   static DataUniverse synthetic(std::size_t num_sensors,

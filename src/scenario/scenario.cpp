@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
+#include <memory>
 #include <utility>
 
 #include "common/contracts.h"
@@ -21,10 +21,9 @@ constexpr double kBaseFloor = 0.7;
 constexpr double kFloorSlope = 0.6;
 constexpr std::size_t kSensors = 3;  // lattice 2^3 = 8 decisions
 
-/// Same plant family as bench_byzantine: a chain of beta-4.0 regions with
-/// 0.3 neighbour coupling, betas rich enough that the desired field is
-/// attainable and clean runs settle.
-core::MultiRegionGame make_game(std::size_t regions, double beta) {
+}  // namespace
+
+core::MultiRegionGame chain_game(std::size_t regions, double beta) {
   core::GameConfig config;
   config.lattice = core::DecisionLattice(kSensors);
   const auto tables = core::paper_decision_tables(config.lattice);
@@ -45,8 +44,7 @@ core::MultiRegionGame make_game(std::size_t regions, double beta) {
   return core::MultiRegionGame(std::move(config), std::move(specs));
 }
 
-core::DesiredFields initial_fields(std::size_t regions,
-                                   std::size_t decisions) {
+core::DesiredFields floor_fields(std::size_t regions, std::size_t decisions) {
   core::DesiredFields fields(regions, decisions);
   for (core::RegionId i = 0; i < regions; ++i) {
     fields.set_target(i, 0, Interval{kBaseFloor, 1.0});
@@ -54,9 +52,29 @@ core::DesiredFields initial_fields(std::size_t regions,
   return fields;
 }
 
+namespace {
+
+/// The attack arm `with_attack` wires: null for an honest fleet (kNone, or
+/// the clean twin of run_scenario_vs_clean).
+std::unique_ptr<byzantine::Adversary> make_adversary(
+    const ScenarioConfig& config, bool with_attack) {
+  if (!with_attack) return nullptr;
+  switch (config.attack) {
+    case AttackKind::kNone:
+      return nullptr;
+    case AttackKind::kStatic:
+      return std::make_unique<byzantine::AdversaryModel>(config.static_attack);
+    case AttackKind::kAdaptive:
+      return std::make_unique<byzantine::AdaptiveAdversary>(
+          config.plant.regions, config.plant.vehicles_per_region,
+          config.adaptive_attack);
+  }
+  return nullptr;
+}
+
 void run_service_twist(const ScenarioConfig& config, std::size_t epochs,
                        ScenarioResult& result) {
-  const auto game = make_game(config.plant.regions, config.plant.beta);
+  const auto game = chain_game(config.plant.regions, config.plant.beta);
   const auto graph = roadnet::make_grid(6, 6);
   core::FixedRatioController inner(0.7);
 
@@ -90,7 +108,7 @@ void run_service_twist(const ScenarioConfig& config, std::size_t epochs,
 ScenarioResult run_impl(const ScenarioConfig& config, std::size_t rounds,
                         bool with_attack) {
   const PlantConfig& plant = config.plant;
-  const auto game = make_game(plant.regions, plant.beta);
+  const auto game = chain_game(plant.regions, plant.beta);
   const std::size_t decisions = game.num_decisions();
 
   system::SystemParams params;
@@ -101,35 +119,15 @@ ScenarioResult run_impl(const ScenarioConfig& config, std::size_t rounds,
   const auto popts = config.pipeline_options();
   byzantine::ReportPipeline pipeline(plant.regions, decisions,
                                      plant.vehicles_per_region, popts);
-
-  // Exactly one attack arm is wired; both model objects always exist so
-  // the construction order of draws is scenario-independent.
-  byzantine::AdversaryParams static_params = config.static_attack;
-  byzantine::AdaptiveAdversaryParams adaptive_params = config.adaptive_attack;
-  if (!with_attack || config.attack != AttackKind::kStatic) {
-    static_params.attacker_fraction = 0.0;
-  }
-  if (!with_attack || config.attack != AttackKind::kAdaptive) {
-    adaptive_params.attacker_fraction = 0.0;
-  }
-  const byzantine::AdversaryModel static_model(static_params);
-  byzantine::AdaptiveAdversary adaptive(plant.regions,
-                                        plant.vehicles_per_region,
-                                        adaptive_params);
-
-  std::optional<system::CooperativePerceptionSystem> sys;
-  if (adaptive.active()) {
-    sys.emplace(game, params, nullptr, &pipeline, &adaptive);
-  } else {
-    sys.emplace(game, params, nullptr,
-                static_model.params().any() ? &static_model : nullptr,
-                &pipeline);
-  }
-  sys->init_from(game.uniform_state());
+  const std::unique_ptr<byzantine::Adversary> adversary =
+      make_adversary(config, with_attack);
+  system::CooperativePerceptionSystem sys(game, params, nullptr, &pipeline,
+                                          adversary.get());
+  sys.init_from(game.uniform_state());
 
   core::FdsOptions fopts;
   fopts.max_step = 0.15;
-  core::FdsController controller(game, initial_fields(plant.regions, decisions),
+  core::FdsController controller(game, floor_fields(plant.regions, decisions),
                                  fopts);
 
   ScenarioResult result;
@@ -137,12 +135,12 @@ ScenarioResult run_impl(const ScenarioConfig& config, std::size_t rounds,
   result.honest.reserve(rounds);
   result.observed0.reserve(rounds);
   for (std::size_t t = 0; t < rounds; ++t) {
-    const auto report = sys->run_round(controller);
+    const auto report = sys.run_round(controller);
     controller.set_desired(byzantine::density_weighted_fields(
         plant.regions, decisions, report.byzantine.density, kBaseFloor,
         kFloorSlope));
     result.x.push_back(report.x);
-    result.honest.push_back(sys->honest_state());
+    result.honest.push_back(sys.honest_state());
     std::vector<double> observed(plant.regions);
     for (core::RegionId i = 0; i < plant.regions; ++i) {
       observed[i] = report.byzantine.observed.p[i][0];
@@ -170,10 +168,7 @@ ScenarioResult run_impl(const ScenarioConfig& config, std::size_t rounds,
   std::size_t tp = 0, fp = 0, fn = 0;
   for (core::RegionId i = 0; i < plant.regions; ++i) {
     for (std::size_t v = 0; v < plant.vehicles_per_region; ++v) {
-      const bool bad =
-          (config.attack == AttackKind::kStatic && with_attack &&
-           static_model.ever_attacks(i, v)) ||
-          (adaptive.active() && adaptive.ever_attacks(i, v));
+      const bool bad = adversary != nullptr && adversary->ever_attacks(i, v);
       const bool flagged = pipeline.excluded(i, v);
       tp += (bad && flagged) ? 1 : 0;
       fp += (!bad && flagged) ? 1 : 0;

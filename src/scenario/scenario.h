@@ -15,10 +15,13 @@
 //   sc->validate();
 //   const ScenarioResult r = scenario::run_scenario(*sc);
 //
-// run_scenario drives the same telemetry-closed loop as bench_byzantine
-// (FdsController floors recomputed every round from aggregated density) and
-// is deterministic: every draw descends from ScenarioConfig seeds, so a
-// scenario's trajectory is bit-identical across runs and thread counts.
+// run_scenario drives the telemetry-closed loop (FdsController floors
+// recomputed every round from aggregated density) that both
+// bench_byzantine sweeps run, and is deterministic: every draw descends
+// from ScenarioConfig seeds, so a scenario's trajectory is bit-identical
+// across runs and thread counts. The plant's game and its initial floors
+// are exported too (chain_game, floor_fields), so the fault, partition and
+// recovery benches drive the same plant.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +32,7 @@
 #include "byzantine/adaptive_adversary.h"
 #include "byzantine/adversary_model.h"
 #include "byzantine/report_pipeline.h"
+#include "core/fds.h"
 #include "core/game.h"
 #include "net/link_model.h"
 
@@ -61,6 +65,16 @@ struct PlantConfig {
   double beta = 4.0;
   std::uint64_t seed = 11;
 };
+
+/// The shared plant's game: `regions` regions in a chain, each at utility
+/// coefficient `beta` with gamma_self 1 and 0.3 coupling to every chain
+/// neighbour, over the paper's 3-sensor decision tables (8 decisions) at
+/// replicator step size 0.5.
+core::MultiRegionGame chain_game(std::size_t regions, double beta);
+
+/// The shared plant's initial desired fields: the share-everything
+/// decision held in [0.7, 1] in every region, every other decision free.
+core::DesiredFields floor_fields(std::size_t regions, std::size_t decisions);
 
 /// Optional service-layer rider: run the same attacker fraction through a
 /// churning ServiceEngine fleet where quarantined attackers leave and

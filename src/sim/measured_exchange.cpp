@@ -15,18 +15,10 @@ constexpr std::uint64_t kPlaneStream = 0xC2;
 perception::DataUniverse make_exchange_universe(
     const core::MultiRegionGame& game, const MeasuredExchangeParams& params,
     std::uint64_t seed) {
-  // Sensor privacy weights proportional to the per-decision privacy of the
-  // singleton decisions — the same recovery the system plant performs.
-  const auto& lattice = game.lattice();
-  std::vector<double> sensor_privacy(lattice.num_sensors(), 0.0);
-  for (std::size_t s = 0; s < lattice.num_sensors(); ++s) {
-    const core::DecisionId singleton =
-        lattice.decision_of(lattice.sensor_bit(s));
-    sensor_privacy[s] = std::max(1e-3, game.config().privacy[singleton]);
-  }
   Rng rng(derive_seed(seed, {kUniverseStream}));
-  return perception::DataUniverse::synthetic(
-      lattice.num_sensors(), params.items_per_sensor, sensor_privacy, rng);
+  return perception::DataUniverse::synthetic(game.lattice().num_sensors(),
+                                             params.items_per_sensor,
+                                             game.sensor_privacy(), rng);
 }
 
 }  // namespace
@@ -82,12 +74,8 @@ const std::vector<double>& MeasuredExchange::per_decision_fitness(
   std::fill(fitness_.begin(), fitness_.end(), 0.0);
   std::fill(counts_.begin(), counts_.end(), 0.0);
   for (std::size_t v = 0; v < params_.fleet_size; ++v) {
-    const double own_mass = universe_.privacy_weight(fleet_.collected_of(v));
-    const double exposed_fraction =
-        own_mass > 0.0
-            ? outcome_.privacy[v] * universe_.total_privacy_weight() / own_mass
-            : 0.0;
-    fitness_[fleet_.decision(v)] += beta * outcome_.utility[v] - exposed_fraction;
+    fitness_[fleet_.decision(v)] += universe_.realized_fitness(
+        beta, outcome_.utility[v], outcome_.privacy[v], fleet_.collected_of(v));
     counts_[fleet_.decision(v)] += 1.0;
   }
   for (std::size_t d = 0; d < k; ++d) {

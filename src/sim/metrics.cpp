@@ -60,43 +60,6 @@ DegradationSummary degradation(std::span<const double> clean,
   return summary;
 }
 
-void write_fault_series_csv(std::ostream& out,
-                            std::span<const FaultSeriesRow> rows) {
-  CsvWriter writer(out);
-  writer.write_row({"round", "uploads_lost", "deliveries_lost", "regions_down",
-                    "mean_utility", "mean_privacy"});
-  for (const FaultSeriesRow& row : rows) {
-    writer.write_row({std::to_string(row.round),
-                      std::to_string(row.uploads_lost),
-                      std::to_string(row.deliveries_lost),
-                      std::to_string(row.regions_down),
-                      std::to_string(row.mean_utility),
-                      std::to_string(row.mean_privacy)});
-  }
-}
-
-void write_region_fault_series_csv(std::ostream& out,
-                                   std::span<const RegionFaultSeriesRow> rows) {
-  CsvWriter writer(out);
-  writer.write_row({"round", "region", "uploads_lost", "deliveries_lost",
-                    "region_down", "mean_utility"});
-  for (const RegionFaultSeriesRow& row : rows) {
-    writer.write_row({std::to_string(row.round), std::to_string(row.region),
-                      std::to_string(row.uploads_lost),
-                      std::to_string(row.deliveries_lost),
-                      std::to_string(row.region_down ? 1 : 0),
-                      std::to_string(row.mean_utility)});
-  }
-}
-
-double mean_abs_error(std::span<const double> a, std::span<const double> b) {
-  AVCP_EXPECT(a.size() == b.size());
-  AVCP_EXPECT(!a.empty());
-  double sum = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) sum += std::abs(a[i] - b[i]);
-  return sum / static_cast<double>(a.size());
-}
-
 DetectionStats detection_stats(std::span<const std::uint8_t> truth,
                                std::span<const std::uint8_t> flagged) {
   AVCP_EXPECT(truth.size() == flagged.size());
@@ -119,21 +82,6 @@ DetectionStats detection_stats(std::span<const std::uint8_t> truth,
                    static_cast<double>(attackers);
   }
   return stats;
-}
-
-void write_byzantine_series_csv(std::ostream& out,
-                                std::span<const ByzantineSeriesRow> rows) {
-  CsvWriter writer(out);
-  writer.write_row(
-      {"round", "ratio_error", "state_error", "outliers_rejected",
-       "quarantined"});
-  for (const ByzantineSeriesRow& row : rows) {
-    writer.write_row({std::to_string(row.round),
-                      std::to_string(row.ratio_error),
-                      std::to_string(row.state_error),
-                      std::to_string(row.outliers_rejected),
-                      std::to_string(row.quarantined)});
-  }
 }
 
 void write_state_csv(std::ostream& out, const core::GameState& state) {

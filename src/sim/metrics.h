@@ -55,43 +55,6 @@ struct DegradationSummary {
 DegradationSummary degradation(std::span<const double> clean,
                                std::span<const double> faulty);
 
-/// One row of a fault-injection time series (plant loss counters plus the
-/// realized means they degraded).
-struct FaultSeriesRow {
-  std::size_t round = 0;
-  std::size_t uploads_lost = 0;
-  std::size_t deliveries_lost = 0;
-  std::size_t regions_down = 0;
-  double mean_utility = 0.0;
-  double mean_privacy = 0.0;
-};
-
-/// Writes the fault series:
-///   round,uploads_lost,deliveries_lost,regions_down,mean_utility,mean_privacy
-void write_fault_series_csv(std::ostream& out,
-                            std::span<const FaultSeriesRow> rows);
-
-/// One (round, region) row of a fault series — the spatial split of
-/// FaultSeriesRow, so degradation can be attributed to the region whose
-/// links (or servers) actually ate the losses.
-struct RegionFaultSeriesRow {
-  std::size_t round = 0;
-  core::RegionId region = 0;
-  std::size_t uploads_lost = 0;
-  std::size_t deliveries_lost = 0;
-  bool region_down = false;
-  double mean_utility = 0.0;
-};
-
-/// Writes the per-region fault series:
-///   round,region,uploads_lost,deliveries_lost,region_down,mean_utility
-void write_region_fault_series_csv(std::ostream& out,
-                                   std::span<const RegionFaultSeriesRow> rows);
-
-/// Mean absolute difference of two equal-length series (e.g. an attacked
-/// run's per-region ratios against its clean twin).
-double mean_abs_error(std::span<const double> a, std::span<const double> b);
-
 /// Precision / recall of a detector's flags against ground truth, over any
 /// flattened (region-major) population. Conventions for the degenerate
 /// cases: precision is 1 when nothing was flagged (no false alarms were
@@ -106,21 +69,5 @@ struct DetectionStats {
 
 DetectionStats detection_stats(std::span<const std::uint8_t> truth,
                                std::span<const std::uint8_t> flagged);
-
-/// One row of a Byzantine-robustness time series: how far the attacked
-/// run's controls and states drifted from the clean twin, and what the
-/// defence did about it.
-struct ByzantineSeriesRow {
-  std::size_t round = 0;
-  double ratio_error = 0.0;  // mean |x_i - x_i_clean| over regions
-  double state_error = 0.0;  // mean |p - p_clean| over (region, decision)
-  std::size_t outliers_rejected = 0;
-  std::size_t quarantined = 0;
-};
-
-/// Writes the Byzantine series:
-///   round,ratio_error,state_error,outliers_rejected,quarantined
-void write_byzantine_series_csv(std::ostream& out,
-                                std::span<const ByzantineSeriesRow> rows);
 
 }  // namespace avcp::sim

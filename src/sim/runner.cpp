@@ -3,62 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "checkpoint/checkpoint.h"
 #include "common/contracts.h"
-#include "common/serial.h"
 
 namespace avcp::sim {
-
-namespace {
-
-/// Restores loop state (rounds, state, x, extras) from the newest intact
-/// generation. Returns the number of completed rounds, or 0 (untouched
-/// outputs) when no generation survives validation.
-std::size_t try_resume(const RunCheckpointing& ckpt,
-                       const core::MultiRegionGame& game,
-                       core::GameState& state, std::vector<double>& x) {
-  for (const auto& path : ckpt.store->generations()) {
-    try {
-      const auto reader = checkpoint::CheckpointReader::open(path);
-      Deserializer d = reader.section(checkpoint::kSectionMeanField);
-      const std::size_t rounds = static_cast<std::size_t>(d.get_u64());
-      core::GameState restored_state;
-      restored_state.load_state(d);
-      Deserializer::check(restored_state.p.size() == game.num_regions(),
-                          "mean-field snapshot: region count mismatch");
-      std::vector<double> restored_x = get_f64_vec(d);
-      Deserializer::check(restored_x.size() == x.size(),
-                          "mean-field snapshot: ratio size mismatch");
-      if (ckpt.load_extra != nullptr) {
-        Deserializer aux = reader.section(checkpoint::kSectionAux);
-        ckpt.load_extra(aux);
-      }
-      state = std::move(restored_state);
-      x = std::move(restored_x);
-      return rounds;
-    } catch (const SerialError&) {
-      // Torn/corrupt generation: fall back to the one before it.
-    }
-  }
-  return 0;
-}
-
-void write_snapshot(const RunCheckpointing& ckpt, std::size_t rounds,
-                    const core::GameState& state,
-                    const std::vector<double>& x) {
-  checkpoint::CheckpointWriter writer(rounds);
-  Serializer& s = writer.section(checkpoint::kSectionMeanField);
-  s.put_u64(rounds);
-  state.save_state(s);
-  put_f64_vec(s, x);
-  if (ckpt.save_extra != nullptr) {
-    ckpt.save_extra(writer.section(checkpoint::kSectionAux));
-  }
-  writer.write(ckpt.store->path_for(rounds));
-  ckpt.store->prune();
-}
-
-}  // namespace
 
 std::vector<double> RunResult::proportion_deltas() const {
   std::vector<double> deltas;
@@ -94,18 +41,9 @@ RunResult run_mean_field(const core::MultiRegionGame& game,
   core::GameState state = std::move(initial);
   std::vector<double> x = std::move(x0);
 
-  const RunCheckpointing* ckpt = options.checkpoints;
-  AVCP_EXPECT(ckpt == nullptr || ckpt->store != nullptr);
-  if (ckpt != nullptr && ckpt->resume) {
-    result.rounds = try_resume(*ckpt, game, state, x);
-  }
-
   if (options.record_trajectory) {
     result.trajectory.push_back(state);
   }
-  // On a fresh run this is the t=0 early exit; on a resume it reproduces
-  // the convergence break the straight-through run would have taken at
-  // the restored round.
   if (stop_when != nullptr && stop_when->satisfied(state, options.satisfy_tol)) {
     result.converged = true;
     result.final_state = std::move(state);
@@ -121,15 +59,8 @@ RunResult run_mean_field(const core::MultiRegionGame& game,
       result.trajectory.push_back(state);
       result.x_history.push_back(x);
     }
-    const bool satisfied = stop_when != nullptr &&
-                           stop_when->satisfied(state, options.satisfy_tol);
-    if (ckpt != nullptr &&
-        (ckpt->policy.should_checkpoint(result.rounds) || satisfied)) {
-      // Also snapshot on the convergence break, so a converged run's final
-      // state survives a later crash-and-resume without re-stepping.
-      write_snapshot(*ckpt, result.rounds, state, x);
-    }
-    if (satisfied) {
+    if (stop_when != nullptr &&
+        stop_when->satisfied(state, options.satisfy_tol)) {
       result.converged = true;
       break;
     }

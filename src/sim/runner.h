@@ -7,30 +7,12 @@
 // are met (or on the round cap).
 #pragma once
 
-#include <functional>
-#include <optional>
 #include <vector>
 
-#include "checkpoint/policy.h"
 #include "core/fds.h"
 #include "core/game.h"
 
 namespace avcp::sim {
-
-/// Crash-tolerance wiring for run_mean_field: where generations live, when
-/// to snapshot, and (optionally) extra state riding in each snapshot —
-/// e.g. a stateful controller wrapper like faults::DegradedController.
-/// With `resume` set the runner restores the newest intact generation
-/// before stepping (skipping torn or corrupt files), so restore + the
-/// remaining rounds reproduces the uninterrupted trajectory bit for bit.
-struct RunCheckpointing {
-  const checkpoint::CheckpointStore* store = nullptr;
-  checkpoint::CheckpointPolicy policy;
-  bool resume = true;
-  /// Optional auxiliary payload (controller state). Both or neither.
-  std::function<void(Serializer&)> save_extra;
-  std::function<void(Deserializer&)> load_extra;
-};
 
 struct RunOptions {
   std::size_t max_rounds = 5000;
@@ -38,8 +20,6 @@ struct RunOptions {
   bool record_trajectory = true;
   /// Tolerance passed to DesiredFields::satisfied.
   double satisfy_tol = 1e-9;
-  /// Null = no checkpointing (the pre-existing behaviour, bit-identical).
-  const RunCheckpointing* checkpoints = nullptr;
 };
 
 struct RunResult {

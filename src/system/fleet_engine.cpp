@@ -145,10 +145,8 @@ void ShardedFleetEngine::exchange_shard(std::size_t s, double sharing_ratio) {
   sh.plane->run_round_into(fleet.view(), sharing_ratio, no_faults_,
                            no_server_items_, params_.mode, sh.outcome);
 
-  // Fitness fold (the same shape as system.cpp's data-plane stage):
-  // beta·utility minus the vehicle's exposed fraction of its own privacy
-  // mass. Reputation is an EWMA over realised utility.
-  const double total_privacy = universe_.total_privacy_weight();
+  // Fitness fold (DataUniverse::realized_fitness, shared with the system
+  // plant); reputation is an EWMA over realised utility.
   const double decay = params_.reputation_decay;
   std::span<double> fitness = fleet.fitness();
   std::span<double> reputation = fleet.reputation();
@@ -157,10 +155,9 @@ void ShardedFleetEngine::exchange_shard(std::size_t s, double sharing_ratio) {
   double sum_fitness = 0.0;
   double sum_reputation = 0.0;
   for (std::size_t v = 0; v < n; ++v) {
-    const double own_mass = universe_.privacy_weight(fleet.collected_of(v));
-    const double exposed_fraction =
-        own_mass > 0.0 ? sh.outcome.privacy[v] * total_privacy / own_mass : 0.0;
-    const double f = params_.beta * sh.outcome.utility[v] - exposed_fraction;
+    const double f = universe_.realized_fitness(
+        params_.beta, sh.outcome.utility[v], sh.outcome.privacy[v],
+        fleet.collected_of(v));
     fitness[v] = f;
     reputation[v] = decay * reputation[v] + (1.0 - decay) * sh.outcome.utility[v];
     sum_utility += sh.outcome.utility[v];

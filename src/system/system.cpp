@@ -16,19 +16,9 @@ perception::DataUniverse make_universe(const core::MultiRegionGame& game,
                                        std::size_t vehicles_per_region,
                                        Rng& rng) {
   if (items_per_sensor == 0) items_per_sensor = vehicles_per_region;
-  // Sensor privacy weights proportional to the per-decision privacy of the
-  // singleton decisions, recovering the paper's camera > lidar > radar
-  // sensitivity ordering from whatever tables the game carries.
-  const auto& lattice = game.lattice();
-  std::vector<double> sensor_privacy(lattice.num_sensors(), 0.0);
-  for (std::size_t s = 0; s < lattice.num_sensors(); ++s) {
-    const core::DecisionId singleton =
-        lattice.decision_of(lattice.sensor_bit(s));
-    sensor_privacy[s] = std::max(1e-3, game.config().privacy[singleton]);
-  }
-  return perception::DataUniverse::synthetic(lattice.num_sensors(),
-                                             items_per_sensor, sensor_privacy,
-                                             rng);
+  return perception::DataUniverse::synthetic(game.lattice().num_sensors(),
+                                             items_per_sensor,
+                                             game.sensor_privacy(), rng);
 }
 
 // Stream tags for derive_seed: one per randomized round stage, so the
@@ -40,34 +30,15 @@ constexpr std::uint64_t kReviseStream = 0xB3;
 }  // namespace
 
 CooperativePerceptionSystem::CooperativePerceptionSystem(
-    const core::MultiRegionGame& game, SystemParams params)
-    : CooperativePerceptionSystem(game, params, nullptr) {}
-
-CooperativePerceptionSystem::CooperativePerceptionSystem(
-    const core::MultiRegionGame& game, SystemParams params,
-    const faults::FaultModel* faults,
-    const byzantine::AdversaryModel* adversary,
-    byzantine::ReportPipeline* pipeline)
-    : CooperativePerceptionSystem(game, params, faults) {
-  adversary_ = adversary != nullptr && adversary->active() ? adversary : nullptr;
-  pipeline_ = pipeline;
-}
-
-CooperativePerceptionSystem::CooperativePerceptionSystem(
     const core::MultiRegionGame& game, SystemParams params,
     const faults::FaultModel* faults, byzantine::ReportPipeline* pipeline,
-    byzantine::AdaptiveAdversary* adaptive)
-    : CooperativePerceptionSystem(game, params, faults) {
-  adaptive_ = adaptive != nullptr && adaptive->active() ? adaptive : nullptr;
-  pipeline_ = pipeline;
-}
-
-CooperativePerceptionSystem::CooperativePerceptionSystem(
-    const core::MultiRegionGame& game, SystemParams params,
-    const faults::FaultModel* faults)
+    byzantine::Adversary* adversary)
     : game_(game),
       params_(params),
       faults_(faults != nullptr && faults->active() ? faults : nullptr),
+      pipeline_(pipeline),
+      adversary_(adversary != nullptr && adversary->active() ? adversary
+                                                             : nullptr),
       rng_(params.seed),
       pool_(ThreadPool::clamped_lanes(params.num_threads)),
       universe_(make_universe(game, params.items_per_sensor,
@@ -140,15 +111,14 @@ core::GameState CooperativePerceptionSystem::empirical_state() const {
 }
 
 core::GameState CooperativePerceptionSystem::honest_state() const {
-  if (adversary_ == nullptr && adaptive_ == nullptr) return empirical_state();
+  if (adversary_ == nullptr) return empirical_state();
   core::GameState state;
   state.p.assign(game_.num_regions(),
                  std::vector<double>(game_.num_decisions(), 0.0));
   for (core::RegionId i = 0; i < game_.num_regions(); ++i) {
     double honest = 0.0;
     for (std::size_t v = 0; v < decisions_[i].size(); ++v) {
-      if (adversary_ != nullptr && adversary_->ever_attacks(i, v)) continue;
-      if (adaptive_ != nullptr && adaptive_->ever_attacks(i, v)) continue;
+      if (adversary_->ever_attacks(i, v)) continue;
       state.p[i][decisions_[i][v]] += 1.0;
       honest += 1.0;
     }
@@ -174,14 +144,13 @@ void CooperativePerceptionSystem::init_from(const core::GameState& state) {
 RoundReport CooperativePerceptionSystem::run_round(
     core::Controller& controller) {
   const std::size_t num_regions = game_.num_regions();
-  const bool byz =
-      adversary_ != nullptr || adaptive_ != nullptr || pipeline_ != nullptr;
+  const bool byz = adversary_ != nullptr || pipeline_ != nullptr;
   RoundReport report;
   report.byzantine.active = byz;
 
-  // Freeze the adaptive adversary's per-round plan before any parallel
-  // stage: attacking() is then a const lookup for the whole round.
-  if (adaptive_ != nullptr) adaptive_->begin_round(round_);
+  // Freeze the adversary's per-round plan before any parallel stage:
+  // attacking() is then a const lookup for the whole round.
+  if (adversary_ != nullptr) adversary_->begin_round(round_);
 
   // --- S1: edge servers report, the cloud computes the ratios. -----------
   // claims_[i][v]: the decision vehicle v *declares* this round (falsified
@@ -210,11 +179,6 @@ RoundReport CooperativePerceptionSystem::run_round(
           behavior_[i][v] = adversary_->behavior_decision(
               round_, i, v, decisions_[i][v], game_.lattice());
           r = adversary_->falsify(round_, i, v, r);
-        }
-        if (adaptive_ != nullptr) {
-          behavior_[i][v] = adaptive_->behavior_decision(
-              round_, i, v, behavior_[i][v], game_.lattice());
-          r = adaptive_->falsify(round_, i, v, r);
         }
         claims_[i][v] = r.decision;
         reports[i][v] = r;
@@ -479,14 +443,9 @@ RoundReport CooperativePerceptionSystem::run_round(
           util_sum += ws.outcome.utility[j];
           priv_sum += ws.outcome.privacy[j];
           ws.upload_mass[v] += ws.outcome.privacy[j];
-          const double own_mass =
-              universe_.privacy_weight(fleet_view.collected_of(v));
-          const double exposed_fraction =
-              own_mass > 0.0
-                  ? ws.outcome.privacy[j] * universe_.total_privacy_weight() /
-                        own_mass
-                  : 0.0;
-          ws.fitness[v] += beta * ws.outcome.utility[j] - exposed_fraction;
+          ws.fitness[v] += universe_.realized_fitness(
+              beta, ws.outcome.utility[j], ws.outcome.privacy[j],
+              fleet_view.collected_of(v));
         }
       }
       report.mean_utility[i] += util_sum / static_cast<double>(n);
@@ -604,9 +563,7 @@ RoundReport CooperativePerceptionSystem::run_round(
         ws.before, claims_[i], params_.revision_rate, params_.imitation_scale,
         rng,
         [&](std::size_t v) {
-          return (adversary_ != nullptr &&
-                  adversary_->attacking(round_, i, v)) ||
-                 (adaptive_ != nullptr && adaptive_->attacking(round_, i, v));
+          return adversary_ != nullptr && adversary_->attacking(round_, i, v);
         },
         [&](std::size_t v) { return fitness[v]; },
         [&](std::size_t v, core::DecisionId d) { fleet[v] = d; });
@@ -681,30 +638,30 @@ RoundReport CooperativePerceptionSystem::run_round(
         pipeline_->reputation().total_quarantined();
     report.byzantine.total_distrusted = pipeline_->trust().total_distrusted();
   }
-  // Adaptive feedback: AFTER the defender's end_round, publish to each
+  // Adversary feedback: AFTER the defender's end_round, publish to each
   // designated attacker exactly what a vehicle could see — its own EWMA
   // score, whether it is excluded, and how many region mates are caught —
   // then advance the policies. Serial, in (region, vehicle) order: the
   // observation order is part of the determinism contract. Without a
   // pipeline (the trusting baseline) nothing is published and the machines
   // run open-loop on their own schedules.
-  if (adaptive_ != nullptr) {
+  if (adversary_ != nullptr) {
     if (pipeline_ != nullptr) {
       for (core::RegionId i = 0; i < num_regions; ++i) {
         const std::size_t caught = pipeline_->reputation().quarantined_in(i) +
                                    pipeline_->trust().distrusted_in(i);
         for (std::size_t v = 0; v < decisions_[i].size(); ++v) {
-          if (!adaptive_->is_attacker(i, v)) continue;
+          if (!adversary_->is_attacker(i, v)) continue;
           byzantine::AdversaryObservation obs;
           obs.own_score = pipeline_->reputation().score(i, v);
           obs.excluded = pipeline_->excluded(i, v);
           obs.region_quarantined = caught;
-          adaptive_->observe(i, v, obs);
+          adversary_->observe(i, v, obs);
         }
       }
     }
-    adaptive_->end_round(round_);
-    report.byzantine.adaptive_dormant = adaptive_->total_dormant();
+    adversary_->end_round(round_);
+    report.byzantine.adaptive_dormant = adversary_->total_dormant();
   }
   ++round_;
 
@@ -737,7 +694,7 @@ void CooperativePerceptionSystem::save_state(Serializer& s) const {
   s.put_u64(params_.seed);
   s.put_u8(static_cast<std::uint8_t>(params_.data_plane_mode));
   s.put_bool(pipeline_ != nullptr);
-  s.put_bool(adaptive_ != nullptr);
+  s.put_bool(adversary_ != nullptr);
   s.put_bool(channel_.has_value());
 
   s.put_u64(round_);
@@ -754,7 +711,7 @@ void CooperativePerceptionSystem::save_state(Serializer& s) const {
     plane.save_state(s);
   }
   if (pipeline_ != nullptr) pipeline_->save_state(s);
-  if (adaptive_ != nullptr) adaptive_->save_state(s);
+  if (adversary_ != nullptr) adversary_->save_state(s);
   // Transport section: the channel (in-flight messages, per-link freshness,
   // counters, behind a NetParams fingerprint) plus every sender's payload
   // ring — so a resume mid-partition replays delayed and retransmitted
@@ -782,8 +739,8 @@ void CooperativePerceptionSystem::load_state(Deserializer& d) {
       "System snapshot: data-plane mode mismatch");
   Deserializer::check(d.get_bool() == (pipeline_ != nullptr),
                       "System snapshot: report-pipeline wiring mismatch");
-  Deserializer::check(d.get_bool() == (adaptive_ != nullptr),
-                      "System snapshot: adaptive-adversary wiring mismatch");
+  Deserializer::check(d.get_bool() == (adversary_ != nullptr),
+                      "System snapshot: adversary wiring mismatch");
   Deserializer::check(d.get_bool() == channel_.has_value(),
                       "System snapshot: net transport wiring mismatch");
 
@@ -814,7 +771,7 @@ void CooperativePerceptionSystem::load_state(Deserializer& d) {
     plane.load_state(d);
   }
   if (pipeline_ != nullptr) pipeline_->load_state(d);
-  if (adaptive_ != nullptr) adaptive_->load_state(d);
+  if (adversary_ != nullptr) adversary_->load_state(d);
   if (channel_.has_value()) {
     channel_->load_state(d);
     scenes_.load_state(d, [&](Deserializer& in, Scene& scene) {

@@ -127,8 +127,8 @@ struct RoundReport {
     std::size_t regions_down = 0;
   } faults;
 
-  /// Byzantine bookkeeping (inert default when neither an adversary model
-  /// nor a report pipeline is attached).
+  /// Byzantine bookkeeping (inert default when neither an adversary nor a
+  /// report pipeline is attached).
   struct Byzantine {
     bool active = false;
     /// The state the controller acted on this round: the aggregate of the
@@ -181,56 +181,44 @@ class CooperativePerceptionSystem {
   /// `game` carries the lattice, the per-decision tables, and the region
   /// betas the cloud's model uses; it must outlive the system. The data
   /// universe is generated internally from the lattice's sensor count.
-  CooperativePerceptionSystem(const core::MultiRegionGame& game,
-                              SystemParams params);
-
-  /// Same, with fault injection: `faults` (may be null; must outlive the
-  /// system) supplies per-round upload/delivery loss and edge-server
-  /// outages to the data path. A null model — or one whose params().any()
-  /// is false — leaves the plant bit-identical to the fault-free overload:
-  /// the fault predicates are pure hashes that never touch the system RNG.
-  /// Report loss is *not* applied here: the observed state handed to the
-  /// controller is always the true empirical state, and a
-  /// faults::DegradedController wrapping the cloud controller (sharing
-  /// this model) decides which region reports it may act on.
-  CooperativePerceptionSystem(const core::MultiRegionGame& game,
-                              SystemParams params,
-                              const faults::FaultModel* faults);
-
-  /// Same, with strategic adversaries: `adversary` (may be null; must
-  /// outlive the system) designates attacker vehicles that falsify their
-  /// S1 reports and free-ride in the data plane, and `pipeline` (may be
-  /// null; must outlive the system) is the cloud's Byzantine-robust report
-  /// path — it aggregates the claimed reports into the observation the
-  /// controller acts on, scores residuals, and (when enforcing) quarantines
-  /// persistent outliers, whose lattice access the plant then revokes.
-  /// With both null this is the overload above. With an inert adversary
-  /// (params().any() == false) and a passthrough, non-enforcing pipeline
-  /// the round series stays bit-identical to the clean run: reports are
-  /// exact deterministic values, predicates are pure hashes, and the
-  /// pipeline's mean aggregation repeats the empirical-state arithmetic.
-  CooperativePerceptionSystem(const core::MultiRegionGame& game,
-                              SystemParams params,
-                              const faults::FaultModel* faults,
-                              const byzantine::AdversaryModel* adversary,
-                              byzantine::ReportPipeline* pipeline = nullptr);
-
-  /// Same, with a *closed-loop* adversary: `adaptive` (may be null; must
-  /// outlive the system) runs the reputation-aware per-vehicle policies of
-  /// adaptive_adversary.h. The system owns the feedback loop: it freezes
-  /// the adversary's plan before the parallel stages, and after the
-  /// pipeline's end_round it publishes each designated attacker's EWMA
-  /// score, exclusion verdict, and region exclusion count through the
-  /// AdversaryObservation channel, then advances the machines — so the
-  /// adversary only ever sees what the defender chooses to publish, in a
-  /// fixed serial order that keeps trajectories bit-identical at every
-  /// thread count. An inert adversary (params().any() == false) leaves the
-  /// round series bit-identical to the overload above.
+  /// The three optional collaborators may each be null and must outlive
+  /// the system:
+  ///
+  ///   `faults` supplies per-round upload/delivery loss and edge-server
+  ///   outages to the data path. Its predicates are pure hashes that never
+  ///   touch the system RNG, so a null model and one whose params().any()
+  ///   is false run the same plant. Report loss is *not* applied here: a
+  ///   faults::DegradedController wrapping the cloud controller (sharing
+  ///   this model) decides which region reports it may act on.
+  ///
+  ///   `pipeline` is the cloud's Byzantine-robust report path: it
+  ///   aggregates the claimed reports into the observation the controller
+  ///   acts on, scores residuals, and (when enforcing) quarantines
+  ///   persistent outliers, whose lattice access the plant then revokes.
+  ///   Without one, a plain mean of the claims stands in for it.
+  ///
+  ///   `adversary` designates attacker vehicles that falsify their S1
+  ///   reports and free-ride in the data plane — open-loop
+  ///   (byzantine::AdversaryModel) or closed-loop
+  ///   (byzantine::AdaptiveAdversary). The system owns the feedback loop:
+  ///   it freezes the adversary's plan before the parallel stages, and
+  ///   after the pipeline's end_round it publishes each designated
+  ///   attacker's EWMA score, exclusion verdict, and region exclusion count
+  ///   through the AdversaryObservation channel, then advances the
+  ///   adversary — so it only ever sees what the defender chooses to
+  ///   publish, in a fixed serial order that keeps trajectories
+  ///   bit-identical at every thread count.
+  ///
+  /// With an inert adversary (active() == false) and a passthrough,
+  /// non-enforcing pipeline the round series stays bit-identical to the
+  /// bare plant: reports are exact deterministic values, predicates are
+  /// pure hashes, and the pipeline's mean aggregation repeats the
+  /// empirical-state arithmetic.
   CooperativePerceptionSystem(const core::MultiRegionGame& game,
                               SystemParams params,
-                              const faults::FaultModel* faults,
-                              byzantine::ReportPipeline* pipeline,
-                              byzantine::AdaptiveAdversary* adaptive);
+                              const faults::FaultModel* faults = nullptr,
+                              byzantine::ReportPipeline* pipeline = nullptr,
+                              byzantine::Adversary* adversary = nullptr);
 
   std::size_t num_regions() const noexcept { return game_.num_regions(); }
 
@@ -279,12 +267,14 @@ class CooperativePerceptionSystem {
   /// beyond its (reconstructible) configuration: the round counter, the
   /// serial setup RNG, every plane's stream position, the fleet's
   /// decisions, the applied ratios, the realized-fitness table, the fault
-  /// counters, and — when a report pipeline is attached — its reputation
-  /// state. A fresh system built with the same game/params/faults/adversary
+  /// counters, and — when attached — the report pipeline's reputation
+  /// state and the adversary's snapshot (led by its kind tag). A fresh
+  /// system built with the same game/params/faults/pipeline/adversary
   /// wiring, after load_state, continues bit-identically to the original
   /// (the resume-equivalence contract; DESIGN.md §12). Call between rounds
   /// only. load_state throws SerialError when the snapshot's configuration
-  /// fingerprint disagrees with the live system.
+  /// fingerprint disagrees with the live system, including an adversary
+  /// attached on one side only or of another kind.
   void save_state(Serializer& s) const;
   void load_state(Deserializer& d);
 
@@ -292,9 +282,9 @@ class CooperativePerceptionSystem {
   const core::MultiRegionGame& game_;
   SystemParams params_;
   const faults::FaultModel* faults_;
-  const byzantine::AdversaryModel* adversary_ = nullptr;
-  byzantine::AdaptiveAdversary* adaptive_ = nullptr;
-  byzantine::ReportPipeline* pipeline_ = nullptr;
+  byzantine::ReportPipeline* pipeline_;
+  /// Null unless an active adversary is attached.
+  byzantine::Adversary* adversary_;
   std::size_t round_ = 0;
   faults::FaultCounters fault_counters_;
   /// Serial setup stream (universe synthesis, plane seeding, init_from).

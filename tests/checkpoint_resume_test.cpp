@@ -201,6 +201,78 @@ TEST(SystemResume, AdaptiveWiringMismatchRejected) {
   EXPECT_THROW(without.load_state(d), SerialError);
 }
 
+TEST(SystemResume, OpenLoopAdversaryIsFingerprinted) {
+  // The open-loop adversary is part of the wiring too: its snapshot must be
+  // rejected by a plant without an adversary (which would resume with
+  // every attacker dropped) and by one running the closed-loop adversary
+  // instead, while a matching plant resumes it round for round.
+  const auto game = make_chain_game(3, 3.0, 4.0);
+  core::DesiredFields fields(game.num_regions(), game.num_decisions());
+  for (core::RegionId i = 0; i < game.num_regions(); ++i) {
+    fields.set_target(i, 0, Interval{0.6, 1.0});
+  }
+  const auto params =
+      system_params(11, 1, perception::DataPlaneMode::kPairwiseExact);
+  const std::size_t fleet = params.vehicles_per_region;
+  byzantine::AdversaryParams aparams;
+  aparams.attacker_fraction = 0.25;
+  aparams.strategy = byzantine::AttackStrategy::kInflateSharing;
+  aparams.seed = 13;
+  byzantine::PipelineOptions popts;
+  popts.aggregator.mode = byzantine::AggregationMode::kMedian;
+  popts.aggregator.reject_outliers = true;
+
+  byzantine::AdversaryModel adv_a(aparams);
+  byzantine::ReportPipeline pipe_a(3, 8, fleet, popts);
+  core::FdsController ctrl_a(game, fields);
+  system::CooperativePerceptionSystem straight(game, params, nullptr, &pipe_a,
+                                               &adv_a);
+  straight.init_from(game.uniform_state());
+  for (std::size_t t = 0; t < kWarmRounds; ++t) straight.run_round(ctrl_a);
+  Serializer snapshot;
+  straight.save_state(snapshot);
+  std::vector<system::RoundReport> tail;
+  for (std::size_t t = 0; t < kResumeRounds; ++t) {
+    tail.push_back(straight.run_round(ctrl_a));
+  }
+
+  {
+    byzantine::ReportPipeline pipe(3, 8, fleet, popts);
+    system::CooperativePerceptionSystem without(game, params, nullptr, &pipe);
+    Deserializer d(snapshot.bytes());
+    EXPECT_THROW(without.load_state(d), SerialError);
+  }
+  {
+    byzantine::AdaptiveAdversaryParams closed;
+    closed.attacker_fraction = 0.25;
+    closed.seed = 13;
+    byzantine::AdaptiveAdversary adaptive(3, fleet, closed);
+    byzantine::ReportPipeline pipe(3, 8, fleet, popts);
+    system::CooperativePerceptionSystem other(game, params, nullptr, &pipe,
+                                              &adaptive);
+    Deserializer d(snapshot.bytes());
+    EXPECT_THROW(other.load_state(d), SerialError);
+  }
+
+  byzantine::AdversaryModel adv_b(aparams);
+  byzantine::ReportPipeline pipe_b(3, 8, fleet, popts);
+  core::FdsController ctrl_b(game, fields);
+  system::CooperativePerceptionSystem resumed(game, params, nullptr, &pipe_b,
+                                              &adv_b);
+  Deserializer d(snapshot.bytes());
+  resumed.load_state(d);
+  EXPECT_TRUE(d.exhausted());
+  for (std::size_t t = 0; t < kResumeRounds; ++t) {
+    const system::RoundReport b = resumed.run_round(ctrl_b);
+    EXPECT_EQ(tail[t].x, b.x) << "round " << t;
+    EXPECT_EQ(tail[t].state.p, b.state.p) << "round " << t;
+    EXPECT_EQ(tail[t].byzantine.observed.p, b.byzantine.observed.p);
+    EXPECT_EQ(tail[t].byzantine.total_quarantined,
+              b.byzantine.total_quarantined);
+  }
+  expect_equal(observe(straight), observe(resumed));
+}
+
 TEST(SystemResume, DegradedControllerStateRidesAlong) {
   // The stateful cloud wrapper (held reports, ages, counters) must restore
   // with the plant: a resumed pair emits the same ratios as the straight

@@ -73,15 +73,16 @@ void expect_reports_identical(const RoundReport& a, const RoundReport& b,
 /// Runs a fresh system trajectory at the given thread count.
 std::vector<RoundReport> run_system(SystemParams params, std::size_t threads,
                                     const faults::FaultModel* faults,
-                                    const byzantine::AdversaryModel* adversary,
+                                    byzantine::AdversaryModel* adversary,
                                     bool with_pipeline) {
   const auto game = make_chain_game(4);
   params.num_threads = threads;
   byzantine::PipelineOptions popts;
   popts.aggregator.mode = byzantine::AggregationMode::kMedian;
   byzantine::ReportPipeline pipeline(4, 8, params.vehicles_per_region, popts);
-  CooperativePerceptionSystem sys(game, params, faults, adversary,
-                                  with_pipeline ? &pipeline : nullptr);
+  CooperativePerceptionSystem sys(game, params, faults,
+                                  with_pipeline ? &pipeline : nullptr,
+                                  adversary);
   sys.init_from(game.uniform_state());
   core::FdsController controller(game, share_band_fields(4, 0.6, 1.0));
   std::vector<RoundReport> reports;
@@ -136,7 +137,7 @@ TEST(Determinism, PipelinedByzantineTrajectoryIsThreadCountInvariant) {
   aparams.attacker_fraction = 0.2;
   aparams.strategy = byzantine::AttackStrategy::kInflateSharing;
   aparams.seed = 13;
-  const byzantine::AdversaryModel adversary(aparams);
+  byzantine::AdversaryModel adversary(aparams);
   const auto baseline = run_system(params, 1, nullptr, &adversary, true);
   for (const std::size_t threads : kThreadCounts) {
     const auto run = run_system(params, threads, nullptr, &adversary, true);

@@ -61,7 +61,7 @@ TEST(SystemByzantine, InertAdversaryAndPassthroughPipelineAreBitIdentical) {
   CooperativePerceptionSystem clean(game, params);
   clean.init_from(game.uniform_state());
 
-  const byzantine::AdversaryModel inert{byzantine::AdversaryParams{}};
+  byzantine::AdversaryModel inert{byzantine::AdversaryParams{}};
   ASSERT_FALSE(inert.active());
   byzantine::PipelineOptions popts;  // mean mode, no rejection
   popts.enforce_quarantine = false;
@@ -69,7 +69,7 @@ TEST(SystemByzantine, InertAdversaryAndPassthroughPipelineAreBitIdentical) {
   popts.behavior_weight = 0.0;
   ASSERT_TRUE(popts.aggregator.passthrough());
   byzantine::ReportPipeline pipeline(3, 8, params.vehicles_per_region, popts);
-  CooperativePerceptionSystem routed(game, params, nullptr, &inert, &pipeline);
+  CooperativePerceptionSystem routed(game, params, nullptr, &pipeline, &inert);
   routed.init_from(game.uniform_state());
 
   const auto fields = share_band_fields(3, 0.7, 1.0);
@@ -106,12 +106,12 @@ TEST(SystemByzantine, ZeroAttackersThroughRobustPipelineStayBitIdentical) {
   clean.init_from(game.uniform_state());
 
   byzantine::AdversaryParams aparams;  // attacker_fraction = 0
-  const byzantine::AdversaryModel none(aparams);
+  byzantine::AdversaryModel none(aparams);
   byzantine::PipelineOptions popts;
   popts.aggregator.mode = byzantine::AggregationMode::kMedian;
   popts.aggregator.reject_outliers = true;
   byzantine::ReportPipeline pipeline(3, 8, params.vehicles_per_region, popts);
-  CooperativePerceptionSystem guarded(game, params, nullptr, &none, &pipeline);
+  CooperativePerceptionSystem guarded(game, params, nullptr, &pipeline, &none);
   guarded.init_from(game.uniform_state());
 
   const auto fields = share_band_fields(3, 0.7, 1.0);
@@ -137,9 +137,10 @@ TEST(SystemByzantine, TrustingCloudSeesTheInflatedClaims) {
   aparams.attacker_fraction = 0.3;
   aparams.strategy = byzantine::AttackStrategy::kInflateSharing;
   aparams.seed = 13;
-  const byzantine::AdversaryModel adversary(aparams);
+  byzantine::AdversaryModel adversary(aparams);
 
-  CooperativePerceptionSystem sys(game, small_params(), nullptr, &adversary);
+  CooperativePerceptionSystem sys(game, small_params(), nullptr, nullptr,
+                                  &adversary);
   sys.init_from(game.uniform_state());
   core::FixedRatioController controller(0.5);
   const auto report = sys.run_round(controller);
@@ -174,18 +175,17 @@ TEST(SystemByzantine, RobustPipelineQuarantinesFreeRidersAndHoldsSteering) {
   popts.aggregator.reject_outliers = true;
   byzantine::ReportPipeline clean_pipe(3, 8, params.vehicles_per_region,
                                        popts);
-  CooperativePerceptionSystem clean(game, params, nullptr, nullptr,
-                                    &clean_pipe);
+  CooperativePerceptionSystem clean(game, params, nullptr, &clean_pipe);
   clean.init_from(game.uniform_state());
 
   byzantine::AdversaryParams aparams;
   aparams.attacker_fraction = 0.2;
   aparams.strategy = byzantine::AttackStrategy::kInflateSharing;
   aparams.seed = 13;
-  const byzantine::AdversaryModel adversary(aparams);
+  byzantine::AdversaryModel adversary(aparams);
   byzantine::ReportPipeline pipeline(3, 8, params.vehicles_per_region, popts);
-  CooperativePerceptionSystem attacked(game, params, nullptr, &adversary,
-                                       &pipeline);
+  CooperativePerceptionSystem attacked(game, params, nullptr, &pipeline,
+                                       &adversary);
   attacked.init_from(game.uniform_state());
 
   core::FdsOptions fopts;
@@ -243,12 +243,12 @@ TEST(SystemByzantine, DensityPoisonersAreRejectedAndQuarantined) {
   aparams.attacker_fraction = 0.2;
   aparams.strategy = byzantine::AttackStrategy::kDensityPoison;
   aparams.seed = 29;
-  const byzantine::AdversaryModel adversary(aparams);
+  byzantine::AdversaryModel adversary(aparams);
   byzantine::PipelineOptions popts;
   popts.aggregator.mode = byzantine::AggregationMode::kMedian;
   popts.aggregator.reject_outliers = true;
   byzantine::ReportPipeline pipeline(3, 8, params.vehicles_per_region, popts);
-  CooperativePerceptionSystem sys(game, params, nullptr, &adversary, &pipeline);
+  CooperativePerceptionSystem sys(game, params, nullptr, &pipeline, &adversary);
   sys.init_from(game.uniform_state());
 
   core::FixedRatioController controller(0.5);
@@ -292,8 +292,7 @@ TEST(SystemByzantine, InertAdaptiveAdversaryKeepsTheRoundSeriesBitIdentical) {
 
   byzantine::ReportPipeline plain_pipe(3, 8, params.vehicles_per_region,
                                        popts);
-  CooperativePerceptionSystem plain(game, params, nullptr, nullptr,
-                                    &plain_pipe);
+  CooperativePerceptionSystem plain(game, params, nullptr, &plain_pipe);
   plain.init_from(game.uniform_state());
 
   byzantine::AdaptiveAdversary inert(3, params.vehicles_per_region,
