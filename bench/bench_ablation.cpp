@@ -3,9 +3,9 @@
 //   A2 — interior margin (our robustness addition to Algorithm 2),
 //   A3 — strict vs non-strict lattice access rule (Eq. (1) vs Eq. (4)),
 //   A4 — growth-factor floor (pure Eq. (5) vs bounded attrition),
-//   A5 — agent-based failure injection via the fault layer: defector
-//        vehicles that never revise (see bench_faults for the full
-//        loss-rate x outage sweep on the measured plant).
+//   A5 — free-riders on the zero-churn service: a frozen cohort that
+//        never revises (see bench_faults for the full loss-rate x outage
+//        sweep on the measured plant).
 #include <cstdio>
 #include <vector>
 
@@ -14,9 +14,9 @@
 #include "system/system.h"
 #include "core/equilibrium.h"
 #include "core/sensor_model.h"
-#include "faults/fault_model.h"
-#include "sim/agent_sim.h"
 #include "perception/scheduler.h"
+#include "roadnet/builders.h"
+#include "service/service_engine.h"
 #include "sim/time_varying.h"
 #include "trace/density.h"
 
@@ -137,9 +137,13 @@ int main() {
   }
 
   bench::print_header(
-      "A5: agent-based failure injection — defectors never revise");
-  std::printf("%-12s %16s\n", "defectors", "p(P8) after 250 rounds at x=0");
+      "A5: free-riders on the zero-churn service — frozen vehicles never "
+      "revise");
+  std::printf("%-12s %16s\n", "free-riders", "p(P8) after 250 epochs at x=0");
   bench::print_rule();
+  // One region on a 2x2 grid: with churn off and congestion_alpha 0 the
+  // clustering never moves, so each epoch is one paper round.
+  const roadnet::RoadGraph grid = roadnet::make_grid(2, 2);
   for (const double frac : {0.0, 0.25, 0.5, 0.75}) {
     core::GameConfig config;
     config.lattice = core::DecisionLattice(3);
@@ -149,22 +153,24 @@ int main() {
     config.step_size = 0.5;
     const core::MultiRegionGame single(std::move(config),
                                        {core::RegionSpec{}});
-    // Defectors come from the shared fault layer (one schedule for the
-    // agent sim and the system plant), not the deprecated params knob.
-    faults::FaultParams fault_params;
-    fault_params.defector_fraction = frac;
-    fault_params.seed = 7;
-    const faults::FaultModel fault_model(fault_params);
-    sim::AgentSimParams params;
+    // Free-riders (a hash-designated share `frac` of the fleet) hold their
+    // decision and never revise.
+    service::ServiceParams params;
     params.vehicles_per_region = 2000;
     params.imitation_scale = 0.5;
     params.seed = 7;
-    sim::AgentBasedSim agent_sim(single, params, &fault_model);
-    agent_sim.init_from(single.uniform_state());
-    const std::vector<double> x = {0.0};
-    for (int t = 0; t < 250; ++t) agent_sim.step(x);
+    params.attacker_fraction = frac;
+    core::FixedRatioController no_sharing(0.0);
+    service::ServiceEngine svc(single, no_sharing, &grid, params);
+    svc.init(single.uniform_state(), {0.0});
+    for (int t = 0; t < 250; ++t) svc.run_epoch();
+    std::size_t share_nothing = 0;
+    for (const service::VehicleRecord& rec : svc.fleet()) {
+      if (rec.decision == 7) ++share_nothing;
+    }
     std::printf("%-12.2f %16.3f\n", frac,
-                agent_sim.empirical_state().p[0][7]);
+                static_cast<double>(share_nothing) /
+                    static_cast<double>(svc.fleet().size()));
   }
   std::printf("(the honest population converges to the no-share optimum; "
               "frozen vehicles cap it)\n");

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -143,16 +144,16 @@ class Registration {
 };
 
 /// Function-local static: registry construction order is safe no matter
-/// which translation unit's registrars run first.
-inline std::vector<Registration*>& registry() {
-  static std::vector<Registration*> cases;
+/// which translation unit's registrars run first. The registry owns its
+/// cases; a deque never moves an element it has handed out, so the
+/// registrars' pointers stay valid while later cases register.
+inline std::deque<Registration>& registry() {
+  static std::deque<Registration> cases;
   return cases;
 }
 
 inline Registration* RegisterBench(const char* name, BenchFn fn) {
-  auto* reg = new Registration(name, fn);  // leaked by design: lives forever
-  registry().push_back(reg);
-  return reg;
+  return &registry().emplace_back(name, fn);
 }
 
 #define BENCHMARK(fn)                                \
@@ -205,13 +206,13 @@ inline int run_registered_benchmarks(const char* filter = nullptr) {
               "----------------------------------------------------------------"
               "------------------------");
   std::size_t matched = 0;
-  for (const Registration* reg : registry()) {
+  for (const Registration& reg : registry()) {
     static const std::vector<std::int64_t> kNoArgs;
-    const auto& sets = reg->arg_sets();
+    const auto& sets = reg.arg_sets();
     const std::size_t num_sets = sets.empty() ? 1 : sets.size();
     for (std::size_t si = 0; si < num_sets; ++si) {
       const auto& args = sets.empty() ? kNoArgs : sets[si];
-      const std::string display = detail::case_display_name(*reg, args);
+      const std::string display = detail::case_display_name(reg, args);
       if (filter != nullptr && filter[0] != '\0' &&
           display.find(filter) == std::string::npos) {
         continue;
@@ -220,21 +221,21 @@ inline int run_registered_benchmarks(const char* filter = nullptr) {
       // Calibrate: grow the iteration count geometrically until one
       // repetition clears the case's time floor.
       std::size_t iters = 1;
-      double t = detail::run_repetition(*reg, args, iters);
-      while (t < reg->min_time() && iters < (std::size_t{1} << 30)) {
+      double t = detail::run_repetition(reg, args, iters);
+      while (t < reg.min_time() && iters < (std::size_t{1} << 30)) {
         const double scale =
-            t > 0.0 ? std::min(10.0, 1.2 * reg->min_time() / t) : 10.0;
+            t > 0.0 ? std::min(10.0, 1.2 * reg.min_time() / t) : 10.0;
         iters = std::max(iters + 1,
                          static_cast<std::size_t>(
                              static_cast<double>(iters) * scale));
-        t = detail::run_repetition(*reg, args, iters);
+        t = detail::run_repetition(reg, args, iters);
       }
       // Timed repetitions: report the best.
       State best_state(0, {});
       double best = 0.0;
-      for (int trial = 0; trial < reg->trials(); ++trial) {
+      for (int trial = 0; trial < reg.trials(); ++trial) {
         State last(0, {});
-        const double cur = detail::run_repetition(*reg, args, iters, &last);
+        const double cur = detail::run_repetition(reg, args, iters, &last);
         if (trial == 0 || cur < best) {
           best = cur;
           best_state = std::move(last);

@@ -70,9 +70,9 @@ class CheckpointError : public SerialError {
 inline constexpr std::uint32_t kSchemaVersion = 4;
 
 /// Well-known section ids. A file may carry any subset; readers ask for
-/// the ones their wiring expects and reject on absence.
+/// the ones their wiring expects and reject on absence. 0x02 is retired:
+/// ids are never reused, so a retired section cannot be misread.
 inline constexpr std::uint32_t kSectionSystem = 0x01;      // system plant
-inline constexpr std::uint32_t kSectionAgentSim = 0x02;    // agent simulator
 inline constexpr std::uint32_t kSectionTraceReplay = 0x03; // trace replay
 inline constexpr std::uint32_t kSectionController = 0x04;  // cloud controller
 inline constexpr std::uint32_t kSectionMeanField = 0x05;   // mean-field state

@@ -1,12 +1,11 @@
 // Pairwise proportional imitation: the one decision-revision rule of every
-// per-vehicle round engine (System, ShardedFleetEngine, ServiceEngine,
-// AgentBasedSim).
+// per-vehicle round engine (System, ShardedFleetEngine, ServiceEngine).
 //
 // A revising vehicle samples a distinct peer of its own population and
 // adopts the peer's displayed decision with probability proportional to the
 // positive fitness difference. Its large-population limit is the replicator
-// dynamics of Eq. (5), which is why the mean-field runner and the agent
-// engines agree at scale. TraceDrivenSim keeps its own loop: its peer
+// dynamics of Eq. (5), which is why the mean-field runner and the zero-churn
+// service agree at scale. TraceDrivenSim keeps its own loop: its peer
 // sampler draws with replacement over a changing roster, a different draw
 // contract.
 //

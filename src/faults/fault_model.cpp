@@ -17,7 +17,6 @@ enum Stream : std::uint64_t {
   kDelivery = 0x64656c6976657279ULL,
   kReport = 0x7265706f72746673ULL,
   kOutage = 0x6f75746167656673ULL,
-  kDefector = 0x6465666563746f72ULL,
 };
 
 /// Absorbs one value into the running hash (splitmix64 finalizer over a
@@ -33,7 +32,7 @@ inline bool valid_rate(double r) noexcept { return r >= 0.0 && r <= 1.0; }
 
 bool FaultParams::any() const noexcept {
   if (upload_loss_rate > 0.0 || delivery_loss_rate > 0.0 ||
-      report_loss_rate > 0.0 || outage_rate > 0.0 || defector_fraction > 0.0) {
+      report_loss_rate > 0.0 || outage_rate > 0.0) {
     return true;
   }
   for (const OutageWindow& w : outages) {
@@ -69,7 +68,6 @@ void FaultParams::validate() const {
   AVCP_EXPECT(valid_rate(delivery_loss_rate));
   AVCP_EXPECT(valid_rate(report_loss_rate));
   AVCP_EXPECT(valid_rate(outage_rate));
-  AVCP_EXPECT(valid_rate(defector_fraction));
   for (const OutageWindow& w : outages) {
     // The window end first_round + duration must be representable: an
     // overflowing end silently truncates the schedule at SIZE_MAX and is
@@ -131,13 +129,6 @@ bool FaultModel::region_down(std::size_t round,
   }
   if (params_.outage_rate <= 0.0) return false;
   return hash_uniform(kOutage, round, region, 0, 0) < params_.outage_rate;
-}
-
-bool FaultModel::vehicle_defects(core::RegionId region,
-                                 std::size_t vehicle) const noexcept {
-  if (params_.defector_fraction <= 0.0) return false;
-  return hash_uniform(kDefector, region, vehicle, 0, 0) <
-         params_.defector_fraction;
 }
 
 }  // namespace avcp::faults

@@ -7,9 +7,10 @@
 // fails *when*: per-round upload loss (a vehicle's decision-filtered upload
 // never reaches its edge server), delivery loss (an accepted distribution
 // is lost in flight to the receiver), report loss (a region's S1 decision
-// report never reaches the cloud), edge-server outages (a region skips its
-// exchange round entirely, scheduled or random), and defector vehicles
-// that never revise their decision.
+// report never reaches the cloud), and edge-server outages (a region skips
+// its exchange round entirely, scheduled or random). Vehicles that hold
+// their decision on purpose are the adversary layer's business
+// (byzantine::Adversary, ServiceParams::attacker_fraction), not a fault.
 //
 // Every predicate is a *pure hash* of (seed, stream, indices) — no mutable
 // RNG state — so a schedule is reproducible from a single seed regardless
@@ -62,10 +63,6 @@ struct FaultParams {
   /// Probability a region's edge servers are down for a whole round
   /// (random outages, on top of any scheduled windows).
   double outage_rate = 0.0;
-  /// Fraction of vehicles that never revise their decision (stuck or
-  /// silent agents). Strategic misbehaviour — vehicles that *lie* rather
-  /// than stall — lives in byzantine::AdversaryModel.
-  double defector_fraction = 0.0;
   /// Deterministic outage windows, e.g. "all edge servers down for rounds
   /// 30..39".
   std::vector<OutageWindow> outages;
@@ -127,9 +124,6 @@ class FaultModel {
   bool report_available(std::size_t round, core::RegionId region) const noexcept {
     return !region_down(round, region) && !report_lost(round, region);
   }
-
-  /// The vehicle never revises its decision (round-independent).
-  bool vehicle_defects(core::RegionId region, std::size_t vehicle) const noexcept;
 
  private:
   double hash_uniform(std::uint64_t stream, std::uint64_t a, std::uint64_t b,

@@ -13,10 +13,10 @@ namespace avcp::service {
 
 namespace {
 
-// Stream tags. kInitStream / kStepStream are AgentBasedSim's tags on
-// purpose: a zero-churn fleet service must consume the exact same draws in
-// the exact same order as the batch simulator, so the two trajectories are
-// bit-identical. Service-only consumers get their own tags.
+// Stream tags. kInitStream / kStepStream seed the fleet and drive
+// revision; their values are part of the pinned zero-churn trajectory
+// (ServiceEngine.ZeroChurnTrajectoryIsPinned). The other consumers get
+// their own tags.
 constexpr std::uint64_t kInitStream = 0xA1;
 constexpr std::uint64_t kStepStream = 0xA2;
 constexpr std::uint64_t kJoinDecisionStream = 0xB1;
@@ -180,7 +180,7 @@ void ServiceEngine::init(const core::GameState& initial,
   reset(initial, std::move(x0));
 
   // Region-major fleet seeding over the clustering's current regions, one
-  // init stream per region — AgentBasedSim::init_from with epoch 0.
+  // init stream per region, keyed (kInitStream, 0, region).
   const cluster::Clustering& cl = clustering_->clustering();
   for (core::RegionId r = 0; r < game_.num_regions(); ++r) {
     Rng rng(derive_seed(params_.seed, {kInitStream, 0, r}));
@@ -379,7 +379,7 @@ void ServiceEngine::revise(std::size_t e) {
   }
   pool_.parallel_for_weighted(cost_, [&](std::size_t ri) {
     const auto r = static_cast<core::RegionId>(ri);
-    if (down_[ri] != 0) return;  // outage: the fleet holds, same as AgentSim
+    if (down_[ri] != 0) return;  // outage: the fleet holds
     const std::vector<std::size_t>& m = members_[ri];
     if (m.size() < 2) return;  // nobody to imitate
     game_.region_fitness_into(state_, x_, r, q_[ri]);
@@ -388,9 +388,8 @@ void ServiceEngine::revise(std::size_t e) {
     before.clear();
     for (const std::size_t i : m) before.push_back(fleet_[i].decision);
     Rng rng(derive_seed(params_.seed, {kStepStream, e, r}));
-    // Free-riders hold strategically — and consume no draws, exactly like
-    // AgentBasedSim's attacker/defector skip, so the honest fleet's stream
-    // position is independent of who attacks.
+    // Free-riders hold strategically and consume no draws: the region's
+    // stream is spent on honest revisions only.
     core::imitate(
         before, before, params_.revision_rate, params_.imitation_scale, rng,
         [&](std::size_t v) { return fleet_[m[v]].attacker; },

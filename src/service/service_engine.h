@@ -34,12 +34,14 @@
 // counter-based stream keyed by (seed, stream, epoch, region-or-id), and
 // per-region revision fans out over a ThreadPool with no cross-region
 // reduction — the trajectory is bit-identical at every thread count. With
-// churn off, congestion_alpha == 0, and no attackers, the service is
-// bit-identical to AgentBasedSim driven by the same wrapped controller
-// (the epoch loop IS the paper's round loop, one epoch per round, and both
-// revise through core::imitate); with churn on, save_state/load_state
-// extend the PR-5 checkpoint format (section kSectionService) so a killed
-// service resumes mid-stream bit-identically.
+// churn off and congestion_alpha == 0 the service is the repo's
+// finite-population engine: N vehicles per fixed region revising by
+// pairwise proportional imitation (core::imitate), whose large-N limit is
+// the replicator dynamics of Eq. (5), one epoch per paper round
+// (ServiceEngine.ZeroChurnTrajectoryIsPinned locks that trajectory).
+// save_state/load_state extend the checkpoint format (section
+// kSectionService) so a killed service resumes mid-stream
+// bit-identically.
 #pragma once
 
 #include <cstdint>
@@ -64,7 +66,8 @@ namespace avcp::service {
 struct ServiceParams {
   /// Initial fleet: this many vehicles seeded into every region (>= 2).
   std::size_t vehicles_per_region = 50;
-  /// Revision dynamics, matching AgentSimParams semantics exactly.
+  /// Revision dynamics: per-epoch revision probability and the imitation
+  /// probability's gain scale (core::imitate).
   double revision_rate = 1.0;
   double imitation_scale = 1.0;
   std::uint64_t seed = 99;
@@ -180,8 +183,8 @@ class ServiceEngine {
                 const faults::FaultModel* faults = nullptr);
 
   /// Cold start at epoch 0: seeds the fleet from `initial`'s per-region
-  /// distributions using AgentBasedSim's init streams, resets the
-  /// controller wrapper, loads, and counters.
+  /// distributions, one init stream per region, and resets the controller
+  /// wrapper, loads, and counters.
   void init(const core::GameState& initial, std::vector<double> x0);
 
   /// Streaming cold start: the fleet is ingested from a core::FleetSource

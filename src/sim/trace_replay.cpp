@@ -115,8 +115,15 @@ TraceDrivenSim::TraceDrivenSim(const core::MultiRegionGame& game,
 void TraceDrivenSim::init_from(const core::GameState& state) {
   AVCP_EXPECT(state.p.size() == game_.num_regions());
   for (const auto& row : state.p) core::check_distribution(row);
-  for (auto& decision : decisions_) {
-    decision = static_cast<core::DecisionId>(rng_.weighted_index(state.p[0]));
+  // Each vehicle's region in its first present round: walking the rounds
+  // backwards lets the earliest one win. Never-present vehicles keep 0.
+  std::vector<core::RegionId> first_region(decisions_.size(), 0);
+  for (auto round = presence_.rbegin(); round != presence_.rend(); ++round) {
+    for (const auto& [vehicle, region] : *round) first_region[vehicle] = region;
+  }
+  for (std::size_t v = 0; v < decisions_.size(); ++v) {
+    decisions_[v] = static_cast<core::DecisionId>(
+        rng_.weighted_index(state.p[first_region[v]]));
   }
   state_ = game_.uniform_state();
   if (!presence_.empty()) refresh_state(presence_.front());

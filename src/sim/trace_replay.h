@@ -1,12 +1,13 @@
 // Trace-driven vehicle-level simulation.
 //
 // The mean-field runner (runner.h) evolves region distributions directly;
-// the agent simulator (agent_sim.h) tracks individuals but pins them to one
-// region. This simulator closes the remaining gap to the paper's
-// trace-driven evaluation: each *trace vehicle* carries a data-sharing
-// decision through its actual GPS trajectory, so vehicles migrate between
-// regions as they drive (the effect that motivates the paper's region-level
-// analysis in the first place). Each policy round (the paper's 10 minutes):
+// the zero-churn service (service/service_engine.h) tracks individuals but
+// pins them to one region. This simulator closes the remaining gap to the
+// paper's trace-driven evaluation: each *trace vehicle* carries a
+// data-sharing decision through its actual GPS trajectory, so vehicles
+// migrate between regions as they drive (the effect that motivates the
+// paper's region-level analysis in the first place). Each policy round (the
+// paper's 10 minutes):
 //
 //   1. every vehicle is located in the region where it spent most of the
 //      round (vehicles without fixes are dormant and keep their decision);
@@ -102,9 +103,9 @@ class TraceDrivenSim {
   /// Number of policy rounds covered by the trace.
   std::size_t num_rounds() const noexcept { return presence_.size(); }
 
-  /// Draws every vehicle's initial decision i.i.d. from `state`'s
-  /// distribution of its *first* region of presence (uniform region 0 state
-  /// works too — rows may be identical).
+  /// Draws every vehicle's initial decision from `state`'s row for the
+  /// region of its first present round (row 0 for a vehicle the trace never
+  /// shows), one draw per vehicle in vehicle order.
   void init_from(const core::GameState& state);
 
   /// Runs one round at sharing ratios x. Rounds past the trace end reuse

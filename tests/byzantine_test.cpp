@@ -238,7 +238,6 @@ TEST(ScheduleProperty, FaultModelIsQueryOrderIndependent) {
   params.delivery_loss_rate = 0.05;
   params.report_loss_rate = 0.2;
   params.outage_rate = 0.05;
-  params.defector_fraction = 0.15;
   params.seed = 31;
 
   struct Query {
@@ -266,7 +265,6 @@ TEST(ScheduleProperty, FaultModelIsQueryOrderIndependent) {
     if (model.delivery_lost(q.round, q.region, q.exchange, q.a, q.b)) bits |= 2;
     if (model.report_lost(q.round, q.region)) bits |= 4;
     if (model.region_down(q.round, q.region)) bits |= 8;
-    if (model.vehicle_defects(q.region, q.a)) bits |= 16;
     return bits;
   };
 

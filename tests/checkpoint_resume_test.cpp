@@ -12,7 +12,6 @@
 #include "core/fds.h"
 #include "faults/degraded_controller.h"
 #include "faults/fault_model.h"
-#include "sim/agent_sim.h"
 #include "sim/trace_replay.h"
 #include "system/system.h"
 #include "test_support.h"
@@ -354,81 +353,6 @@ TEST(SystemResume, MismatchedConfigurationRejected) {
     Deserializer d(torn);
     EXPECT_THROW(target.load_state(d), SerialError);
   }
-}
-
-// ---------------------------------------------------------------------------
-// AgentBasedSim
-// ---------------------------------------------------------------------------
-
-sim::AgentSimParams agent_params(std::uint64_t seed, std::size_t threads,
-                                 bool measured,
-                                 perception::DataPlaneMode mode) {
-  sim::AgentSimParams params;
-  params.vehicles_per_region = 60;
-  params.seed = seed;
-  params.num_threads = threads;
-  params.measured_fitness = measured;
-  params.exchange.mode = mode;
-  params.exchange.fleet_size = 24;
-  return params;
-}
-
-TEST(AgentSimResume, BitIdenticalAcrossSeedsThreadsAndKernels) {
-  const auto game = make_chain_game(3);
-  const std::vector<double> x(game.num_regions(), 0.5);
-
-  struct Config {
-    bool measured;
-    perception::DataPlaneMode mode;
-  };
-  const Config configs[] = {
-      {false, perception::DataPlaneMode::kPairwiseExact},
-      {true, perception::DataPlaneMode::kPairwiseExact},
-      {true, perception::DataPlaneMode::kClassAggregated},
-  };
-  for (const std::uint64_t seed : {7ull, 301ull}) {
-    for (const std::size_t threads : {1ul, 2ul, 8ul}) {
-      for (const Config& config : configs) {
-        SCOPED_TRACE(::testing::Message()
-                     << "seed=" << seed << " threads=" << threads
-                     << " measured=" << config.measured << " mode="
-                     << static_cast<int>(config.mode));
-        const auto params =
-            agent_params(seed, threads, config.measured, config.mode);
-
-        sim::AgentBasedSim straight(game, params);
-        straight.init_from(game.uniform_state());
-        for (std::size_t t = 0; t < kWarmRounds; ++t) straight.step(x);
-        Serializer snapshot;
-        straight.save_state(snapshot);
-        for (std::size_t t = 0; t < kResumeRounds; ++t) straight.step(x);
-
-        sim::AgentBasedSim resumed(game, params);
-        Deserializer d(snapshot.bytes());
-        resumed.load_state(d);
-        EXPECT_TRUE(d.exhausted());
-        for (std::size_t t = 0; t < kResumeRounds; ++t) resumed.step(x);
-
-        EXPECT_EQ(straight.empirical_state().p, resumed.empirical_state().p);
-      }
-    }
-  }
-}
-
-TEST(AgentSimResume, MismatchedConfigurationRejected) {
-  const auto game = make_chain_game(3);
-  const auto params = agent_params(7, 1, false,
-                                   perception::DataPlaneMode::kPairwiseExact);
-  sim::AgentBasedSim source(game, params);
-  source.init_from(game.uniform_state());
-  Serializer snapshot;
-  source.save_state(snapshot);
-
-  auto other = params;
-  other.seed = 8;
-  sim::AgentBasedSim target(game, other);
-  Deserializer d(snapshot.bytes());
-  EXPECT_THROW(target.load_state(d), SerialError);
 }
 
 // ---------------------------------------------------------------------------

@@ -18,10 +18,10 @@
 #include "core/fds.h"
 #include "core/fleet_stream.h"
 #include "faults/fault_model.h"
-#include "sim/agent_sim.h"
 #include "system/fleet_engine.h"
 #include "system/system.h"
 #include "test_support.h"
+#include "zero_churn_fleet.h"
 
 namespace avcp::system {
 namespace {
@@ -165,52 +165,21 @@ TEST(Determinism, AggregatedSystemTrajectoryIsThreadCountInvariant) {
   }
 }
 
-TEST(Determinism, MeasuredFitnessAgentSimIsThreadCountInvariant) {
-  // Measured-fitness revision spins a real data plane per region; each
-  // (round, region) synthesis uses its own hash-derived stream and each
-  // region owns its evaluator, so thread count must stay a pure knob.
-  const auto game = make_chain_game(4);
-  const std::vector<double> x(4, 0.6);
-  auto run = [&](std::size_t threads) {
-    sim::AgentSimParams params;
-    params.vehicles_per_region = 60;
-    params.seed = 81;
-    params.num_threads = threads;
-    params.measured_fitness = true;
-    params.exchange.mode = perception::DataPlaneMode::kClassAggregated;
-    sim::AgentBasedSim sim(game, params);
-    sim.init_from(game.uniform_state());
-    std::vector<core::GameState> states;
-    for (std::size_t r = 0; r < 10; ++r) {
-      sim.step(x);
-      states.push_back(sim.empirical_state());
-    }
-    return states;
-  };
-  const auto baseline = run(1);
-  for (const std::size_t threads : kThreadCounts) {
-    const auto states = run(threads);
-    for (std::size_t r = 0; r < baseline.size(); ++r) {
-      ASSERT_EQ(states[r].p, baseline[r].p)
-          << "threads " << threads << " round " << r;
-    }
-  }
-}
-
-TEST(Determinism, AgentSimTrajectoryIsThreadCountInvariant) {
+// The zero-churn service at the engine-level lane counts (the service's
+// own invariance test covers 1, 2 and 8 lanes under full chaos).
+TEST(Determinism, ZeroChurnFleetTrajectoryIsThreadCountInvariant) {
   const auto game = make_chain_game(5);
-  const std::vector<double> x(5, 0.6);
   auto run = [&](std::size_t threads) {
-    sim::AgentSimParams params;
+    service::ServiceParams params;
     params.vehicles_per_region = 120;
     params.seed = 77;
     params.num_threads = threads;
-    sim::AgentBasedSim sim(game, params);
-    sim.init_from(game.uniform_state());
-    std::vector<core::GameState> states;
+    service::testing::ZeroChurnFleet fleet(game, params, 0.6,
+                                           game.uniform_state());
+    std::vector<std::vector<std::vector<double>>> states;
     for (std::size_t r = 0; r < 20; ++r) {
-      sim.step(x);
-      states.push_back(sim.empirical_state());
+      fleet.svc.run_epoch();
+      states.push_back(service::testing::empirical_from_fleet(game, fleet.svc));
     }
     return states;
   };
@@ -219,7 +188,7 @@ TEST(Determinism, AgentSimTrajectoryIsThreadCountInvariant) {
     const auto states = run(threads);
     ASSERT_EQ(states.size(), baseline.size());
     for (std::size_t r = 0; r < baseline.size(); ++r) {
-      ASSERT_EQ(states[r].p, baseline[r].p)
+      ASSERT_EQ(states[r], baseline[r])
           << "threads " << threads << " round " << r;
     }
   }

@@ -1,5 +1,5 @@
 // Fault-injection layer: schedule determinism, degraded data path, and the
-// zero-fault bit-identity contract of the plant and agent simulator.
+// zero-fault bit-identity contract of the plant and the zero-churn service.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,10 +11,10 @@
 #include "faults/fault_model.h"
 #include "perception/data_plane.h"
 #include "perception/scheduler.h"
-#include "sim/agent_sim.h"
 #include "sim/metrics.h"
 #include "system/system.h"
 #include "test_support.h"
+#include "zero_churn_fleet.h"
 
 namespace avcp {
 namespace {
@@ -31,7 +31,6 @@ faults::FaultParams lossy_params(std::uint64_t seed) {
   fp.delivery_loss_rate = 0.25;
   fp.report_loss_rate = 0.2;
   fp.outage_rate = 0.1;
-  fp.defector_fraction = 0.15;
   fp.seed = seed;
   return fp;
 }
@@ -48,11 +47,6 @@ TEST(FaultModelTest, SameSeedSameSchedule) {
         EXPECT_EQ(a.delivery_lost(round, i, 0, v, (v + 1) % 10),
                   b.delivery_lost(round, i, 0, v, (v + 1) % 10));
       }
-    }
-  }
-  for (core::RegionId i = 0; i < 3; ++i) {
-    for (std::size_t v = 0; v < 50; ++v) {
-      EXPECT_EQ(a.vehicle_defects(i, v), b.vehicle_defects(i, v));
     }
   }
 }
@@ -99,7 +93,6 @@ TEST(FaultModelTest, RateExtremes) {
   all.delivery_loss_rate = 1.0;
   all.report_loss_rate = 1.0;
   all.outage_rate = 1.0;
-  all.defector_fraction = 1.0;
   all.seed = 9;
   const faults::FaultModel every(all);
   EXPECT_TRUE(every.active());
@@ -118,8 +111,6 @@ TEST(FaultModelTest, RateExtremes) {
       EXPECT_FALSE(every.report_available(round, i));
     }
   }
-  EXPECT_FALSE(none.vehicle_defects(0, 3));
-  EXPECT_TRUE(every.vehicle_defects(0, 3));
 }
 
 TEST(FaultModelTest, ScheduledWindowBoundaries) {
@@ -201,7 +192,7 @@ TEST(FaultModelTest, InvalidParamsRejectedOnConstruction) {
   }
   {
     faults::FaultParams fp;
-    fp.defector_fraction = std::nan("");
+    fp.outage_rate = std::nan("");
     EXPECT_THROW(faults::FaultModel{fp}, ContractViolation);
   }
   {
@@ -496,53 +487,33 @@ TEST(SchedulerFaultTest, LostUploadsShrinkPool) {
 }
 
 // ---------------------------------------------------------------------------
-// Agent-based simulator
+// Zero-churn service
 // ---------------------------------------------------------------------------
 
-TEST(AgentSimFaultTest, InactiveModelIsBitIdentical) {
+TEST(ZeroChurnFleetFaultTest, InactiveModelIsBitIdentical) {
   const auto game = make_chain_game(2);
-  sim::AgentSimParams params;
+  service::ServiceParams params;
   params.vehicles_per_region = 100;
   params.seed = 55;
 
   faults::FaultParams fp;  // inert
   const faults::FaultModel inert(fp);
 
-  sim::AgentBasedSim plain(game, params);
-  sim::AgentBasedSim with_model(game, params, &inert);
-  plain.init_from(game.uniform_state());
-  with_model.init_from(game.uniform_state());
-  const std::vector<double> x(game.num_regions(), 0.9);
+  service::testing::ZeroChurnFleet plain(game, params, 0.9,
+                                         game.uniform_state());
+  service::testing::ZeroChurnFleet with_model(game, params, 0.9,
+                                              game.uniform_state(), &inert);
   for (std::size_t t = 0; t < 10; ++t) {
-    plain.step(x);
-    with_model.step(x);
-    ASSERT_EQ(plain.empirical_state().p, with_model.empirical_state().p)
-        << "diverged at round " << t;
+    plain.svc.run_epoch();
+    with_model.svc.run_epoch();
+    ASSERT_EQ(plain.svc.fleet(), with_model.svc.fleet())
+        << "diverged at epoch " << t;
   }
 }
 
-TEST(AgentSimFaultTest, AllDefectorsFreezeTheState) {
-  const auto game = make_chain_game(2);
-  sim::AgentSimParams params;
-  params.vehicles_per_region = 100;
-  params.seed = 12;
-
-  faults::FaultParams fp;
-  fp.defector_fraction = 1.0;
-  fp.seed = 3;
-  const faults::FaultModel model(fp);
-
-  sim::AgentBasedSim simulator(game, params, &model);
-  simulator.init_from(game.uniform_state());
-  const auto before = simulator.empirical_state();
-  const std::vector<double> x(game.num_regions(), 1.0);
-  for (std::size_t t = 0; t < 5; ++t) simulator.step(x);
-  EXPECT_EQ(before.p, simulator.empirical_state().p);
-}
-
-TEST(AgentSimFaultTest, RegionOutageHoldsThatRegionOnly) {
+TEST(ZeroChurnFleetFaultTest, RegionOutageHoldsThatRegionOnly) {
   const auto game = make_chain_game(2, /*beta_lo=*/2.0, /*beta_hi=*/2.0);
-  sim::AgentSimParams params;
+  service::ServiceParams params;
   params.vehicles_per_region = 200;
   params.seed = 8;
 
@@ -551,14 +522,13 @@ TEST(AgentSimFaultTest, RegionOutageHoldsThatRegionOnly) {
       faults::OutageWindow{/*region=*/0, /*first_round=*/0, /*duration=*/4});
   const faults::FaultModel model(fp);
 
-  sim::AgentBasedSim simulator(game, params, &model);
-  simulator.init_from(game.uniform_state());
-  const auto before = simulator.empirical_state();
-  const std::vector<double> x(game.num_regions(), 1.0);
-  for (std::size_t t = 0; t < 4; ++t) simulator.step(x);
-  const auto after = simulator.empirical_state();
-  EXPECT_EQ(before.p[0], after.p[0]);  // down region held its decisions
-  EXPECT_NE(before.p[1], after.p[1]);  // live region kept revising
+  service::testing::ZeroChurnFleet fleet(game, params, 1.0,
+                                         game.uniform_state(), &model);
+  const auto before = service::testing::empirical_from_fleet(game, fleet.svc);
+  for (std::size_t t = 0; t < 4; ++t) fleet.svc.run_epoch();
+  const auto after = service::testing::empirical_from_fleet(game, fleet.svc);
+  EXPECT_EQ(before[0], after[0]);  // down region held its decisions
+  EXPECT_NE(before[1], after[1]);  // live region kept revising
 }
 
 // ---------------------------------------------------------------------------

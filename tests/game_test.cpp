@@ -8,6 +8,7 @@
 
 #include "common/contracts.h"
 #include "common/rng.h"
+#include "core/imitation.h"
 #include "test_support.h"
 
 namespace avcp::core {
@@ -322,6 +323,28 @@ TEST_P(ReplicatorSweep, GrowthMatchesFitnessSign) {
 
 INSTANTIATE_TEST_SUITE_P(RandomStates, ReplicatorSweep,
                          ::testing::Range<std::uint64_t>(1, 26));
+
+// The revision draw contract every per-vehicle engine shares
+// (core/imitation.h), pinned to fixed values: a reordered draw changes
+// every engine's trajectory alike, so the engine-versus-engine equivalence
+// tests cannot catch it. Vehicle 2 is held (draws nothing), and vehicle 4
+// displays claim 0 while holding decision 3, so imitators copy the claim.
+TEST(Imitate, DrawContractIsPinned) {
+  std::vector<DecisionId> decisions = {0, 1, 2, 1, 3, 0, 2, 1};
+  const std::vector<DecisionId> before = decisions;
+  std::vector<DecisionId> shown = decisions;
+  shown[4] = 0;
+  const std::vector<double> fitness = {0.1, 0.9, 0.5, 0.3,
+                                       1.4, 0.0, 0.65, 0.2};
+  Rng rng(26);
+  imitate(
+      before, shown, /*revision_rate=*/0.9, /*imitation_scale=*/1.0, rng,
+      [](std::size_t v) { return v == 2; },
+      [&](std::size_t v) { return fitness[v]; },
+      [&](std::size_t v, DecisionId d) { decisions[v] = d; });
+  EXPECT_EQ(decisions, (std::vector<DecisionId>{2, 1, 2, 0, 3, 0, 2, 0}));
+  EXPECT_EQ(rng(), 17508733304866525234ULL);
+}
 
 }  // namespace
 }  // namespace avcp::core

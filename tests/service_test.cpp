@@ -1,13 +1,16 @@
-// The service layer's contracts: zero-churn bit-identity with the batch
-// engines (the epoch loop IS the round loop), thread-count invariance under
-// full chaos (churn + faults + attackers + load-coupled re-clustering),
-// graceful degradation under region outages, reputation state that follows
-// vehicles across regions, and mid-stream checkpoint/resume equivalence —
-// including the SIGTERM drain-and-flush path through run_with_recovery.
+// The service layer's contracts: the zero-churn fleet as the repo's
+// finite-population engine (the epoch loop IS the round loop; its
+// trajectory is pinned and tracks Eq. (5) at large N), thread-count
+// invariance under full chaos (churn + faults + attackers + load-coupled
+// re-clustering), graceful degradation under region outages, reputation
+// state that follows vehicles across regions, and mid-stream
+// checkpoint/resume equivalence — including the SIGTERM drain-and-flush
+// path through run_with_recovery.
 #include "service/service_engine.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <csignal>
 #include <cstdint>
 #include <deque>
@@ -25,18 +28,23 @@
 #include "faults/fault_model.h"
 #include "roadnet/builders.h"
 #include "service/shutdown.h"
-#include "sim/agent_sim.h"
 #include "test_support.h"
+#include "zero_churn_fleet.h"
 
 namespace avcp {
 namespace {
 
 namespace fs = std::filesystem;
+using core::testing::fnv1a_word;
+using core::testing::kFnv1aBasis;
 using core::testing::make_chain_game;
+using core::testing::make_single_region_game;
 using core::testing::random_simplex;
 using service::ServiceEngine;
 using service::ServiceParams;
 using service::VehicleRecord;
+using service::testing::empirical_from_fleet;
+using service::testing::ZeroChurnFleet;
 
 constexpr std::size_t kRegions = 4;
 
@@ -49,24 +57,6 @@ core::GameState seeded_state(const core::MultiRegionGame& game,
     row = random_simplex(rng, row.size());
   }
   return state;
-}
-
-/// Empirical per-region decision distribution straight off the fleet
-/// records (regions the fleet vacated keep an all-zero row here).
-std::vector<std::vector<double>> empirical_from_fleet(
-    const core::MultiRegionGame& game, const ServiceEngine& svc) {
-  std::vector<std::vector<double>> p(
-      game.num_regions(), std::vector<double>(game.num_decisions(), 0.0));
-  std::vector<std::size_t> count(game.num_regions(), 0);
-  for (const VehicleRecord& rec : svc.fleet()) {
-    p[rec.region][rec.decision] += 1.0;
-    ++count[rec.region];
-  }
-  for (std::size_t r = 0; r < p.size(); ++r) {
-    if (count[r] == 0) continue;
-    for (double& v : p[r]) v /= static_cast<double>(count[r]);
-  }
-  return p;
 }
 
 void expect_engines_equal(const ServiceEngine& a, const ServiceEngine& b) {
@@ -168,14 +158,18 @@ TEST(ServiceEngine, InitFromSourceIsBatchSizeInvariant) {
 }
 
 // ---------------------------------------------------------------------------
-// Zero-churn bit-identity with the batch engines
+// Zero-churn fleet: the finite-population engine
 // ---------------------------------------------------------------------------
 
-// With churn off, congestion_alpha == 0, and no attackers, one service
-// epoch is exactly one AgentBasedSim round driven by the same wrapped
-// controller: same streams, same draw order, same outage holds — the
-// trajectories must agree bit for bit, not approximately.
-TEST(ServiceEngine, ZeroChurnFleetMatchesAgentSim) {
+// With churn off and congestion_alpha == 0 every region keeps its N
+// vehicles and one epoch is one paper round: a finite population revising
+// by pairwise proportional imitation, whose large-N limit is the replicator
+// dynamics of Eq. (5). The pin folds every epoch's ratios and fleet
+// distribution on a chain with report loss, outages (a down region's fleet
+// holds; the degraded wrapper steers blind regions) and three lanes. The
+// constant is also the trajectory of the batch agent simulator this engine
+// replaced, so a changed stream key, draw order or outage hold fails here.
+TEST(ServiceEngine, ZeroChurnTrajectoryIsPinned) {
   const auto game = make_chain_game(kRegions);
   const auto graph = roadnet::make_grid(6, 6);
 
@@ -185,50 +179,146 @@ TEST(ServiceEngine, ZeroChurnFleetMatchesAgentSim) {
   fp.seed = 7;
   const faults::FaultModel faults(fp);
 
-  faults::DegradedOptions dopt;
-  dopt.staleness_budget = 2;
-  dopt.max_step = 0.05;
-
-  const core::GameState initial = seeded_state(game, 11);
-  const std::vector<double> x0(kRegions, 0.5);
-
-  sim::AgentSimParams ap;
-  ap.vehicles_per_region = 12;
-  ap.revision_rate = 0.9;
-  ap.imitation_scale = 0.7;
-  ap.seed = 123;
-  ap.num_threads = 2;
-  sim::AgentBasedSim sim(game, ap, &faults);
-  sim.init_from(initial);
-  core::FixedRatioController inner_ref(0.7);
-  faults::DegradedController wrapped(inner_ref, faults, dopt);
-  std::vector<double> x_ref = x0;
-
   ServiceParams sp;
   sp.vehicles_per_region = 12;
   sp.revision_rate = 0.9;
   sp.imitation_scale = 0.7;
   sp.seed = 123;
-  sp.num_threads = 3;  // different thread count on purpose
-  sp.degraded = dopt;
-  core::FixedRatioController inner_svc(0.7);
-  ServiceEngine svc(game, inner_svc, &graph, sp, &faults);
-  svc.init(initial, x0);
+  sp.num_threads = 3;
+  sp.degraded.staleness_budget = 2;
+  sp.degraded.max_step = 0.05;
+  core::FixedRatioController inner(0.7);
+  ServiceEngine svc(game, inner, &graph, sp, &faults);
+  svc.init(seeded_state(game, 11), std::vector<double>(kRegions, 0.5));
 
+  std::uint64_t h = kFnv1aBasis;
   for (std::size_t t = 0; t < 40; ++t) {
-    x_ref = wrapped.next_x(sim.reported_state(), x_ref);
-    sim.step(x_ref);
     svc.run_epoch();
-    ASSERT_EQ(x_ref, svc.x()) << "round " << t;
-    ASSERT_EQ(sim.empirical_state().p, empirical_from_fleet(game, svc))
-        << "round " << t;
+    for (const double v : svc.x()) {
+      h = fnv1a_word(h, std::bit_cast<std::uint64_t>(v));
+    }
+    for (const std::vector<double>& row : empirical_from_fleet(game, svc)) {
+      for (const double v : row) {
+        h = fnv1a_word(h, std::bit_cast<std::uint64_t>(v));
+      }
+    }
   }
+  EXPECT_EQ(h, 0xa2e9dcc4ebcb498fULL);
   EXPECT_EQ(svc.epoch(), 40u);
   EXPECT_EQ(svc.counters().epochs, 40u);
   EXPECT_EQ(svc.counters().joins + svc.counters().leaves +
                 svc.counters().migrations,
             0u);
   EXPECT_EQ(svc.counters().reclusters, 0u);  // alpha == 0: frozen clustering
+}
+
+TEST(ZeroChurnFleet, InitFromApproximatesTargetDistribution) {
+  const auto game = make_single_region_game();
+  ServiceParams params;
+  params.vehicles_per_region = 20000;
+  params.seed = 3;
+  std::vector<double> p(8, 0.0);
+  p[0] = 0.5;
+  p[4] = 0.3;
+  p[7] = 0.2;
+  const ZeroChurnFleet fleet(game, params, 0.5, game.broadcast_state(p));
+  const auto state = empirical_from_fleet(game, fleet.svc);
+  for (core::DecisionId k = 0; k < 8; ++k) {
+    EXPECT_NEAR(state[0][k], p[k], 0.02) << "k=" << k;
+  }
+}
+
+TEST(ZeroChurnFleet, StepPreservesPopulationSize) {
+  const auto game = make_single_region_game();
+  ServiceParams params;
+  params.vehicles_per_region = 100;
+  ZeroChurnFleet fleet(game, params, 0.5, game.uniform_state());
+  const auto initial = empirical_from_fleet(game, fleet.svc);
+  ASSERT_EQ(initial.size(), 1u);
+  core::check_distribution(initial[0]);
+  for (int t = 0; t < 5; ++t) {
+    fleet.svc.run_epoch();
+    EXPECT_EQ(fleet.svc.fleet().size(), 100u);
+    core::check_distribution(empirical_from_fleet(game, fleet.svc)[0]);
+  }
+}
+
+TEST(ZeroChurnFleet, ConvergesToNoSharingAtZeroRatio) {
+  const auto game = make_single_region_game();
+  ServiceParams params;
+  params.vehicles_per_region = 1000;
+  params.seed = 11;
+  ZeroChurnFleet fleet(game, params, 0.0, game.uniform_state());
+  for (int t = 0; t < 300; ++t) fleet.svc.run_epoch();
+  EXPECT_GT(empirical_from_fleet(game, fleet.svc)[0][7], 0.9);
+}
+
+// The finite-population check of Eq. (5): pairwise proportional imitation
+// approximates the replicator flow, so with a large population the two
+// trajectories stay close for a while. A revising vehicle imitates a random
+// peer with probability proportional to the fitness gain, which reproduces
+// the replicator with an extra 1/2-ish slowdown factor; we compare loosely.
+TEST(ZeroChurnFleet, TracksMeanFieldTrajectory) {
+  const double beta = 3.0;
+  const auto game = make_single_region_game(beta, /*eta=*/0.25);
+  ServiceParams params;
+  params.vehicles_per_region = 30000;
+  params.imitation_scale = 0.25;
+  params.revision_rate = 1.0;
+  params.seed = 5;
+  ZeroChurnFleet fleet(game, params, 0.9, game.uniform_state());
+
+  core::GameState mean_field = game.uniform_state();
+  const std::vector<double> x = {0.9};
+  for (int t = 0; t < 120; ++t) {
+    fleet.svc.run_epoch();
+    game.replicator_step(mean_field, x);
+  }
+  // Both should have concentrated on the same dominant decision.
+  const auto empirical = empirical_from_fleet(game, fleet.svc);
+  core::DecisionId mf_best = 0;
+  core::DecisionId ab_best = 0;
+  for (core::DecisionId k = 1; k < 8; ++k) {
+    if (mean_field.p[0][k] > mean_field.p[0][mf_best]) mf_best = k;
+    if (empirical[0][k] > empirical[0][ab_best]) ab_best = k;
+  }
+  EXPECT_EQ(mf_best, ab_best);
+  EXPECT_GT(empirical[0][ab_best], 0.5);
+}
+
+// Free-riders (attacker_fraction) hold their decision and draw nothing:
+// a fully free-riding fleet is frozen.
+TEST(ZeroChurnFleet, FreeRidersNeverRevise) {
+  const auto game = make_single_region_game();
+  ServiceParams params;
+  params.vehicles_per_region = 2000;
+  params.attacker_fraction = 1.0;  // everyone frozen
+  ZeroChurnFleet fleet(game, params, 0.5, game.uniform_state());
+  const auto before = empirical_from_fleet(game, fleet.svc);
+  for (int t = 0; t < 20; ++t) fleet.svc.run_epoch();
+  const auto after = empirical_from_fleet(game, fleet.svc);
+  for (core::DecisionId k = 0; k < 8; ++k) {
+    EXPECT_DOUBLE_EQ(after[0][k], before[0][k]);
+  }
+}
+
+TEST(ZeroChurnFleet, PartialFreeRidersSlowConvergence) {
+  const auto game = make_single_region_game();
+  ServiceParams honest;
+  honest.vehicles_per_region = 2000;
+  honest.seed = 9;
+  ServiceParams mixed = honest;
+  mixed.attacker_fraction = 0.5;
+  // x = 0 drives everyone to P8.
+  ZeroChurnFleet honest_fleet(game, honest, 0.0, game.uniform_state());
+  ZeroChurnFleet mixed_fleet(game, mixed, 0.0, game.uniform_state());
+  for (int t = 0; t < 200; ++t) {
+    honest_fleet.svc.run_epoch();
+    mixed_fleet.svc.run_epoch();
+  }
+  // Honest population concentrates harder on P8 than the half-frozen one.
+  EXPECT_GT(empirical_from_fleet(game, honest_fleet.svc)[0][7],
+            empirical_from_fleet(game, mixed_fleet.svc)[0][7]);
 }
 
 // ---------------------------------------------------------------------------

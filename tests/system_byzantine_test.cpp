@@ -13,7 +13,6 @@
 #include "byzantine/adversary_model.h"
 #include "byzantine/report_pipeline.h"
 #include "core/fds.h"
-#include "sim/agent_sim.h"
 #include "sim/metrics.h"
 #include "system/system.h"
 #include "test_support.h"
@@ -369,30 +368,6 @@ TEST(SystemByzantine, AdaptiveRunIsBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(ps, reference_p);
     }
   }
-}
-
-TEST(SystemByzantine, AgentSimReportsFalsifiedClaims) {
-  // The lightweight simulator sees the same adversary: attackers hold
-  // their decisions (never revise) and the trusting reported_state shows
-  // their share-everything claims instead of the truth.
-  const auto game = make_single_region_game(/*beta=*/2.0);
-  byzantine::AdversaryParams aparams;
-  aparams.attacker_fraction = 0.25;
-  aparams.strategy = byzantine::AttackStrategy::kInflateSharing;
-  aparams.seed = 41;
-  const byzantine::AdversaryModel adversary(aparams);
-
-  sim::AgentSimParams params;
-  params.vehicles_per_region = 400;
-  params.seed = 17;
-  sim::AgentBasedSim simulator(game, params, nullptr, &adversary);
-  simulator.init_from(game.uniform_state());
-  const std::vector<double> x = {0.0};  // drives honest vehicles off P1
-  for (std::size_t t = 0; t < 60; ++t) simulator.step(x);
-
-  const auto truth = simulator.empirical_state();
-  const auto reported = simulator.reported_state();
-  EXPECT_GT(reported.p[0][0], truth.p[0][0] + 0.1);
 }
 
 }  // namespace

@@ -159,6 +159,37 @@ TEST(TraceReplay, ConvergesToNoSharingAtZeroRatio) {
   EXPECT_GT(sim.empirical_state().p[0][7], 0.85);
 }
 
+TEST(TraceReplay, InitDrawsFromTheFirstPresentRegionsRow) {
+  // Vehicles 0..4 drive region 0 in both rounds, 5..8 region 1 in round 0
+  // only, and vehicle 9 shows up in region 1 in round 1 only. Region 0's
+  // row is all P1 and region 1's all P8, so each region's mix shows which
+  // row its vehicles drew from (and, being pure, revision cannot move it).
+  const auto game = make_chain_game(2);
+  const std::vector<cluster::RegionId> region_of = {0, 1};
+  std::vector<trace::GpsFix> fixes;
+  for (trace::VehicleId v = 0; v < 5; ++v) {
+    fixes.push_back({v, 1.0, {}, 0.0, 0});
+    fixes.push_back({v, 101.0, {}, 0.0, 0});
+  }
+  for (trace::VehicleId v = 5; v < 9; ++v) {
+    fixes.push_back({v, 1.0, {}, 0.0, 1});
+  }
+  fixes.push_back({9, 101.0, {}, 0.0, 1});
+  TraceDrivenSim sim(game, fixes, region_of, 10, 200.0, tiny_params());
+  core::GameState rows = game.uniform_state();
+  rows.p[0].assign(8, 0.0);
+  rows.p[0][0] = 1.0;  // P1: share everything
+  rows.p[1].assign(8, 0.0);
+  rows.p[1][7] = 1.0;  // P8: share nothing
+  sim.init_from(rows);
+  EXPECT_DOUBLE_EQ(sim.empirical_state().p[0][0], 1.0);
+  EXPECT_DOUBLE_EQ(sim.empirical_state().p[1][7], 1.0);
+  const std::vector<double> x = {0.5, 0.5};
+  sim.step(x);  // round 0
+  sim.step(x);  // round 1: region 1 holds vehicle 9 alone
+  EXPECT_DOUBLE_EQ(sim.empirical_state().p[1][7], 1.0);
+}
+
 TEST(TraceReplay, MigrationCarriesDecisionsBetweenRegions) {
   // Region 1 never hosts revision pressure of its own (one resident), but a
   // migrating majority from region 0 physically carries its decision over.
