@@ -8,7 +8,6 @@
 namespace avcp::byzantine {
 
 RobustAggregator::RobustAggregator(RobustOptions options) : options_(options) {
-  AVCP_EXPECT(options_.trim_fraction >= 0.0 && options_.trim_fraction <= 0.5);
   AVCP_EXPECT(options_.mad_threshold > 0.0);
   AVCP_EXPECT(options_.mad_floor_rel > 0.0);
 }
@@ -70,16 +69,6 @@ double RobustAggregator::aggregate(std::span<const double> values) const {
     }
     case AggregationMode::kMedian:
       return median(std::vector<double>(values.begin(), values.end()));
-    case AggregationMode::kTrimmedMean: {
-      std::vector<double> sorted(values.begin(), values.end());
-      std::sort(sorted.begin(), sorted.end());
-      const auto cut = static_cast<std::size_t>(
-          options_.trim_fraction * static_cast<double>(sorted.size()));
-      if (2 * cut >= sorted.size()) return median(std::move(sorted));
-      double sum = 0.0;
-      for (std::size_t i = cut; i < sorted.size() - cut; ++i) sum += sorted[i];
-      return sum / static_cast<double>(sorted.size() - 2 * cut);
-    }
   }
   return 0.0;
 }

@@ -4,15 +4,13 @@
 // The cloud's controller acts on per-region aggregates of the vehicle
 // reports. The sample mean — the implicit estimator of the paper's
 // framework — has breakdown point 0: one falsified report moves it
-// arbitrarily. RobustAggregator supplies the classic bounded-influence
-// alternatives for the scalar telemetry channels:
+// arbitrarily. RobustAggregator supplies the bounded-influence alternative
+// for the scalar telemetry channels:
 //
-//   kMean         the exact current behaviour (kept bit-identical so the
-//                 robustness layer can be disabled without perturbing a
-//                 seeded run);
-//   kMedian       breakdown point 1/2;
-//   kTrimmedMean  trims trim_fraction of each tail, breakdown point
-//                 trim_fraction.
+//   kMean    the exact current behaviour (kept bit-identical so the
+//            robustness layer can be disabled without perturbing a seeded
+//            run);
+//   kMedian  breakdown point 1/2.
 //
 // Independent of the location mode, MAD-based outlier *rejection* scores
 // every sample by |v - median| / max(MAD, floor) and flags scores above
@@ -31,14 +29,10 @@ namespace avcp::byzantine {
 enum class AggregationMode : std::uint8_t {
   kMean = 0,
   kMedian = 1,
-  kTrimmedMean = 2,
 };
 
 struct RobustOptions {
   AggregationMode mode = AggregationMode::kMean;
-  /// kTrimmedMean: fraction trimmed from EACH tail (0 = plain mean,
-  /// 0.5 degenerates to the median).
-  double trim_fraction = 0.1;
   /// When true, samples whose MAD-normalised residual exceeds
   /// mad_threshold are excluded from the decision-histogram aggregation
   /// and scored into the reputation layer.

@@ -67,7 +67,7 @@ class CheckpointError : public SerialError {
 
 /// Bumped whenever the framing or any engine payload layout changes; a
 /// file with a different version is rejected (no cross-version migration).
-inline constexpr std::uint32_t kSchemaVersion = 4;
+inline constexpr std::uint32_t kSchemaVersion = 5;
 
 /// Well-known section ids. A file may carry any subset; readers ask for
 /// the ones their wiring expects and reject on absence. 0x02 is retired:

@@ -7,8 +7,8 @@
 // minimal — a seed is (stable id, initial decision) — and deterministic
 // sources must derive any per-vehicle randomness from the id alone (a pure
 // hash stream), so the resulting fleet is independent of batch size and of
-// how many pulls the consumer makes. Consumers: the sharded fleet engine
-// (system/fleet_engine.h) and ServiceEngine::init_from_source.
+// how many pulls the consumer makes. The one consumer is the sharded fleet
+// engine (ShardedFleetEngine::ingest, system/fleet_engine.h).
 #pragma once
 
 #include <cstddef>

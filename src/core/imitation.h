@@ -1,13 +1,12 @@
 // Pairwise proportional imitation: the one decision-revision rule of every
-// per-vehicle round engine (System, ShardedFleetEngine, ServiceEngine).
+// per-vehicle round engine (System, ShardedFleetEngine, ServiceEngine and
+// TraceDrivenSim, which runs it over each region's roster of the round).
 //
 // A revising vehicle samples a distinct peer of its own population and
 // adopts the peer's displayed decision with probability proportional to the
 // positive fitness difference. Its large-population limit is the replicator
 // dynamics of Eq. (5), which is why the mean-field runner and the zero-churn
-// service agree at scale. TraceDrivenSim keeps its own loop: its peer
-// sampler draws with replacement over a changing roster, a different draw
-// contract.
+// service agree at scale.
 //
 // Draw contract (part of every engine's bit-identity and resume contracts):
 // for v = 0..n-1 in index order, all from `rng`,

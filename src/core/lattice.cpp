@@ -106,7 +106,10 @@ std::vector<std::pair<DecisionId, DecisionId>> DecisionLattice::hasse_edges()
 std::string DecisionLattice::label(
     DecisionId k, std::span<const std::string> sensor_names) const {
   static const std::string kDefaults[] = {"cam", "lid", "rad"};
-  std::string out = "P" + std::to_string(k + 1) + "{";
+  // append rather than operator+: GCC 12 at -O3 misreads the inlined
+  // operator+ as an overlapping copy (a false -Wrestrict).
+  std::string out = "P";
+  out.append(std::to_string(k + 1)).append("{");
   bool first = true;
   for (std::size_t s = 0; s < num_sensors_; ++s) {
     if (!shares(k, s)) continue;
@@ -117,7 +120,7 @@ std::string DecisionLattice::label(
     } else if (s < 3 && num_sensors_ == 3) {
       out += kDefaults[s];
     } else {
-      out += "s" + std::to_string(s);
+      out.append("s").append(std::to_string(s));
     }
   }
   out += "}";

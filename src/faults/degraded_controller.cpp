@@ -13,8 +13,6 @@ DegradedController::DegradedController(core::Controller& inner,
                                        DegradedOptions options)
     : inner_(inner), faults_(faults), options_(options) {
   AVCP_EXPECT(options_.max_step > 0.0);
-  AVCP_EXPECT(options_.decay_step >= 0.0);
-  AVCP_EXPECT(options_.decay_target >= 0.0 && options_.decay_target <= 1.0);
 }
 
 std::vector<double> DegradedController::next_x(
@@ -86,14 +84,7 @@ void DegradedController::next_x_into(const core::GameState& state,
       x_next[i] = std::clamp(xi + delta, 0.0, 1.0);
       continue;
     }
-    if (options_.fallback == DegradedOptions::Fallback::kHold) {
-      x_next[i] = xi;
-      continue;
-    }
-    const double step = std::min(options_.decay_step, options_.max_step);
-    const double delta =
-        std::clamp(options_.decay_target - xi, -step, step);
-    x_next[i] = std::clamp(xi + delta, 0.0, 1.0);
+    x_next[i] = xi;  // blind: hold until reports resume
   }
   ++round_;
 }

@@ -11,8 +11,8 @@
 //   - fresh report          -> delegate to the inner controller as usual;
 //   - stale within budget   -> substitute the last good report (the cloud
 //                              acts on slightly old but real data);
-//   - older than the budget -> hold the region's ratio, or decay it toward
-//                              a conservative target, in steps <= Lambda;
+//   - older than the budget -> hold the region's ratio until reports
+//                              resume;
 //   - report resumes        -> re-synchronize and delegate again.
 // The wrapper additionally enforces the invariants the plant relies on:
 // every emitted ratio lies in [0, 1] and |x_i^{t+1} - x_i^t| <= Lambda,
@@ -39,17 +39,6 @@ struct DegradedOptions {
   /// Lambda of Eq. (13): per-round cap on |x_i^{t+1} - x_i^t|, enforced on
   /// the wrapper's output. Should match the inner controller's bound.
   double max_step = 0.05;
-  /// What to do with a blind region's ratio.
-  enum class Fallback : std::uint8_t {
-    kHold = 0,   // keep x_i unchanged until reports resume
-    kDecay = 1,  // move x_i toward decay_target by decay_step per round
-  };
-  Fallback fallback = Fallback::kHold;
-  /// Conservative ratio approached while blind (kDecay). 0 = stop sharing:
-  /// no fresh reports means no evidence the pool is still incentive-safe.
-  double decay_target = 0.0;
-  /// Per-round decay magnitude; capped by max_step.
-  double decay_step = 0.02;
 };
 
 class DegradedController final : public core::Controller {
@@ -68,7 +57,7 @@ class DegradedController final : public core::Controller {
   /// fresh_mask[i] != 0 means a usable report for region i arrived this
   /// round (null = consult the FaultModel, the overload above). The
   /// degraded-network transport uses this to route delivered, delayed, and
-  /// lost backhaul reports through the same hold/decay machinery — the
+  /// lost backhaul reports through the same hold machinery — the
   /// channel bounds how *old* consumed data can be (max_staleness), this
   /// wrapper bounds how long a *blind* region may coast (staleness_budget).
   void next_x_into(const core::GameState& state,

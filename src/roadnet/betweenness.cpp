@@ -289,14 +289,16 @@ double norm_factor(const RoadGraph& g, const BetweennessOptions& opts) {
   return norm;
 }
 
-std::vector<double> betweenness_from_sources(
-    const RoadGraph& g, std::span<const NodeId> sources, double scale,
-    const BetweennessOptions& opts, std::span<const double> weights) {
+/// The pass from every intersection in id order.
+std::vector<double> betweenness_from_sources(const RoadGraph& g,
+                                             const BetweennessOptions& opts,
+                                             std::span<const double> weights) {
+  const std::size_t n = g.num_intersections();
   std::size_t num_threads = opts.num_threads;
   if (num_threads == 0) {
     num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  num_threads = std::min(num_threads, std::max<std::size_t>(1, sources.size()));
+  num_threads = std::min(num_threads, std::max<std::size_t>(1, n));
 
   // Sources are split into contiguous chunks whose boundaries depend only
   // on the source count — never on the thread count — and each chunk
@@ -306,18 +308,18 @@ std::vector<double> betweenness_from_sources(
   // to how many threads ran the chunks. The old strided partition re-split
   // the sum by thread count, so the default (hardware_concurrency) gave
   // different last-ulp results on different machines.
-  const std::size_t num_chunks = chunk_count(sources.size());
+  const std::size_t num_chunks = chunk_count(n);
   std::vector<std::vector<double>> partials(
       num_chunks, std::vector<double>(g.num_segments(), 0.0));
   const FlatAdjacency adj(g, weights);
   ThreadPool pool(num_threads);
   pool.parallel_for(0, num_chunks, [&](std::size_t c) {
-    const std::size_t begin = sources.size() * c / num_chunks;
-    const std::size_t end = sources.size() * (c + 1) / num_chunks;
+    const std::size_t begin = n * c / num_chunks;
+    const std::size_t end = n * (c + 1) / num_chunks;
     BrandesScratch scratch(adj);
     for (std::size_t s = begin; s < end; ++s) {
-      accumulate_from_source(adj, sources[s], scratch.dist, scratch,
-                             partials[c]);
+      accumulate_from_source(adj, static_cast<NodeId>(s), scratch.dist,
+                             scratch, partials[c]);
     }
   });
   std::vector<double> centrality(g.num_segments(), 0.0);
@@ -327,7 +329,7 @@ std::vector<double> betweenness_from_sources(
     }
   }
   const double norm = norm_factor(g, opts);
-  for (double& c : centrality) c = c * scale / norm;
+  for (double& c : centrality) c = c / norm;
   return centrality;
 }
 
@@ -343,37 +345,7 @@ void check_weights(const RoadGraph& g, std::span<const double> weights) {
 std::vector<double> segment_betweenness(const RoadGraph& g,
                                         const BetweennessOptions& opts) {
   AVCP_EXPECT(g.finalized());
-  std::vector<NodeId> sources(g.num_intersections());
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    sources[i] = static_cast<NodeId>(i);
-  }
-  const std::vector<double> weights = metric_weights(g, opts.metric);
-  return betweenness_from_sources(g, sources, 1.0, opts, weights);
-}
-
-std::vector<double> sampled_segment_betweenness(
-    const RoadGraph& g, std::size_t num_sources, Rng& rng,
-    const BetweennessOptions& opts) {
-  AVCP_EXPECT(g.finalized());
-  AVCP_EXPECT(num_sources >= 1);
-  const std::size_t n = g.num_intersections();
-  num_sources = std::min(num_sources, n);
-
-  // Sample sources without replacement (partial Fisher-Yates).
-  std::vector<NodeId> pool(n);
-  for (std::size_t i = 0; i < n; ++i) pool[i] = static_cast<NodeId>(i);
-  for (std::size_t i = 0; i < num_sources; ++i) {
-    const auto j = static_cast<std::size_t>(
-        rng.uniform_int(static_cast<std::int64_t>(i),
-                        static_cast<std::int64_t>(n) - 1));
-    std::swap(pool[i], pool[j]);
-  }
-  pool.resize(num_sources);
-
-  const double scale =
-      static_cast<double>(n) / static_cast<double>(num_sources);
-  const std::vector<double> weights = metric_weights(g, opts.metric);
-  return betweenness_from_sources(g, pool, scale, opts, weights);
+  return betweenness_from_sources(g, opts, metric_weights(g, opts.metric));
 }
 
 std::vector<double> segment_betweenness_weighted(
@@ -381,11 +353,7 @@ std::vector<double> segment_betweenness_weighted(
     const BetweennessOptions& opts) {
   AVCP_EXPECT(g.finalized());
   check_weights(g, weights);
-  std::vector<NodeId> sources(g.num_intersections());
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    sources[i] = static_cast<NodeId>(i);
-  }
-  return betweenness_from_sources(g, sources, 1.0, opts, weights);
+  return betweenness_from_sources(g, opts, weights);
 }
 
 IncrementalBetweenness::IncrementalBetweenness(const RoadGraph& g,
@@ -509,8 +477,8 @@ void IncrementalBetweenness::recompute_chunks() {
 }
 
 void IncrementalBetweenness::reduce() {
-  // Same reduction and normalization order as betweenness_from_sources with
-  // scale = 1.0, so the result is bit-equal to the from-scratch path.
+  // Same reduction and normalization order as betweenness_from_sources, so
+  // the result is bit-equal to the from-scratch path.
   std::fill(centrality_.begin(), centrality_.end(), 0.0);
   for (const auto& partial : partials_) {
     for (std::size_t i = 0; i < centrality_.size(); ++i) {
@@ -518,7 +486,7 @@ void IncrementalBetweenness::reduce() {
     }
   }
   const double norm = norm_factor(g_, opts_);
-  for (double& c : centrality_) c = c * 1.0 / norm;
+  for (double& c : centrality_) c = c / norm;
 }
 
 }  // namespace avcp::roadnet

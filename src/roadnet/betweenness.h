@@ -2,17 +2,15 @@
 //
 // The paper measures the importance of a road segment by the fraction of
 // shortest paths that traverse it. On the intersection graph this is the
-// classical *edge* betweenness, computed here with Brandes' accumulation
-// (O(N*M) unweighted, O(N*(M + N log N)) weighted). An optional sampled
-// variant trades exactness for speed on large networks, normalising by the
-// sampled source count so values stay comparable to the exact ones.
+// classical *edge* betweenness, computed here exactly with Brandes'
+// accumulation (O(N*M) unweighted, O(N*(M + N log N)) weighted) from every
+// intersection as a source.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "roadnet/road_graph.h"
 
@@ -41,12 +39,6 @@ struct BetweennessOptions {
 /// Exact per-segment betweenness centrality.
 std::vector<double> segment_betweenness(const RoadGraph& g,
                                         const BetweennessOptions& opts = {});
-
-/// Approximate betweenness from `num_sources` sampled BFS/Dijkstra roots,
-/// rescaled to estimate the exact value. Requires num_sources >= 1.
-std::vector<double> sampled_segment_betweenness(
-    const RoadGraph& g, std::size_t num_sources, Rng& rng,
-    const BetweennessOptions& opts = {});
 
 /// Exact betweenness under caller-supplied per-segment weights (one finite
 /// positive weight per segment; Dijkstra path counting with the relative

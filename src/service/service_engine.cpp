@@ -22,7 +22,6 @@ constexpr std::uint64_t kStepStream = 0xA2;
 constexpr std::uint64_t kJoinDecisionStream = 0xB1;
 constexpr std::uint64_t kAttackerStream = 0xB2;
 constexpr std::uint64_t kExploitStream = 0xB3;
-constexpr std::uint64_t kSourceSegmentStream = 0xB4;
 
 inline bool valid_rate(double r) noexcept { return r >= 0.0 && r <= 1.0; }
 
@@ -46,8 +45,6 @@ void ServiceParams::validate() const {
   AVCP_EXPECT(valid_rate(churn.migrate_rate));
   AVCP_EXPECT(valid_rate(churn.join_rate));
   AVCP_EXPECT(degraded.max_step > 0.0 && degraded.max_step <= 1.0);
-  AVCP_EXPECT(valid_rate(degraded.decay_target));
-  AVCP_EXPECT(degraded.decay_step >= 0.0);
   reputation.validate();
   AVCP_EXPECT(exploit_patience >= 1);
   AVCP_EXPECT(std::isfinite(congestion_alpha) && congestion_alpha >= 0.0);
@@ -142,8 +139,8 @@ bool ServiceEngine::designated_attacker(std::uint64_t identity) const noexcept {
   return rng.uniform() < params_.attacker_fraction;
 }
 
-void ServiceEngine::reset(const core::GameState& initial,
-                          std::vector<double> x0) {
+void ServiceEngine::init(const core::GameState& initial,
+                         std::vector<double> x0) {
   AVCP_EXPECT(initial.p.size() == game_.num_regions());
   AVCP_EXPECT(x0.size() == game_.num_regions());
   for (const auto& row : initial.p) core::check_distribution(row);
@@ -162,22 +159,6 @@ void ServiceEngine::reset(const core::GameState& initial,
   }
   std::fill(down_.begin(), down_.end(), 0);
   fleet_.clear();
-}
-
-void ServiceEngine::place_fleet() {
-  // Seed the congestion picture with the initial placement, then re-derive
-  // every vehicle's region in case the load-coupled weights moved a
-  // boundary during set_loads.
-  std::vector<std::int64_t> loads(graph_->num_segments(), 0);
-  for (const VehicleRecord& rec : fleet_) ++loads[rec.segment];
-  clustering_->set_loads(loads);
-  std::fill(pending_.begin(), pending_.end(), 0);
-  reassign_regions();
-}
-
-void ServiceEngine::init(const core::GameState& initial,
-                         std::vector<double> x0) {
-  reset(initial, std::move(x0));
 
   // Region-major fleet seeding over the clustering's current regions, one
   // init stream per region, keyed (kInitStream, 0, region).
@@ -198,42 +179,15 @@ void ServiceEngine::init(const core::GameState& initial,
       fleet_.push_back(rec);
     }
   }
-  place_fleet();
-}
 
-void ServiceEngine::init_from_source(const core::GameState& initial,
-                                     std::vector<double> x0,
-                                     core::FleetSource& source,
-                                     std::size_t ingest_batch) {
-  AVCP_EXPECT(ingest_batch >= 1);
-  reset(initial, std::move(x0));
-
-  const std::size_t num_segments = graph_->num_segments();
-  const std::vector<cluster::RegionId>& region_of =
-      clustering_->clustering().region_of;
-  std::vector<core::VehicleSeed> batch(ingest_batch);
-  for (;;) {
-    const std::size_t got = source.next_batch(batch);
-    for (std::size_t i = 0; i < got; ++i) {
-      const core::VehicleSeed& seed = batch[i];
-      AVCP_EXPECT(seed.decision < game_.num_decisions());
-      VehicleRecord rec;
-      rec.id = next_id_++;  // service ids stay monotone whatever the source
-      rec.identity = rec.id;
-      // Placement from a per-source-id hash stream: independent of how the
-      // pull was batched, so any ingest_batch yields the same fleet.
-      Rng rng(derive_seed(params_.seed, {kSourceSegmentStream, seed.id}));
-      rec.segment = static_cast<roadnet::SegmentId>(
-          rng.uniform_int(0, static_cast<std::int64_t>(num_segments) - 1));
-      rec.region = region_of[rec.segment];
-      rec.decision = seed.decision;
-      rec.attacker = designated_attacker(rec.identity);
-      fleet_.push_back(rec);
-    }
-    if (got < batch.size()) break;
-  }
-  AVCP_EXPECT(fleet_.size() >= 2);
-  place_fleet();
+  // Seed the congestion picture with the initial placement, then re-derive
+  // every vehicle's region in case the load-coupled weights moved a
+  // boundary during set_loads.
+  std::vector<std::int64_t> loads(graph_->num_segments(), 0);
+  for (const VehicleRecord& rec : fleet_) ++loads[rec.segment];
+  clustering_->set_loads(loads);
+  std::fill(pending_.begin(), pending_.end(), 0);
+  reassign_regions();
 }
 
 void ServiceEngine::apply_churn(std::size_t e, std::size_t& events) {

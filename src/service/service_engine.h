@@ -15,8 +15,8 @@
 //              a from-scratch-equivalence contract at every epoch;
 //   faults     a region outage (faults::FaultModel) freezes that region's
 //              fleet for the epoch and starves the cloud of its report;
-//              the owned DegradedController reroutes — holding or decaying
-//              the region's ratio within the smoothness bound — instead of
+//              the owned DegradedController reroutes — holding the
+//              region's ratio within the smoothness bound — instead of
 //              acting on garbage;
 //   overload   an epoch with more churn events than `overload_events`
 //              sheds its re-clustering work, deferring the load deltas; a
@@ -52,7 +52,6 @@
 #include "cluster/incremental_clustering.h"
 #include "common/thread_pool.h"
 #include "core/fds.h"
-#include "core/fleet_stream.h"
 #include "core/game.h"
 #include "faults/degraded_controller.h"
 #include "faults/fault_model.h"
@@ -187,16 +186,6 @@ class ServiceEngine {
   /// wrapper, loads, and counters.
   void init(const core::GameState& initial, std::vector<double> x0);
 
-  /// Streaming cold start: the fleet is ingested from a core::FleetSource
-  /// in `ingest_batch`-sized pulls instead of being synthesized
-  /// region-major. Decisions come from the source; each vehicle's road
-  /// segment comes from a pure per-source-id hash stream, so the resulting
-  /// fleet is independent of the batch size (city-scale traces can stream
-  /// in without ever materializing a seed list).
-  void init_from_source(const core::GameState& initial,
-                        std::vector<double> x0, core::FleetSource& source,
-                        std::size_t ingest_batch = 4096);
-
   /// One epoch: churn -> clustering maintenance -> snapshot -> control ->
   /// revision -> reputation. Requires init() or load_state() first.
   void run_epoch();
@@ -233,13 +222,6 @@ class ServiceEngine {
 
  private:
   bool designated_attacker(std::uint64_t identity) const noexcept;
-  /// The cold-start prefix init and init_from_source share: epoch, ids,
-  /// counters, states, ratios, controller and backhaul back to zero, fleet
-  /// emptied.
-  void reset(const core::GameState& initial, std::vector<double> x0);
-  /// The cold-start suffix: seeds the segment loads from the fleet's
-  /// placement and re-derives every vehicle's region.
-  void place_fleet();
   void apply_churn(std::size_t e, std::size_t& events);
   void apply_churn_exploit(std::size_t e);
   void maintain_clustering(std::size_t events);

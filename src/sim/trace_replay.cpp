@@ -6,14 +6,11 @@
 
 #include "common/contracts.h"
 #include "common/serial.h"
+#include "core/imitation.h"
 
 namespace avcp::sim {
 
 namespace {
-// derive_seed tag for the measured-fitness streams (disjoint from the
-// revision engine, which is seeded directly from params.seed).
-constexpr std::uint64_t kTraceMeasureStream = 0xA4;
-
 sim::TracePresenceBuilder presence_from_fixes(
     std::span<const trace::GpsFix> fixes,
     std::span<const cluster::RegionId> region_of_segment,
@@ -103,18 +100,16 @@ TraceDrivenSim::TraceDrivenSim(const core::MultiRegionGame& game,
 
   decisions_.assign(num_vehicles, 0);
   state_ = game.uniform_state();
-  if (params_.measure_data_plane) {
-    for (core::RegionId i = 0; i < game.num_regions(); ++i) {
-      exchanges_.emplace_back(
-          game, params_.exchange,
-          derive_seed(params_.seed, {kTraceMeasureStream, i}));
-    }
-  }
 }
 
 void TraceDrivenSim::init_from(const core::GameState& state) {
   AVCP_EXPECT(state.p.size() == game_.num_regions());
-  for (const auto& row : state.p) core::check_distribution(row);
+  for (const auto& row : state.p) {
+    // A wider row would let weighted_index draw a decision id past the
+    // lattice, which refresh_state then uses as an index.
+    AVCP_EXPECT(row.size() == game_.num_decisions());
+    core::check_distribution(row);
+  }
   // Each vehicle's region in its first present round: walking the rounds
   // backwards lets the earliest one win. Never-present vehicles keep 0.
   std::vector<core::RegionId> first_region(decisions_.size(), 0);
@@ -159,44 +154,28 @@ void TraceDrivenSim::step(std::span<const double> x) {
       presence_[std::min(round_, presence_.size() - 1)];
   refresh_state(present);
 
-  // Fitness of every decision in every region against the snapshot:
-  // analytic Eq. (4), or a measured data-plane exchange over the present
-  // mix (hash-derived streams; the revision engine rng_ is untouched).
-  std::vector<std::vector<double>> q(game_.num_regions());
+  // Rosters in vehicle-id order: presence lists are sorted by id.
+  std::vector<std::vector<trace::VehicleId>> rosters(game_.num_regions());
+  for (const auto& [vehicle, region] : present) {
+    rosters[region].push_back(vehicle);
+  }
+
+  // Pairwise proportional imitation per region, regions in index order,
+  // every draw from rng_. Fitness is Eq. (4) against the start-of-round
+  // snapshot, which no adoption touches before refresh_state below.
+  std::vector<double> q;
+  std::vector<core::DecisionId> before;
   for (core::RegionId i = 0; i < game_.num_regions(); ++i) {
-    q[i] = params_.measure_data_plane
-               ? exchanges_[i].per_decision_fitness(
-                     state_.p[i], game_.region(i).beta, x[i],
-                     derive_seed(params_.seed, {kTraceMeasureStream, round_, i}))
-               : game_.region_fitness(state_, x, i);
-  }
-
-  // Group present vehicles by region for peer sampling.
-  std::vector<std::vector<trace::VehicleId>> by_region(game_.num_regions());
-  for (const auto& [vehicle, region] : present) {
-    by_region[region].push_back(vehicle);
-  }
-
-  // Pairwise proportional imitation against the start-of-round snapshot.
-  const std::vector<core::DecisionId> before = decisions_;
-  for (const auto& [vehicle, region] : present) {
-    const auto& peers = by_region[region];
-    if (peers.size() < 2) continue;
-    if (!rng_.bernoulli(params_.revision_rate)) continue;
-    trace::VehicleId peer = vehicle;
-    for (int attempt = 0; attempt < 8 && peer == vehicle; ++attempt) {
-      peer = peers[static_cast<std::size_t>(rng_.uniform_int(
-          0, static_cast<std::int64_t>(peers.size()) - 1))];
-    }
-    if (peer == vehicle) continue;
-    const core::DecisionId mine = before[vehicle];
-    const core::DecisionId theirs = before[peer];
-    if (mine == theirs) continue;
-    const double gain = q[region][theirs] - q[region][mine];
-    if (gain <= 0.0) continue;
-    if (rng_.bernoulli(std::min(1.0, params_.imitation_scale * gain))) {
-      decisions_[vehicle] = theirs;
-    }
+    const std::vector<trace::VehicleId>& roster = rosters[i];
+    if (roster.size() < 2) continue;  // nobody to imitate
+    game_.region_fitness_into(state_, x, i, q);
+    before.clear();
+    for (const trace::VehicleId v : roster) before.push_back(decisions_[v]);
+    core::imitate(
+        before, before, params_.revision_rate, params_.imitation_scale, rng_,
+        [](std::size_t) { return false; },
+        [&](std::size_t j) { return q[before[j]]; },
+        [&](std::size_t j, core::DecisionId d) { decisions_[roster[j]] = d; });
   }
 
   refresh_state(present);
@@ -207,27 +186,24 @@ void TraceDrivenSim::save_state(Serializer& s) const {
   s.put_u64(game_.num_regions());
   s.put_u64(decisions_.size());
   s.put_u64(params_.seed);
-  s.put_bool(params_.measure_data_plane);
   s.put_u64(round_);
   rng_.save_state(s);
   put_u32_vec(s, decisions_);
   state_.save_state(s);
-  for (const MeasuredExchange& exchange : exchanges_) {
-    exchange.save_state(s);
-  }
 }
 
 void TraceDrivenSim::load_state(Deserializer& d) {
+  // Parse into locals and commit only once every check has passed, so a
+  // rejected snapshot leaves the simulator as it was.
   Deserializer::check(d.get_u64() == game_.num_regions(),
                       "TraceReplay snapshot: region count mismatch");
   Deserializer::check(d.get_u64() == decisions_.size(),
                       "TraceReplay snapshot: vehicle count mismatch");
   Deserializer::check(d.get_u64() == params_.seed,
                       "TraceReplay snapshot: seed mismatch");
-  Deserializer::check(d.get_bool() == params_.measure_data_plane,
-                      "TraceReplay snapshot: fitness mode mismatch");
-  round_ = d.get_u64();
-  rng_.load_state(d);
+  const std::uint64_t round = d.get_u64();
+  Rng rng;
+  rng.load_state(d);
   std::vector<core::DecisionId> decisions = get_u32_vec(d);
   Deserializer::check(decisions.size() == decisions_.size(),
                       "TraceReplay snapshot: decisions size mismatch");
@@ -235,11 +211,18 @@ void TraceDrivenSim::load_state(Deserializer& d) {
     Deserializer::check(decision < game_.num_decisions(),
                         "TraceReplay snapshot: decision id out of range");
   }
-  decisions_ = std::move(decisions);
-  state_.load_state(d);
-  for (MeasuredExchange& exchange : exchanges_) {
-    exchange.load_state(d);
+  core::GameState state;
+  state.load_state(d);
+  Deserializer::check(state.p.size() == game_.num_regions(),
+                      "TraceReplay snapshot: state row count mismatch");
+  for (const std::vector<double>& row : state.p) {
+    Deserializer::check(row.size() == game_.num_decisions(),
+                        "TraceReplay snapshot: state row width mismatch");
   }
+  round_ = static_cast<std::size_t>(round);
+  rng_ = rng;
+  decisions_ = std::move(decisions);
+  state_ = std::move(state);
 }
 
 }  // namespace avcp::sim

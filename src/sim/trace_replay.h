@@ -13,12 +13,12 @@
 //      round (vehicles without fixes are dormant and keep their decision);
 //   2. region decision distributions are formed from the present vehicles;
 //   3. fitness comes from the game (Eq. 4) at the controller's ratios;
-//   4. revising vehicles imitate a random co-located peer with probability
-//      proportional to the fitness gain (replicator in the large limit).
+//   4. each region's present vehicles, in id order, revise by pairwise
+//      proportional imitation (core::imitate) against a peer of the same
+//      roster; regions go in index order, all from one revision stream.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <utility>
 #include <vector>
@@ -26,7 +26,6 @@
 #include "cluster/region_clustering.h"
 #include "common/rng.h"
 #include "core/game.h"
-#include "sim/measured_exchange.h"
 #include "trace/types.h"
 
 namespace avcp::sim {
@@ -73,14 +72,6 @@ struct TraceReplayParams {
   double revision_rate = 0.8;   // probability a present vehicle revises
   double imitation_scale = 0.5; // imitation prob = scale * fitness gain
   std::uint64_t seed = 321;
-  /// When true, each round's per-region fitness is measured by running a
-  /// synthetic data-plane exchange over the present decision mix
-  /// (MeasuredExchange, kernel selected by `exchange.mode`) instead of the
-  /// analytic Eq. (4) fitness. Measurement draws from hash-derived
-  /// (round, region) streams, leaving the revision RNG untouched — the
-  /// default (analytic) trajectories are bit-identical to before.
-  bool measure_data_plane = false;
-  MeasuredExchangeParams exchange;
 };
 
 class TraceDrivenSim {
@@ -105,7 +96,8 @@ class TraceDrivenSim {
 
   /// Draws every vehicle's initial decision from `state`'s row for the
   /// region of its first present round (row 0 for a vehicle the trace never
-  /// shows), one draw per vehicle in vehicle order.
+  /// shows), one draw per vehicle in vehicle order. `state` must hold one
+  /// distribution of num_decisions() entries per region.
   void init_from(const core::GameState& state);
 
   /// Runs one round at sharing ratios x. Rounds past the trace end reuse
@@ -123,11 +115,11 @@ class TraceDrivenSim {
   std::size_t current_round() const noexcept { return round_; }
 
   /// Checkpoint hooks: the round counter, the serial revision RNG (full
-  /// stream position), per-vehicle decisions, the published distributions,
-  /// and — under measured fitness — every evaluator's plane RNG position.
-  /// The presence tables are rebuilt from the trace at construction and are
-  /// not serialized. Call between step()s only; load_state throws
-  /// SerialError on a shape or configuration mismatch.
+  /// stream position), per-vehicle decisions and the published
+  /// distributions. The presence tables are rebuilt from the trace at
+  /// construction and are not serialized. Call between step()s only;
+  /// load_state throws SerialError on a shape or configuration mismatch and
+  /// then leaves the simulator as it was.
   void save_state(Serializer& s) const;
   void load_state(Deserializer& d);
 
@@ -141,9 +133,6 @@ class TraceDrivenSim {
   std::vector<core::DecisionId> decisions_;  // per vehicle
   core::GameState state_;                    // last published distributions
   std::size_t round_ = 0;
-  /// Measured-fitness evaluators, one per region (deque: non-movable
-  /// elements); empty when measure_data_plane is off.
-  std::deque<MeasuredExchange> exchanges_;
 
   void refresh_state(
       const std::vector<std::pair<trace::VehicleId, core::RegionId>>& present);

@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <numeric>
 #include <queue>
 #include <span>
 #include <string>
@@ -193,61 +192,6 @@ TEST(Betweenness, WeightedMetricChangesRanking) {
   EXPECT_NEAR(bc_time[direct], 0.0, 1e-12);
 }
 
-TEST(Betweenness, SampledApproximatesExact) {
-  CityParams params;
-  params.rows = 8;
-  params.cols = 8;
-  params.seed = 3;
-  const RoadGraph g = build_city(params);
-  const auto exact = segment_betweenness(g);
-  Rng rng(17);
-  const auto sampled =
-      sampled_segment_betweenness(g, g.num_intersections() / 2, rng);
-  ASSERT_EQ(exact.size(), sampled.size());
-  // Average absolute error should be small relative to the max value.
-  double max_exact = 0.0;
-  double total_err = 0.0;
-  for (std::size_t i = 0; i < exact.size(); ++i) {
-    max_exact = std::max(max_exact, exact[i]);
-    total_err += std::abs(exact[i] - sampled[i]);
-  }
-  EXPECT_LT(total_err / static_cast<double>(exact.size()), 0.25 * max_exact);
-}
-
-// Sampling-error sweep: the sampled estimator's mean absolute error decays
-// as the number of BFS roots grows.
-class SampledConvergenceSweep : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(SampledConvergenceSweep, ErrorShrinksWithMoreSources) {
-  CityParams params;
-  params.rows = 8;
-  params.cols = 8;
-  params.seed = GetParam();
-  const RoadGraph g = build_city(params);
-  const auto exact = segment_betweenness(g);
-  const auto mean_abs_error = [&](std::size_t sources, std::uint64_t seed) {
-    Rng rng(seed);
-    const auto approx = sampled_segment_betweenness(g, sources, rng);
-    double err = 0.0;
-    for (std::size_t i = 0; i < exact.size(); ++i) {
-      err += std::abs(exact[i] - approx[i]);
-    }
-    return err / static_cast<double>(exact.size());
-  };
-  // Average each error level over a few sampling seeds to damp noise.
-  double coarse = 0.0;
-  double fine = 0.0;
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    coarse += mean_abs_error(g.num_intersections() / 8, seed);
-    fine += mean_abs_error(g.num_intersections() * 3 / 4, seed);
-  }
-  EXPECT_LT(fine, coarse);
-}
-
-INSTANTIATE_TEST_SUITE_P(Cities, SampledConvergenceSweep,
-                         ::testing::Values<std::uint64_t>(2, 5, 9));
-
 TEST(Betweenness, ParallelMatchesSerial) {
   CityParams params;
   params.rows = 10;
@@ -392,17 +336,6 @@ TEST(Betweenness, TinyWeightTiesStillMerge) {
   EXPECT_NEAR(bc[u1], bc[u2], 1e-12);
 }
 
-TEST(Betweenness, SampledWithAllSourcesIsExact) {
-  const RoadGraph g = make_grid(3, 4);
-  const auto exact = segment_betweenness(g);
-  Rng rng(5);
-  const auto sampled =
-      sampled_segment_betweenness(g, g.num_intersections(), rng);
-  for (std::size_t i = 0; i < exact.size(); ++i) {
-    EXPECT_NEAR(exact[i], sampled[i], 1e-9);
-  }
-}
-
 /// 64-bit FNV-1a over the bit patterns of `values`, little end first.
 std::uint64_t fnv1a_bits(std::span<const double> values,
                          std::uint64_t h = 0xcbf29ce484222325ULL) {
@@ -425,7 +358,7 @@ std::vector<double> tie_heavy_weights(const RoadGraph& g, Rng& rng) {
 }
 
 /// Hashes of every entry point's output on `g`, in a fixed order: kHops,
-/// kTravelTime, tie-heavy weighted, sampled, and incremental after a seeded
+/// kTravelTime, tie-heavy weighted, and incremental after a seeded
 /// update_weights sequence (each step's centrality folded in).
 std::vector<std::uint64_t> brandes_output_hashes(const RoadGraph& g) {
   std::vector<std::uint64_t> hashes;
@@ -439,10 +372,6 @@ std::vector<std::uint64_t> brandes_output_hashes(const RoadGraph& g) {
   Rng weight_rng(41);
   const std::vector<double> weights = tie_heavy_weights(g, weight_rng);
   hashes.push_back(fnv1a_bits(segment_betweenness_weighted(g, weights)));
-
-  Rng sample_rng(43);
-  hashes.push_back(fnv1a_bits(sampled_segment_betweenness(
-      g, g.num_intersections() / 3, sample_rng, time)));
 
   IncrementalBetweenness inc(g, weights);
   std::uint64_t h = fnv1a_bits(inc.centrality());
@@ -482,12 +411,10 @@ TEST(Betweenness, OutputBitsArePinnedAcrossCommits) {
       brandes_output_hashes(build_city(params));
   const std::vector<std::uint64_t> expected_grid = {
       12293146238007581453ULL, 12293146238007581453ULL,
-      17582749161703920851ULL, 14941096579823138478ULL,
-      14695569895713654794ULL};
+      17582749161703920851ULL, 14695569895713654794ULL};
   const std::vector<std::uint64_t> expected_city = {
       9928341627170946214ULL, 16403329882053428422ULL,
-      6059199429367659862ULL, 15733866320390955638ULL,
-      7612762528795956256ULL};
+      6059199429367659862ULL, 7612762528795956256ULL};
   EXPECT_EQ(grid, expected_grid);
   EXPECT_EQ(city, expected_city);
 }
@@ -563,23 +490,22 @@ void reference_pass(const RoadGraph& g, NodeId source,
   }
 }
 
-/// The reference passes over `sources`, split into the library's <= 64
-/// contiguous chunks, each chunk's partial summed in source order and the
-/// partials reduced in chunk order, then scaled and normalised.
-std::vector<double> reference_betweenness(const RoadGraph& g,
-                                          std::span<const NodeId> sources,
-                                          double scale, bool normalize,
+/// The reference passes from every intersection, split into the library's
+/// <= 64 contiguous chunks, each chunk's partial summed in source order and
+/// the partials reduced in chunk order, then normalised.
+std::vector<double> reference_betweenness(const RoadGraph& g, bool normalize,
                                           std::span<const double> weights) {
+  const std::size_t n = g.num_intersections();
   const std::size_t num_chunks =
-      std::min<std::size_t>(64, std::max<std::size_t>(1, sources.size()));
+      std::min<std::size_t>(64, std::max<std::size_t>(1, n));
   std::vector<double> centrality(g.num_segments(), 0.0);
   std::vector<double> partial(g.num_segments());
   for (std::size_t c = 0; c < num_chunks; ++c) {
     std::fill(partial.begin(), partial.end(), 0.0);
-    const std::size_t begin = sources.size() * c / num_chunks;
-    const std::size_t end = sources.size() * (c + 1) / num_chunks;
+    const std::size_t begin = n * c / num_chunks;
+    const std::size_t end = n * (c + 1) / num_chunks;
     for (std::size_t s = begin; s < end; ++s) {
-      reference_pass(g, sources[s], weights, partial);
+      reference_pass(g, static_cast<NodeId>(s), weights, partial);
     }
     for (std::size_t i = 0; i < centrality.size(); ++i) {
       centrality[i] += partial[i];
@@ -590,7 +516,7 @@ std::vector<double> reference_betweenness(const RoadGraph& g,
     const auto n = static_cast<double>(g.num_intersections());
     if (n > 2.0) norm *= (n - 1.0) * (n - 2.0);
   }
-  for (double& c : centrality) c = c * scale / norm;
+  for (double& c : centrality) c = c / norm;
   return centrality;
 }
 
@@ -604,20 +530,6 @@ std::vector<double> reference_metric_weights(const RoadGraph& g,
                                                 : g.segment(s).travel_time_s());
   }
   return w;
-}
-
-/// The sampled entry point's source draw: a partial Fisher-Yates shuffle.
-std::vector<NodeId> reference_sample(std::size_t n, std::size_t k, Rng& rng) {
-  std::vector<NodeId> pool(n);
-  std::iota(pool.begin(), pool.end(), NodeId{0});
-  for (std::size_t i = 0; i < k; ++i) {
-    const auto j = static_cast<std::size_t>(
-        rng.uniform_int(static_cast<std::int64_t>(i),
-                        static_cast<std::int64_t>(n) - 1));
-    std::swap(pool[i], pool[j]);
-  }
-  pool.resize(k);
-  return pool;
 }
 
 ::testing::AssertionResult same_bits(std::span<const double> got,
@@ -637,29 +549,17 @@ std::vector<NodeId> reference_sample(std::size_t n, std::size_t k, Rng& rng) {
 }
 
 /// Every entry point on `g` against the reference, at 1 and 4 threads:
-/// each metric exact and sampled, `weights` through the weighted entry
-/// point (normalised and raw), and IncrementalBetweenness from `weights`
-/// through seeded updates that draw new values from `weights` itself, so
-/// tie-heavy inputs stay tie-heavy.
+/// each metric, `weights` through the weighted entry point (normalised and
+/// raw), and IncrementalBetweenness from `weights` through seeded updates
+/// that draw new values from `weights` itself, so tie-heavy inputs stay
+/// tie-heavy.
 void expect_matches_reference(const RoadGraph& g,
                               const std::vector<double>& weights,
                               std::uint64_t seed, const std::string& name) {
-  const std::size_t n = g.num_intersections();
-  std::vector<NodeId> all(n);
-  std::iota(all.begin(), all.end(), NodeId{0});
-  const std::size_t num_sampled = std::max<std::size_t>(1, n / 3);
   for (const auto metric :
        {PathMetric::kHops, PathMetric::kDistance, PathMetric::kTravelTime}) {
-    const std::vector<double> costs = reference_metric_weights(g, metric);
     const std::vector<double> exact =
-        reference_betweenness(g, all, 1.0, true, costs);
-    Rng reference_rng(seed);
-    const std::vector<NodeId> picked =
-        reference_sample(n, num_sampled, reference_rng);
-    const std::vector<double> sampled = reference_betweenness(
-        g, picked,
-        static_cast<double>(n) / static_cast<double>(num_sampled), true,
-        costs);
+        reference_betweenness(g, true, reference_metric_weights(g, metric));
     for (const std::size_t threads : {1u, 4u}) {
       BetweennessOptions opts;
       opts.metric = metric;
@@ -667,16 +567,11 @@ void expect_matches_reference(const RoadGraph& g,
       EXPECT_TRUE(same_bits(segment_betweenness(g, opts), exact))
           << name << " metric " << static_cast<int>(metric) << " threads "
           << threads;
-      Rng rng(seed);
-      EXPECT_TRUE(same_bits(
-          sampled_segment_betweenness(g, num_sampled, rng, opts), sampled))
-          << name << " sampled, metric " << static_cast<int>(metric)
-          << " threads " << threads;
     }
   }
   for (const bool normalize : {true, false}) {
     const std::vector<double> expected =
-        reference_betweenness(g, all, 1.0, normalize, weights);
+        reference_betweenness(g, normalize, weights);
     for (const std::size_t threads : {1u, 4u}) {
       BetweennessOptions opts;
       opts.normalize = normalize;
@@ -696,7 +591,7 @@ void expect_matches_reference(const RoadGraph& g,
   Rng update_rng(derive_seed(seed, {0xB5u}));
   for (int step = 0; step <= 3; ++step) {
     const std::vector<double> expected =
-        reference_betweenness(g, all, 1.0, true, current);
+        reference_betweenness(g, true, current);
     EXPECT_TRUE(same_bits(serial.centrality(), expected))
         << name << " incremental, 1 thread, step " << step;
     EXPECT_TRUE(same_bits(parallel.centrality(), expected))
@@ -796,8 +691,6 @@ TEST(Betweenness, FlatPassMatchesReferencePass) {
   // distances to both endpoints are infinite, so update_weights skips it
   // and the chunks holding only B's sources stay clean.
   const std::size_t half_segments = split.num_segments() / 2;
-  std::vector<NodeId> all(split.num_intersections());
-  std::iota(all.begin(), all.end(), NodeId{0});
   IncrementalBetweenness inc(split, split_weights);
   std::vector<double> current = split_weights;
   std::vector<SegmentId> segments;
@@ -811,8 +704,8 @@ TEST(Betweenness, FlatPassMatchesReferencePass) {
   EXPECT_GT(stats.chunks_recomputed, 0u);
   EXPECT_LE(stats.sources_affected, split.num_intersections() / 2);
   EXPECT_LT(stats.chunks_recomputed, inc.num_chunks());
-  EXPECT_TRUE(same_bits(inc.centrality(),
-                        reference_betweenness(split, all, 1.0, true, current)));
+  EXPECT_TRUE(
+      same_bits(inc.centrality(), reference_betweenness(split, true, current)));
 }
 
 TEST(IncrementalBetweenness, RejectedBatchLeavesStateUntouched) {

@@ -55,24 +55,6 @@ TEST(RobustAggregator, MedianModeShrugsOffMinorityOutliers) {
   EXPECT_DOUBLE_EQ(agg.aggregate(values), 1.0);
 }
 
-TEST(RobustAggregator, TrimmedMeanDropsTails) {
-  RobustOptions options;
-  options.mode = AggregationMode::kTrimmedMean;
-  options.trim_fraction = 0.2;  // cut = 2 of 10 from each end
-  const RobustAggregator agg(options);
-  std::vector<double> values = {1.0, 1.0, 1.0, 1.0, 1.0,
-                                1.0, -50.0, 60.0, 1.0, 1.0};
-  EXPECT_DOUBLE_EQ(agg.aggregate(values), 1.0);
-}
-
-TEST(RobustAggregator, TrimmedMeanDegeneratesToMedianWhenOvertrimmed) {
-  RobustOptions options;
-  options.mode = AggregationMode::kTrimmedMean;
-  options.trim_fraction = 0.5;
-  const RobustAggregator agg(options);
-  EXPECT_DOUBLE_EQ(agg.aggregate(std::vector<double>{1.0, 2.0, 9.0}), 2.0);
-}
-
 TEST(RobustAggregator, OutlierScoresFlagLiarsAgainstExactHonestSample) {
   // Honest telemetry is exact, so the MAD collapses to zero and the
   // relative floor takes over — any deviating value scores enormously.

@@ -5,7 +5,9 @@
 // differently-configured run (typed SerialError, never silent adoption).
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/serial.h"
@@ -381,7 +383,7 @@ std::vector<trace::GpsFix> synthetic_trace(std::size_t vehicles,
   return fixes;
 }
 
-TEST(TraceReplayResume, BitIdenticalAcrossSeedsAndKernels) {
+TEST(TraceReplayResume, BitIdenticalAcrossSeeds) {
   const auto game = make_chain_game(3);
   const std::vector<cluster::RegionId> region_of = {0, 0, 1, 1, 2, 2};
   const std::size_t vehicles = 30;
@@ -389,45 +391,29 @@ TEST(TraceReplayResume, BitIdenticalAcrossSeedsAndKernels) {
   const auto fixes = synthetic_trace(vehicles, 12, round_s);
   const std::vector<double> x(game.num_regions(), 0.5);
 
-  struct Config {
-    bool measured;
-    perception::DataPlaneMode mode;
-  };
-  const Config configs[] = {
-      {false, perception::DataPlaneMode::kPairwiseExact},
-      {true, perception::DataPlaneMode::kPairwiseExact},
-      {true, perception::DataPlaneMode::kClassAggregated},
-  };
   for (const std::uint64_t seed : {21ull, 909ull}) {
-    for (const Config& config : configs) {
-      SCOPED_TRACE(::testing::Message()
-                   << "seed=" << seed << " measured=" << config.measured
-                   << " mode=" << static_cast<int>(config.mode));
-      sim::TraceReplayParams params;
-      params.round_s = round_s;
-      params.seed = seed;
-      params.measure_data_plane = config.measured;
-      params.exchange.mode = config.mode;
-      params.exchange.fleet_size = 16;
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    sim::TraceReplayParams params;
+    params.round_s = round_s;
+    params.seed = seed;
 
-      sim::TraceDrivenSim straight(game, fixes, region_of, vehicles,
-                                   12 * round_s, params);
-      straight.init_from(game.uniform_state());
-      for (std::size_t t = 0; t < kWarmRounds; ++t) straight.step(x);
-      Serializer snapshot;
-      straight.save_state(snapshot);
-      for (std::size_t t = 0; t < kResumeRounds; ++t) straight.step(x);
+    sim::TraceDrivenSim straight(game, fixes, region_of, vehicles,
+                                 12 * round_s, params);
+    straight.init_from(game.uniform_state());
+    for (std::size_t t = 0; t < kWarmRounds; ++t) straight.step(x);
+    Serializer snapshot;
+    straight.save_state(snapshot);
+    for (std::size_t t = 0; t < kResumeRounds; ++t) straight.step(x);
 
-      sim::TraceDrivenSim resumed(game, fixes, region_of, vehicles,
-                                  12 * round_s, params);
-      Deserializer d(snapshot.bytes());
-      resumed.load_state(d);
-      EXPECT_TRUE(d.exhausted());
-      EXPECT_EQ(resumed.current_round(), kWarmRounds);
-      for (std::size_t t = 0; t < kResumeRounds; ++t) resumed.step(x);
+    sim::TraceDrivenSim resumed(game, fixes, region_of, vehicles,
+                                12 * round_s, params);
+    Deserializer d(snapshot.bytes());
+    resumed.load_state(d);
+    EXPECT_TRUE(d.exhausted());
+    EXPECT_EQ(resumed.current_round(), kWarmRounds);
+    for (std::size_t t = 0; t < kResumeRounds; ++t) resumed.step(x);
 
-      EXPECT_EQ(straight.empirical_state().p, resumed.empirical_state().p);
-    }
+    EXPECT_EQ(straight.empirical_state().p, resumed.empirical_state().p);
   }
 }
 
@@ -448,6 +434,66 @@ TEST(TraceReplayResume, MismatchedConfigurationRejected) {
   sim::TraceDrivenSim target(game, fixes, region_of, 31, 600.0, params);
   Deserializer d(snapshot.bytes());
   EXPECT_THROW(target.load_state(d), SerialError);
+}
+
+TEST(TraceReplayResume, MisshapenSnapshotLeavesTheSimUntouched) {
+  // A snapshot whose decisions name an id past the lattice, or whose
+  // published state has one row for a two-region replay, must be rejected
+  // before any of it is applied: the round, the revision stream, the
+  // decisions and the state stay as they were, so the next steps match an
+  // untouched twin.
+  const auto game = make_chain_game(2);
+  const std::vector<cluster::RegionId> region_of = {0, 0, 0, 1, 1, 1};
+  const auto fixes = synthetic_trace(30, 8, 100.0);
+  sim::TraceReplayParams params;
+  params.round_s = 100.0;
+  params.seed = 21;
+  const std::vector<double> x(game.num_regions(), 0.5);
+
+  sim::TraceDrivenSim source(game, fixes, region_of, 30, 800.0, params);
+  source.init_from(game.uniform_state());
+  for (std::size_t t = 0; t < kWarmRounds; ++t) source.step(x);
+  Serializer snapshot;
+  source.save_state(snapshot);
+  const std::vector<std::byte>& good = snapshot.bytes();
+
+  // The published state closes the snapshot (a u64 row count, then each
+  // row as a u64 length and its doubles), right after the decisions.
+  const std::size_t state_bytes =
+      8 + game.num_regions() * (8 + 8 * game.num_decisions());
+  ASSERT_GT(good.size(), state_bytes + 4);
+  std::vector<std::byte> one_row(good.begin(), good.end() - state_bytes);
+  Serializer row;
+  core::GameState single;
+  single.p = {game.uniform_state().p[0]};
+  single.save_state(row);
+  one_row.insert(one_row.end(), row.bytes().begin(), row.bytes().end());
+  std::vector<std::byte> bad_decision = good;
+  const std::size_t last_decision = good.size() - state_bytes - 4;
+  bad_decision[last_decision] = static_cast<std::byte>(game.num_decisions());
+
+  const std::pair<const char*, const std::vector<std::byte>*> cases[] = {
+      {"decision past the lattice", &bad_decision}, {"one state row", &one_row}};
+  for (const auto& [name, bytes] : cases) {
+    SCOPED_TRACE(name);
+    sim::TraceDrivenSim target(game, fixes, region_of, 30, 800.0, params);
+    sim::TraceDrivenSim twin(game, fixes, region_of, 30, 800.0, params);
+    target.init_from(game.uniform_state());
+    twin.init_from(game.uniform_state());
+    for (int t = 0; t < 2; ++t) {
+      target.step(x);
+      twin.step(x);
+    }
+    Deserializer d(*bytes);
+    ASSERT_THROW(target.load_state(d), SerialError);
+    EXPECT_EQ(target.current_round(), 2u);
+    EXPECT_EQ(target.empirical_state().p, twin.empirical_state().p);
+    for (int t = 0; t < 3; ++t) {
+      target.step(x);
+      twin.step(x);
+      EXPECT_EQ(target.empirical_state().p, twin.empirical_state().p);
+    }
+  }
 }
 
 }  // namespace

@@ -125,38 +125,6 @@ TEST(ServiceEngine, FleetModeRequiresFinalizedGraph) {
                ContractViolation);
 }
 
-// Streaming cold start: any ingest batch size must build the same fleet
-// (placement comes from per-source-id hash streams) and therefore the same
-// trajectory, churn included.
-TEST(ServiceEngine, InitFromSourceIsBatchSizeInvariant) {
-  const auto game = make_chain_game(kRegions);
-  const auto graph = roadnet::make_grid(6, 6);
-  ServiceParams params;
-  params.seed = 41;
-  params.churn.join_rate = 0.05;
-  params.churn.leave_rate = 0.05;
-  params.churn.migrate_rate = 0.1;
-
-  core::FixedRatioController inner_a(0.5);
-  core::FixedRatioController inner_b(0.5);
-  ServiceEngine a(game, inner_a, &graph, params);
-  ServiceEngine b(game, inner_b, &graph, params);
-  core::SyntheticFleetSource source_a(600, game.num_decisions(), 17);
-  core::SyntheticFleetSource source_b(600, game.num_decisions(), 17);
-  const core::GameState initial = seeded_state(game, 11);
-  a.init_from_source(initial, std::vector<double>(kRegions, 0.5), source_a,
-                     /*ingest_batch=*/600);
-  b.init_from_source(initial, std::vector<double>(kRegions, 0.5), source_b,
-                     /*ingest_batch=*/7);
-  EXPECT_EQ(a.fleet().size(), 600u);
-  expect_engines_equal(a, b);
-  for (int e = 0; e < 6; ++e) {
-    a.run_epoch();
-    b.run_epoch();
-  }
-  expect_engines_equal(a, b);
-}
-
 // ---------------------------------------------------------------------------
 // Zero-churn fleet: the finite-population engine
 // ---------------------------------------------------------------------------

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "common/contracts.h"
+#include "common/rng.h"
 #include "core/fds.h"
+#include "core/imitation.h"
 #include "test_support.h"
 
 namespace avcp::sim {
@@ -215,28 +219,77 @@ TEST(TraceReplay, MigrationCarriesDecisionsBetweenRegions) {
   EXPECT_DOUBLE_EQ(sim.empirical_state().p[1][6], 1.0);
 }
 
-TEST(TraceReplay, MeasuredFitnessModeIsDeterministicAndOptIn) {
+TEST(TraceReplay, InitRejectsRowsWiderThanTheLattice) {
+  // A ninth entry would let weighted_index draw decision 8 on an 8-decision
+  // lattice, which the empirical state then uses as an index.
   const auto game = make_chain_game(2);
   const std::vector<cluster::RegionId> region_of = {0, 1};
-  const std::vector<double> x = {0.6, 0.4};
-  auto run = [&](bool measured) {
-    auto params = tiny_params();
-    params.measure_data_plane = measured;
-    params.exchange.mode = perception::DataPlaneMode::kClassAggregated;
-    TraceDrivenSim sim(game, tiny_trace(), region_of, 3, 200.0, params);
-    sim.init_from(game.uniform_state());
-    for (int t = 0; t < 4; ++t) sim.step(x);
-    return sim.empirical_state();
+  TraceDrivenSim sim(game, tiny_trace(), region_of, 3, 200.0, tiny_params());
+  core::GameState rows = game.uniform_state();
+  rows.p[0].assign(9, 0.0);
+  rows.p[0][8] = 1.0;
+  EXPECT_THROW(sim.init_from(rows), ContractViolation);
+}
+
+TEST(TraceReplay, RevisionFollowsTheImitateDrawContract) {
+  // One round of 40 vehicles, repeated: even ids drive region 0 and odd
+  // ids region 1, so id order interleaves the regions. The replay must
+  // revise by core::imitate over each region's roster (regions in index
+  // order, rosters in id order, fitness from the start-of-round state),
+  // all from the one stream that init_from drew from.
+  const auto game = make_chain_game(2);
+  const std::vector<cluster::RegionId> region_of = {0, 1};
+  constexpr std::size_t kVehicles = 40;
+  std::vector<trace::GpsFix> fixes;
+  for (trace::VehicleId v = 0; v < kVehicles; ++v) {
+    fixes.push_back({v, 1.0, {}, 0.0, v % 2});
+  }
+  TraceReplayParams params = tiny_params();
+  params.imitation_scale = 8.0;
+  params.seed = 77;
+  TraceDrivenSim sim(game, fixes, region_of, kVehicles, 100.0, params);
+  const core::GameState initial = game.uniform_state();
+  sim.init_from(initial);
+
+  Rng rng(77);
+  std::vector<core::DecisionId> decisions(kVehicles);
+  for (std::size_t v = 0; v < kVehicles; ++v) {
+    decisions[v] =
+        static_cast<core::DecisionId>(rng.weighted_index(initial.p[v % 2]));
+  }
+  std::vector<std::vector<trace::VehicleId>> rosters(2);
+  for (trace::VehicleId v = 0; v < kVehicles; ++v) rosters[v % 2].push_back(v);
+  const auto empirical = [&] {
+    core::GameState state = game.uniform_state();
+    for (std::size_t i = 0; i < 2; ++i) {
+      std::fill(state.p[i].begin(), state.p[i].end(), 0.0);
+      for (const trace::VehicleId v : rosters[i]) {
+        state.p[i][decisions[v]] += 1.0;
+      }
+      for (double& share : state.p[i]) {
+        share /= static_cast<double>(rosters[i].size());
+      }
+    }
+    return state;
   };
-  // Same seed, measured mode on: identical trajectories.
-  const auto a = run(true);
-  const auto b = run(true);
-  EXPECT_EQ(a.p, b.p);
-  for (const auto& row : a.p) core::check_distribution(row);
-  // The flag is opt-in: the default analytic path still runs fine and its
-  // revision stream is untouched by the measured machinery.
-  const auto analytic = run(false);
-  for (const auto& row : analytic.p) core::check_distribution(row);
+
+  const std::vector<double> x = {0.7, 0.3};
+  for (int round = 0; round < 6; ++round) {
+    const core::GameState start = empirical();
+    for (core::RegionId i = 0; i < 2; ++i) {
+      const std::vector<trace::VehicleId>& roster = rosters[i];
+      const std::vector<double> q = game.region_fitness(start, x, i);
+      std::vector<core::DecisionId> before;
+      for (const trace::VehicleId v : roster) before.push_back(decisions[v]);
+      core::imitate(
+          before, before, params.revision_rate, params.imitation_scale, rng,
+          [](std::size_t) { return false; },
+          [&](std::size_t j) { return q[before[j]]; },
+          [&](std::size_t j, core::DecisionId d) { decisions[roster[j]] = d; });
+    }
+    sim.step(x);
+    EXPECT_EQ(sim.empirical_state().p, empirical().p) << "round " << round;
+  }
 }
 
 TEST(TraceReplay, FdsShapesTraceDrivenPopulation) {
