@@ -127,14 +127,53 @@ double lgamma_threadsafe(double x) noexcept {
 #endif
 }
 
+}  // namespace
+
+BinomialSampler::BinomialSampler(std::uint64_t n, double p) : n_(n) {
+  AVCP_EXPECT(!std::isnan(p));
+  if (n == 0 || p <= 0.0) return;
+  reflect_ = p > 0.5;
+  if (p >= 1.0) return;
+  if (reflect_) p = 1.0 - p;
+  nd_ = static_cast<double>(n);
+  const double q = 1.0 - p;
+  if (nd_ * p < 10.0) {
+    path_ = Path::kInversion;
+    s_ = p / q;
+    a_ = static_cast<double>(n + 1) * s_;
+    r0_ = std::pow(q, nd_);
+    return;
+  }
+  path_ = Path::kBtrs;
+  const double spq = std::sqrt(nd_ * p * q);
+  b_ = 1.15 + 2.53 * spq;
+  a_ = -0.0873 + 0.0248 * b_ + 0.01 * p;
+  c_ = nd_ * p + 0.5;
+  v_r_ = 0.92 - 4.2 / b_;
+  alpha_ = (2.83 + 5.1 / b_) * spq;
+  lpq_ = std::log(p / q);
+  m_ = std::floor((nd_ + 1.0) * p);
+  h_ = lgamma_threadsafe(m_ + 1.0) + lgamma_threadsafe(nd_ - m_ + 1.0);
+}
+
+std::uint64_t BinomialSampler::operator()(Rng& rng) const noexcept {
+  std::uint64_t k = 0;
+  if (path_ == Path::kInversion) {
+    k = inversion(rng);
+  } else if (path_ == Path::kBtrs) {
+    k = btrs(rng);
+  }
+  return reflect_ ? n_ - k : k;
+}
+
 /// CDF inversion (Kachitvichyanukul & Schmeiser's BINV): walks the
 /// probability recurrence from k = 0. Expected cost O(n * p); used when
 /// n * p is small enough that the walk beats rejection.
-std::uint64_t binomial_inversion(Rng& rng, std::uint64_t n, double p) noexcept {
-  const double q = 1.0 - p;
-  const double s = p / q;
-  const double a = static_cast<double>(n + 1) * s;
-  double r = std::pow(q, static_cast<double>(n));
+std::uint64_t BinomialSampler::inversion(Rng& rng) const noexcept {
+  const std::uint64_t n = n_;
+  const double s = s_;
+  const double a = a_;
+  double r = r0_;
   double u = rng.uniform();
   std::uint64_t k = 0;
   while (u > r) {
@@ -148,44 +187,29 @@ std::uint64_t binomial_inversion(Rng& rng, std::uint64_t n, double p) noexcept {
 
 /// Hormann's BTRS transformed-rejection sampler (1993), the standard exact
 /// binomial for n * p >= 10 (same algorithm family as NumPy / TensorFlow).
-/// Requires p <= 1/2 (callers reduce by symmetry).
-std::uint64_t binomial_btrs(Rng& rng, std::uint64_t n, double p) noexcept {
-  const double nd = static_cast<double>(n);
-  const double q = 1.0 - p;
-  const double spq = std::sqrt(nd * p * q);
-  const double b = 1.15 + 2.53 * spq;
-  const double a = -0.0873 + 0.0248 * b + 0.01 * p;
-  const double c = nd * p + 0.5;
-  const double v_r = 0.92 - 4.2 / b;
-  const double alpha = (2.83 + 5.1 / b) * spq;
-  const double lpq = std::log(p / q);
-  const double m = std::floor((nd + 1.0) * p);
-  const double h = lgamma_threadsafe(m + 1.0) + lgamma_threadsafe(nd - m + 1.0);
+std::uint64_t BinomialSampler::btrs(Rng& rng) const noexcept {
+  const double nd = nd_;
+  const double a = a_;
+  const double b = b_;
+  const double c = c_;
+  const double m = m_;
   for (;;) {
     const double u = rng.uniform() - 0.5;
     double v = rng.uniform();
     const double us = 0.5 - std::abs(u);
     const double kd = std::floor((2.0 * a / us + b) * u + c);
     if (kd < 0.0 || kd > nd) continue;
-    if (us >= 0.07 && v <= v_r) return static_cast<std::uint64_t>(kd);
-    v = std::log(v * alpha / (a / (us * us) + b));
-    if (v <= h - lgamma_threadsafe(kd + 1.0) - lgamma_threadsafe(nd - kd + 1.0) +
-                 (kd - m) * lpq) {
+    if (us >= 0.07 && v <= v_r_) return static_cast<std::uint64_t>(kd);
+    v = std::log(v * alpha_ / (a / (us * us) + b));
+    if (v <= h_ - lgamma_threadsafe(kd + 1.0) -
+                 lgamma_threadsafe(nd - kd + 1.0) + (kd - m) * lpq_) {
       return static_cast<std::uint64_t>(kd);
     }
   }
 }
 
-}  // namespace
-
-std::uint64_t Rng::binomial(std::uint64_t n, double p) noexcept {
-  if (n == 0 || p <= 0.0) return 0;
-  if (p >= 1.0) return n;
-  if (p > 0.5) return n - binomial(n, 1.0 - p);
-  if (static_cast<double>(n) * p < 10.0) {
-    return binomial_inversion(*this, n, p);
-  }
-  return binomial_btrs(*this, n, p);
+std::uint64_t Rng::binomial(std::uint64_t n, double p) {
+  return BinomialSampler(n, p)(*this);
 }
 
 std::size_t Rng::weighted_index(std::span<const double> weights) {

@@ -67,12 +67,9 @@ class Rng {
   double exponential(double rate) noexcept;
 
   /// Binomial sample: number of successes in n independent Bernoulli(p)
-  /// trials. Exact (not a normal approximation): CDF inversion for small
-  /// n*p, Hormann's BTRS transformed-rejection otherwise, with the p > 1/2
-  /// case handled by symmetry. p is clamped to [0, 1]. The class-aggregated
-  /// data-plane kernel uses it to collapse per-pair delivery draws into one
-  /// draw per (receiver, sender-class).
-  std::uint64_t binomial(std::uint64_t n, double p) noexcept;
+  /// trials; BinomialSampler(n, p)(*this). p is clamped to [0, 1] and must
+  /// not be NaN (ContractViolation).
+  std::uint64_t binomial(std::uint64_t n, double p);
 
   /// Samples an index in [0, weights.size()) with probability proportional
   /// to weights[i]. Weights must be non-negative with a positive sum.
@@ -102,6 +99,49 @@ class Rng {
   std::array<std::uint64_t, 4> state_;
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;
+};
+
+/// Binomial(n, p) with its set-up done once: every draw is the one
+/// Rng::binomial(n, p) would make, from the same operands in the same
+/// order. Exact (not a normal approximation): CDF inversion (BINV) when
+/// n·p < 10, Hormann's BTRS transformed rejection otherwise, with p > 1/2
+/// reduced by symmetry. p is clamped to [0, 1]; a NaN p is a contract
+/// violation. The class-aggregated data-plane kernel keeps one sampler per
+/// sender class and round, and draws one Binomial per (receiver, readable
+/// class) from it.
+class BinomialSampler {
+ public:
+  BinomialSampler(std::uint64_t n, double p);
+
+  /// One draw from `rng` (none for n = 0, p <= 0 or p >= 1).
+  std::uint64_t operator()(Rng& rng) const noexcept;
+
+ private:
+  /// kZero draws nothing and gives k = 0 (n = 0, p <= 0, and p >= 1 once
+  /// reflected to n); the other two draw k for min(p, 1 - p).
+  enum class Path : std::uint8_t { kZero, kInversion, kBtrs };
+
+  std::uint64_t inversion(Rng& rng) const noexcept;
+  std::uint64_t btrs(Rng& rng) const noexcept;
+
+  std::uint64_t n_ = 0;
+  Path path_ = Path::kZero;
+  /// p > 1/2: k is drawn for 1 - p, and the draw returns n - k.
+  bool reflect_ = false;
+  double nd_ = 0.0;  // n as a double
+  /// Inversion: q^n, p/q and (n + 1)·p/q.
+  double r0_ = 0.0;
+  double s_ = 0.0;
+  double a_ = 0.0;
+  /// BTRS: its constants b, a (in a_), c, v_r and alpha, log(p/q), the
+  /// mode m and h = lgamma(m + 1) + lgamma(n - m + 1).
+  double b_ = 0.0;
+  double c_ = 0.0;
+  double v_r_ = 0.0;
+  double alpha_ = 0.0;
+  double lpq_ = 0.0;
+  double m_ = 0.0;
+  double h_ = 0.0;
 };
 
 }  // namespace avcp

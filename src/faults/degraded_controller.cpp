@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/contracts.h"
 #include "common/serial.h"
@@ -116,14 +117,23 @@ void DegradedController::save_state(Serializer& s) const {
 }
 
 void DegradedController::load_state(Deserializer& d) {
-  round_ = static_cast<std::size_t>(d.get_u64());
-  last_good_.load_state(d);
-  age_ = get_size_vec(d);
-  degraded_ = get_u8_vec(d);
-  Deserializer::check(age_.size() == last_good_.p.size() &&
-                          degraded_.size() == last_good_.p.size(),
+  // Parse into locals and commit only once every read has succeeded, so a
+  // rejected snapshot leaves the wrapper as it was.
+  const std::uint64_t round = d.get_u64();
+  core::GameState last_good;
+  last_good.load_state(d);
+  std::vector<std::size_t> age = get_size_vec(d);
+  std::vector<std::uint8_t> degraded = get_u8_vec(d);
+  Deserializer::check(age.size() == last_good.p.size() &&
+                          degraded.size() == last_good.p.size(),
                       "DegradedController per-region vectors disagree");
-  counters_.load_state(d);
+  FaultCounters counters;
+  counters.load_state(d);
+  round_ = static_cast<std::size_t>(round);
+  last_good_ = std::move(last_good);
+  age_ = std::move(age);
+  degraded_ = std::move(degraded);
+  counters_ = counters;
 }
 
 }  // namespace avcp::faults

@@ -208,8 +208,11 @@ void ExchangeChannel::load_state(Deserializer& d) {
                         "net snapshot: link topology mismatch");
   }
 
-  resolved_round_ = d.get_u64();
-  for (Link& l : links_) l.applied = d.get_u64();
+  // Parse into locals and commit only once every read has succeeded, so a
+  // rejected snapshot leaves the channel as it was.
+  const std::uint64_t resolved_round = d.get_u64();
+  std::vector<std::uint64_t> applied(links_.size());
+  for (std::uint64_t& a : applied) a = d.get_u64();
   const std::uint64_t pending = d.get_u64();
   std::vector<InFlight> inflight;
   inflight.reserve(pending);
@@ -227,12 +230,18 @@ void ExchangeChannel::load_state(Deserializer& d) {
     Deserializer::check(e.kind <= 1, "net snapshot: bad in-flight kind");
     e.reorder = d.get_u8();
     Deserializer::check(
-        resolved_round_ == kNothing || e.due > resolved_round_,
+        resolved_round == kNothing || e.due > resolved_round,
         "net snapshot: in-flight message due in the past");
     inflight.push_back(e);
   }
-  counters_.load_state(d);
+  Counters counters;
+  counters.load_state(d);
+  resolved_round_ = resolved_round;
+  for (std::size_t i = 0; i < links_.size(); ++i) {
+    links_[i].applied = applied[i];
+  }
   inflight_ = std::move(inflight);
+  counters_ = counters;
   pending_.clear();
   std::fill(delivered_.begin(), delivered_.end(), std::uint8_t{0});
 }

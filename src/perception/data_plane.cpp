@@ -98,6 +98,8 @@ void EdgeServerDataPlane::reserve_workspace(std::size_t vehicles,
   ws_.cls.reserve(vehicles);
   ws_.class_senders.reserve(k);
   ws_.class_items.reserve(k);
+  ws_.class_draw.reserve(k);
+  ws_.class_draw_self.reserve(k);
   ws_.item_count.reserve(k * omega);
   ws_.recv_count.reserve(k * omega);
   ws_.miss_pow.reserve(kMissPowCache);
@@ -296,6 +298,15 @@ void EdgeServerDataPlane::build_composition_table(std::size_t num_senders) {
   }
 }
 
+void EdgeServerDataPlane::build_class_draws(double sharing_ratio) {
+  ws_.class_draw.clear();
+  ws_.class_draw_self.clear();
+  for (const std::uint32_t n_l : ws_.class_senders) {
+    ws_.class_draw.emplace_back(n_l, sharing_ratio);
+    ws_.class_draw_self.emplace_back(n_l == 0 ? 0 : n_l - 1, sharing_ratio);
+  }
+}
+
 void EdgeServerDataPlane::build_miss_pow(double sharing_ratio) {
   const double q = 1.0 - sharing_ratio;
   ws_.miss_pow.assign(kMissPowCache, 1.0);
@@ -345,6 +356,7 @@ void EdgeServerDataPlane::run_round_class_aggregated(
   const std::size_t k = lattice_.num_decisions();
   const std::size_t omega = universe_.size();
   build_composition_table(n);
+  build_class_draws(sharing_ratio);
   build_miss_pow(sharing_ratio);
   const bool use_table = n >= kMissTableMinFleet;
   if (use_table) build_miss_table(sharing_ratio);
@@ -367,12 +379,14 @@ void EdgeServerDataPlane::run_round_class_aggregated(
         if (readable_[cls_a * k + l] == 0) continue;
         std::uint32_t senders = ws_.class_senders[l];
         std::size_t pool = ws_.class_items[l];
+        const BinomialSampler* draw = &ws_.class_draw[l];
         if (l == cls_a && my_upload > 0) {
           --senders;
           pool -= my_upload;
+          draw = &ws_.class_draw_self[l];
         }
         if (senders == 0 || pool == 0) continue;
-        const std::uint64_t m = rng_.binomial(senders, sharing_ratio);
+        const std::uint64_t m = (*draw)(rng_);
         deliveries_acc += static_cast<double>(m) *
                           (static_cast<double>(pool) /
                            static_cast<double>(senders));
@@ -487,6 +501,7 @@ void EdgeServerDataPlane::run_directional_class_aggregated(
   const std::size_t k = lattice_.num_decisions();
   const std::size_t omega = universe_.size();
   build_composition_table(senders.size());
+  build_class_draws(sharing_ratio);
   build_miss_pow(sharing_ratio);
   const bool use_table = receivers.size() >= kMissTableMinFleet;
   if (use_table) build_miss_table(sharing_ratio);
@@ -506,7 +521,7 @@ void EdgeServerDataPlane::run_directional_class_aggregated(
       const std::uint32_t n_l = ws_.class_senders[l];
       const std::size_t pool = ws_.class_items[l];
       if (n_l == 0 || pool == 0) continue;
-      const std::uint64_t m = rng_.binomial(n_l, sharing_ratio);
+      const std::uint64_t m = ws_.class_draw[l](rng_);
       deliveries_acc += static_cast<double>(m) *
                         (static_cast<double>(pool) / static_cast<double>(n_l));
     }

@@ -213,6 +213,12 @@ class EdgeServerDataPlane {
     std::vector<std::size_t> class_items;      // per class: pooled item count
     std::vector<std::uint32_t> item_count;     // [class][item]: upload copies
     std::vector<std::uint32_t> recv_count;     // [recv class][item]: readable
+    /// Per class l, set up once per round: Binomial(class_senders[l], x),
+    /// and Binomial(class_senders[l] - 1, x) for a receiver of class l that
+    /// uploaded something itself. Drawing from them is drawing
+    /// rng_.binomial on the same (n, x), bit for bit.
+    std::vector<BinomialSampler> class_draw;
+    std::vector<BinomialSampler> class_draw_self;
     std::vector<double> miss_pow;              // (1-x)^c for small c
     /// [recv class][item]: (1-x)^recv_count, hoisting the std::pow fallback
     /// (recv_count >= 64 at fleet scale) out of the per-candidate loop.
@@ -253,6 +259,8 @@ class EdgeServerDataPlane {
   /// uploads / ws_.cls entries (the buffers are high-water-marked and may
   /// hold stale rows from a larger earlier round).
   void build_composition_table(std::size_t num_senders);
+  /// Fills ws_.class_draw and ws_.class_draw_self from ws_.class_senders.
+  void build_class_draws(double sharing_ratio);
   /// Precomputes ws_.miss_pow[c] = (1-x)^c for c in [0, kMissPowCache).
   void build_miss_pow(double sharing_ratio);
   /// Fills ws_.miss_table from ws_.recv_count (see Workspace::miss_table).

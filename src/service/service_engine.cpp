@@ -581,9 +581,12 @@ void ServiceEngine::load_state(Deserializer& d) {
   Deserializer::check(d.get_bool() == channel_.has_value(),
                       "service snapshot: net transport wiring mismatch");
 
-  epoch_ = d.get_u64();
-  next_id_ = d.get_u64();
-  staleness_ = d.get_u64();
+  // Everything is parsed into locals (the sub-objects into copies), and
+  // nothing is committed until the last read has succeeded, so a rejected
+  // snapshot leaves the service as it was.
+  const std::uint64_t epoch = d.get_u64();
+  const std::uint64_t next_id = d.get_u64();
+  const std::uint64_t staleness = d.get_u64();
 
   const std::uint64_t fleet_size = d.get_u64();
   std::vector<VehicleRecord> fleet;
@@ -594,7 +597,7 @@ void ServiceEngine::load_state(Deserializer& d) {
     rec.id = d.get_u64();
     Deserializer::check(i == 0 || rec.id > prev_id,
                         "service snapshot: fleet ids out of order");
-    Deserializer::check(rec.id < next_id_,
+    Deserializer::check(rec.id < next_id,
                         "service snapshot: vehicle id beyond id counter");
     prev_id = rec.id;
     rec.identity = d.get_u64();
@@ -646,30 +649,42 @@ void ServiceEngine::load_state(Deserializer& d) {
     Deserializer::check(loads[i] >= 0,
                         "service snapshot: negative segment load");
   }
-  // Rebuilding from loads is bit-equal to the pre-crash clustering by the
-  // incremental-equivalence contract.
-  clustering_->set_loads(loads);
-  for (std::size_t i = 0; i < pend.size(); ++i) {
-    pending_[i] = decode_i64(pend[i]);
-  }
 
-  controller_->load_state(d);
-  counters_.load_state(d);
-
-  if (channel_) {
-    channel_->load_state(d);
-    reports_.load_state(d, [&](Deserializer& in, std::vector<double>& row) {
+  faults::DegradedController controller = *controller_;
+  controller.load_state(d);
+  ServiceCounters counters;
+  counters.load_state(d);
+  std::optional<net::ExchangeChannel> channel = channel_;
+  net::PayloadRing<std::vector<double>> reports = reports_;
+  if (channel) {
+    channel->load_state(d);
+    reports.load_state(d, [&](Deserializer& in, std::vector<double>& row) {
       row = get_f64_vec(in);
       Deserializer::check(row.size() == game_.num_decisions(),
                           "service snapshot: report row shape mismatch");
     });
   }
 
+  epoch_ = static_cast<std::size_t>(epoch);
+  next_id_ = next_id;
+  staleness_ = static_cast<std::size_t>(staleness);
   fleet_ = std::move(fleet);
   x_ = std::move(x);
   state_ = std::move(state);
   observed_ = std::move(observed);
   down_ = std::move(down);
+  // Rebuilding from loads is bit-equal to the pre-crash clustering by the
+  // incremental-equivalence contract.
+  clustering_->set_loads(loads);
+  for (std::size_t i = 0; i < pend.size(); ++i) {
+    pending_[i] = decode_i64(pend[i]);
+  }
+  controller_.emplace(std::move(controller));
+  counters_ = counters;
+  if (channel) {
+    channel_.emplace(std::move(*channel));
+    reports_ = std::move(reports);
+  }
 }
 
 }  // namespace avcp::service

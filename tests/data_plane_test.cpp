@@ -682,6 +682,39 @@ TEST(DataPlane, OutcomeBitsArePinnedAcrossCommits) {
   EXPECT_EQ(aggregated, 0xb336fe14950e32acULL) << std::hex << aggregated;
 }
 
+// The aggregated kernel at the scale fleets run it. The fleets above are too
+// small for either of its fleet-scale paths: their binomials all invert the
+// CDF, and none reaches kMissTableMinFleet. Here 2,600 vehicles on a
+// 2-sensor lattice (4 classes) put hundreds of senders in each class, so the
+// delivery draws take BTRS and both shapes read the miss table.
+TEST(DataPlane, AggregatedBitsArePinnedAtFleetScale) {
+  const DecisionLattice lattice(2);
+  Rng universe_rng(13);
+  const double privacy[] = {1.0, 0.3};
+  const DataUniverse universe =
+      DataUniverse::synthetic(2, 12, privacy, universe_rng);
+  const std::size_t k = lattice.num_decisions();
+  const std::size_t omega = universe.size();
+  const FleetSoA fleet = make_messy_fleet(2600, k, omega, /*seed=*/17);
+  const FleetSoA senders = make_messy_fleet(2500, k, omega, /*seed=*/19);
+  std::uint64_t h = kFnv1aBasis;
+  RoundOutcome out;
+  DirectionalOutcome cross;
+  for (const double x : {0.37, 0.6}) {
+    EdgeServerDataPlane plane(lattice, universe, AccessRule::kSubsetOrEqual,
+                              311);
+    for (int round = 0; round < 2; ++round) {
+      plane.run_round_into(fleet.view(), x, {}, ItemSet{2, 7, 15},
+                           DataPlaneMode::kClassAggregated, out);
+      h = fold_outcome(h, out);
+      plane.run_directional_into(senders.view(), fleet.view(), x,
+                                 DataPlaneMode::kClassAggregated, cross);
+      h = fold_outcome(h, cross);
+    }
+  }
+  EXPECT_EQ(h, 0x5cfb6f8c5e81c869ULL) << std::hex << h;
+}
+
 // ---------------------------------------------------------------------------
 // Differential oracle: the exact kernels against a sort-merge reference
 // ---------------------------------------------------------------------------

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <limits>
+#include <span>
 #include <vector>
 
+#include "common/serial.h"
 #include "core/fds.h"
 #include "faults/degraded_controller.h"
 #include "faults/fault_model.h"
@@ -297,6 +300,47 @@ TEST(DegradedControllerTest, BlindStartHoldsUntilTheFirstReportArrives) {
   EXPECT_FALSE(wrapper.degraded(0));
   EXPECT_EQ(wrapper.report_age(0), 0u);
   EXPECT_EQ(inner.seen.back()[0], fresh.p[0]);
+}
+
+TEST(DegradedControllerTest, RejectedSnapshotLeavesWrapperUntouched) {
+  const auto game = make_chain_game(2);
+  faults::FaultParams fp;
+  fp.report_loss_rate = 0.4;
+  fp.seed = 5;
+  const faults::FaultModel model(fp);
+  core::FixedRatioController inner(0.5);
+  std::vector<double> x = {0.5, 0.5};
+
+  faults::DegradedController source(inner, model, {});
+  for (std::size_t t = 0; t < 6; ++t) {
+    x = source.next_x(state_with_p0(game, 0.3), x);
+  }
+  Serializer snapshot;
+  source.save_state(snapshot);
+  const std::span<const std::byte> bytes(snapshot.bytes());
+
+  // Misshapen: three ages for two regions.
+  Serializer misshapen;
+  misshapen.put_u64(9);
+  state_with_p0(game, 0.6).save_state(misshapen);
+  put_size_vec(misshapen, std::vector<std::size_t>{0, 1, 2});
+  put_u8_vec(misshapen, std::vector<std::uint8_t>{0, 0});
+  faults::FaultCounters{}.save_state(misshapen);
+
+  faults::DegradedController target(inner, model, {});
+  x = target.next_x(state_with_p0(game, 0.7), x);
+  Serializer before;
+  target.save_state(before);
+  // Truncated inside the loss counters (the last read), and misshapen.
+  for (const std::span<const std::byte> snap :
+       {bytes.first(bytes.size() - 16),
+        std::span<const std::byte>(misshapen.bytes())}) {
+    Deserializer d(snap);
+    EXPECT_THROW(target.load_state(d), SerialError);
+    Serializer after;
+    target.save_state(after);
+    EXPECT_TRUE(before.bytes() == after.bytes());
+  }
 }
 
 TEST(DegradedControllerTest, ResetForgetsHeldReports) {

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/contracts.h"
@@ -408,6 +410,37 @@ TEST(ExchangeChannel, CheckpointRejectsMismatchedNetwork) {
     target.add_link(0, 1);  // one link instead of the ring
     Deserializer d(snapshot.bytes());
     EXPECT_THROW(target.load_state(d), SerialError);
+  }
+}
+
+TEST(ExchangeChannel, RejectedSnapshotLeavesChannelUntouched) {
+  const auto drive = [](Ring& ring, std::size_t from, std::size_t to) {
+    for (std::size_t round = from; round < to; ++round) {
+      for (std::uint32_t link = 0; link < 3; ++link) {
+        ring.channel.publish(link, round);
+      }
+      ring.channel.resolve_round(round);
+    }
+  };
+  Ring source(lossy_params());
+  drive(source, 0, 5);
+  ASSERT_GT(source.channel.in_flight(), 0u);
+  Serializer snapshot;
+  source.channel.save_state(snapshot);
+  const std::span<const std::byte> bytes(snapshot.bytes());
+
+  Ring target(lossy_params());
+  drive(target, 0, 9);
+  Serializer before;
+  target.channel.save_state(before);
+  // Cut inside the counters (the last read), and inside the last in-flight
+  // entry (the 9-word counters follow it).
+  for (const std::size_t keep : {bytes.size() - 16, bytes.size() - 82}) {
+    Deserializer d(bytes.first(keep));
+    EXPECT_THROW(target.channel.load_state(d), SerialError);
+    Serializer after;
+    target.channel.save_state(after);
+    EXPECT_TRUE(before.bytes() == after.bytes()) << "kept " << keep;
   }
 }
 

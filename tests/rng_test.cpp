@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include "common/contracts.h"
+#include "common/serial.h"
+#include "test_support.h"
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <ios>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -248,6 +253,74 @@ TEST(Rng, BinomialSymmetryBranchIsUnbiased) {
     sum += static_cast<double>(rng.binomial(n, p));
   }
   EXPECT_NEAR(sum / kDraws, n * p, 0.1);  // true mean 40
+}
+
+/// (n, p) cases spanning every path of the binomial sampler: the degenerate
+/// cases, CDF inversion (n·min(p, 1-p) < 10) and BTRS (>= 10), each on both
+/// sides of 1/2, with n up to 10^6.
+struct BinomialCase {
+  std::uint64_t n;
+  double p;
+};
+std::vector<BinomialCase> binomial_grid() {
+  const double above_half = std::nextafter(0.5, 1.0);
+  return {
+      // Degenerate: no draw consumed.
+      {0, 0.3}, {0, 1.0}, {25, 0.0}, {25, -0.5}, {25, 1.0}, {25, 1.5},
+      // Inversion.
+      {1, 0.5}, {7, 0.2}, {19, 0.5}, {19, above_half}, {20, above_half},
+      {30, 0.8}, {1000, 0.004}, {1000, 0.996}, {1000000, 5e-6},
+      {1000000, 1.0 - 5e-6},
+      // BTRS.
+      {20, 0.5}, {21, above_half}, {60, 0.3}, {60, 0.7}, {1000, 0.37},
+      {1000, 0.63}, {1000000, 1e-3}, {1000000, 0.999}, {1000000, 0.5},
+      {1000000, above_half},
+  };
+}
+
+// Every draw of Rng::binomial over the grid, pinned bit for bit. The
+// statistical tests above would pass a reordered or re-derived sampler; this
+// one fails unless every operand and every draw stays where it was. A
+// change that moves it on purpose re-pins it and says why.
+TEST(Rng, BinomialBitsArePinnedAcrossCommits) {
+  Rng rng(2022);
+  std::uint64_t h = core::testing::kFnv1aBasis;
+  for (const BinomialCase& c : binomial_grid()) {
+    h = core::testing::fnv1a_word(h, c.n);
+    h = core::testing::fnv1a_word(h, std::bit_cast<std::uint64_t>(c.p));
+    for (int draw = 0; draw < 64; ++draw) {
+      h = core::testing::fnv1a_word(h, rng.binomial(c.n, c.p));
+    }
+  }
+  h = core::testing::fnv1a_word(h, rng());
+  EXPECT_EQ(h, 0xddd8d484a8cd77b5ULL) << std::hex << h;
+}
+
+// Oracle pair: a sampler whose set-up is done once must draw what a fresh
+// Rng::binomial call draws each time, and leave the engine where it leaves
+// it.
+TEST(Rng, BinomialSamplerRepeatsRngBinomial) {
+  for (const BinomialCase& c : binomial_grid()) {
+    Rng plain(41);
+    Rng twin(41);
+    const BinomialSampler sampler(c.n, c.p);
+    for (int draw = 0; draw < 1000; ++draw) {
+      ASSERT_EQ(sampler(twin), plain.binomial(c.n, c.p))
+          << "n=" << c.n << " p=" << c.p << " draw " << draw;
+    }
+    Serializer a;
+    plain.save_state(a);
+    Serializer b;
+    twin.save_state(b);
+    EXPECT_TRUE(a.bytes() == b.bytes()) << "n=" << c.n << " p=" << c.p;
+  }
+}
+
+TEST(Rng, BinomialRejectsNaN) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(Rng(1).binomial(100, nan), ContractViolation);
+  EXPECT_THROW(Rng(1).binomial(0, nan), ContractViolation);
+  EXPECT_THROW(BinomialSampler(5, nan), ContractViolation);
 }
 
 TEST(Rng, Splitmix64KnownSequenceIsDeterministic) {

@@ -12,10 +12,12 @@
 
 #include <bit>
 #include <csignal>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <filesystem>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "checkpoint/checkpoint.h"
@@ -500,6 +502,54 @@ TEST(ServiceEngine, LoadStateRejectsMismatchedConfiguration) {
   ServiceEngine b(game, inner_b, &graph, other);
   Deserializer d(snap.bytes());
   EXPECT_THROW(b.load_state(d), SerialError);
+}
+
+// A snapshot that fails its last read must leave the service exactly as it
+// was: its bytes, and the epoch it runs next, equal an untouched twin's. The
+// 16-byte cut fails in the last section load_state reads (the counters, or
+// the report rings when the backhaul is wired); the half cut fails in the
+// fleet.
+TEST(ServiceEngine, RejectedSnapshotLeavesServiceUntouched) {
+  const auto game = make_chain_game(kRegions);
+  const auto graph = roadnet::make_grid(6, 6);
+  const auto faults = chaos_faults();
+  const core::GameState initial = seeded_state(game, 59);
+  const std::vector<double> x0(kRegions, 0.5);
+  ServiceParams wired = chaos_params(1);
+  wired.net.drop_rate = 0.3;
+  wired.net.delay_rate = 0.25;
+  wired.net.seed = 17;
+  for (const ServiceParams& params : {chaos_params(1), wired}) {
+    core::FixedRatioController inner_old(0.7);
+    ServiceEngine old(game, inner_old, &graph, params, &faults);
+    old.init(initial, x0);
+    for (std::size_t t = 0; t < 2; ++t) old.run_epoch();
+    Serializer snap;
+    old.save_state(snap);
+    const std::span<const std::byte> bytes(snap.bytes());
+
+    for (const std::size_t keep : {bytes.size() - 16, bytes.size() / 2}) {
+      core::FixedRatioController inner_svc(0.7);
+      ServiceEngine svc(game, inner_svc, &graph, params, &faults);
+      core::FixedRatioController inner_twin(0.7);
+      ServiceEngine twin(game, inner_twin, &graph, params, &faults);
+      for (ServiceEngine* e : {&svc, &twin}) {
+        e->init(initial, x0);
+        for (std::size_t t = 0; t < 5; ++t) e->run_epoch();
+      }
+      Deserializer d(bytes.first(keep));
+      EXPECT_THROW(svc.load_state(d), SerialError);
+
+      Serializer got;
+      svc.save_state(got);
+      Serializer want;
+      twin.save_state(want);
+      EXPECT_TRUE(got.bytes() == want.bytes()) << "kept " << keep;
+      svc.run_epoch();
+      twin.run_epoch();
+      expect_engines_equal(svc, twin);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
