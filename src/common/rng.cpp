@@ -83,6 +83,15 @@ bool Rng::bernoulli(double p) noexcept {
   return uniform() < p;
 }
 
+BernoulliSampler::BernoulliSampler(double p) {
+  AVCP_EXPECT(!std::isnan(p));
+  if (p <= 0.0) return;
+  always_ = p >= 1.0;
+  if (always_) return;
+  draws_ = true;
+  threshold_ = static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+}
+
 double Rng::normal() noexcept {
   if (has_cached_normal_) {
     has_cached_normal_ = false;

@@ -54,7 +54,11 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept;
 
-  /// Bernoulli trial with success probability p (clamped to [0, 1]).
+  /// Bernoulli trial with success probability p: false for p <= 0 and true
+  /// for p >= 1, with no draw; otherwise one draw, uniform() < p. A NaN p
+  /// falls through to that compare, so it spends one draw and returns
+  /// false. The one-shot form, for callers whose p changes from call to
+  /// call; a loop over one fixed p uses BernoulliSampler.
   bool bernoulli(double p) noexcept;
 
   /// Standard normal sample (Box-Muller, cached second value).
@@ -99,6 +103,33 @@ class Rng {
   std::array<std::uint64_t, 4> state_;
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;
+};
+
+/// Bernoulli(p) with its set-up done once: every decision is the one
+/// Rng::bernoulli(p) would make, from the same draw, as one integer compare.
+/// uniform() is (next >> 11) · 2⁻⁵³ with next the raw draw, and both that
+/// product and p · 2⁵³ are exact, so uniform() < p holds exactly when
+/// (next >> 11) < ⌈p · 2⁵³⌉. p <= 0 never succeeds and p >= 1 always
+/// does, with no draw either way; a NaN p is a contract violation. Scene
+/// synthesis and the exact data-plane kernels keep one sampler per fixed p
+/// and add its result to a write cursor instead of branching on it.
+class BernoulliSampler {
+ public:
+  explicit BernoulliSampler(double p);
+
+  /// One decision (one draw from `rng` unless p <= 0 or p >= 1). Inline,
+  /// so the compare folds into the caller's loop in every build.
+  bool operator()(Rng& rng) const noexcept {
+    if (!draws_) return always_;
+    return (rng() >> 11) < threshold_;
+  }
+
+ private:
+  /// ⌈p · 2⁵³⌉ for p in (0, 1): 1 ..= 2⁵³.
+  std::uint64_t threshold_ = 0;
+  bool draws_ = false;
+  /// The answer when no draw is made: p >= 1.
+  bool always_ = false;
 };
 
 /// Binomial(n, p) with its set-up done once: every draw is the one

@@ -232,7 +232,10 @@ void EdgeServerDataPlane::run_round_exact(const FleetView& fleet,
   // either way, so a clean run and a delivery-loss run share the upload
   // phase bit-for-bit. See the draw-order contract in data_plane.h: one
   // draw per readable ordered pair, regardless of upload contents.
+  const BernoulliSampler deliver(sharing_ratio);
+  if (ws_.accepted.size() < n) ws_.accepted.resize(n);
   std::uint64_t* stamp = ws_.stamp.data();
+  std::uint32_t* accepted = ws_.accepted.data();
   for (std::size_t a = 0; a < n; ++a) {
     // Stamp what the receiver holds after the round under a fresh tag: its
     // own collection (validated in the upload phase), the server items and
@@ -246,15 +249,23 @@ void EdgeServerDataPlane::run_round_exact(const FleetView& fleet,
     for (const ItemId id : fleet.collected_of(a)) stamp[id] = tag;
     for (const ItemId id : server_items) stamp[id] = tag;
     if (fleet.revoked[a] == 0) {
-      const std::size_t row = ws_.cls[a] * k;
+      // Accept pass: one draw per readable sender, ascending; a success
+      // only moves the cursor past the sender just written.
+      const std::uint8_t* row = readable_.data() + ws_.cls[a] * k;
+      std::size_t num_accepted = 0;
       for (std::size_t b = 0; b < n; ++b) {
         if (a == b) continue;
-        if (readable_[row + ws_.cls[b]] == 0) continue;
-        if (!rng_.bernoulli(sharing_ratio)) continue;
+        if (row[ws_.cls[b]] == 0) continue;
+        accepted[num_accepted] = static_cast<std::uint32_t>(b);
+        num_accepted += static_cast<std::size_t>(deliver(rng_));
+      }
+      // Delivery pass over the accepted senders, ascending.
+      for (std::size_t j = 0; j < num_accepted; ++j) {
+        const std::size_t b = accepted[j];
         const std::span<const ItemId> up = upload(b);
-        // Empty upload: the draw above is already consumed (contract), so
-        // the loss probe, delivery bookkeeping, and stamping can be
-        // skipped without perturbing the stream.
+        // Empty upload: its draw is already consumed (contract), so the
+        // loss probe, delivery bookkeeping, and stamping can be skipped
+        // without perturbing the stream.
         if (up.empty()) continue;
         if (!mask.delivery_lost.empty() && mask.delivery_lost[a * n + b]) {
           out.deliveries_lost += up.size();
@@ -469,7 +480,12 @@ void EdgeServerDataPlane::run_directional_exact(const FleetView& senders,
                                                 double sharing_ratio,
                                                 DirectionalOutcome& out) {
   const std::size_t k = lattice_.num_decisions();
+  const BernoulliSampler deliver(sharing_ratio);
+  if (ws_.accepted.size() < senders.size()) {
+    ws_.accepted.resize(senders.size());
+  }
   std::uint64_t* stamp = ws_.stamp.data();
+  std::uint32_t* accepted = ws_.accepted.data();
   for (std::size_t a = 0; a < receivers.size(); ++a) {
     if (receivers.revoked[a] != 0) continue;
     const std::span<const ItemId> collected = receivers.collected_of(a);
@@ -477,12 +493,18 @@ void EdgeServerDataPlane::run_directional_exact(const FleetView& senders,
     const core::DecisionId cls_r = receivers.claimed(a);
     AVCP_EXPECT(cls_r < k);
     // Stamp every delivery, then un-stamp what the receiver already holds:
-    // the items left under the tag are received \ collected.
+    // the items left under the tag are received \ collected. The two
+    // passes are run_round_exact's: draws first, deliveries after.
     const std::uint64_t tag = ++ws_.tag;
+    const std::uint8_t* row = readable_.data() + cls_r * k;
+    std::size_t num_accepted = 0;
     for (std::size_t b = 0; b < senders.size(); ++b) {
-      if (readable_[cls_r * k + ws_.cls[b]] == 0) continue;
-      if (!rng_.bernoulli(sharing_ratio)) continue;
-      const std::span<const ItemId> up = upload(b);
+      if (row[ws_.cls[b]] == 0) continue;
+      accepted[num_accepted] = static_cast<std::uint32_t>(b);
+      num_accepted += static_cast<std::size_t>(deliver(rng_));
+    }
+    for (std::size_t j = 0; j < num_accepted; ++j) {
+      const std::span<const ItemId> up = upload(accepted[j]);
       if (up.empty()) continue;  // draw already consumed (contract)
       out.deliveries += up.size();
       for (const ItemId id : up) stamp[id] = tag;

@@ -42,10 +42,21 @@
 // precomputed K×K table over claimed classes), a revoked receiver consumes
 // no draws (its sender loop is skipped entirely — revocation only occurs
 // on the already-perturbed Byzantine path), and x <= 0 or x >= 1 consumes
-// no draws at all (Rng::bernoulli short-circuits). The aggregated kernel
-// owns a different stream layout (per receiver: binomials per readable
-// class in ascending class order, then item Bernoullis in ascending
-// desired-item order) and promises determinism, not pairwise bit-identity.
+// no draws at all (BernoulliSampler, like Rng::bernoulli, short-circuits).
+//
+// Each receiver runs in two passes under that contract. The accept pass
+// walks the senders ascending; the self-skip and the readability lookup
+// are branches that consume nothing, and each readable sender's draw only
+// decides whether a write cursor moves past its index, so the random
+// outcome never steers a branch. The delivery pass then walks the accepted
+// senders, still ascending, and does the empty-upload skip, the
+// delivery-loss probe, the counting and the stamping. Both passes together
+// make the draws, and produce the bits, of the one-pass loop.
+//
+// The aggregated kernel owns a different stream layout (per receiver:
+// binomials per readable class in ascending class order, then item
+// Bernoullis in ascending desired-item order) and promises determinism,
+// not pairwise bit-identity.
 #pragma once
 
 #include <cstdint>
@@ -152,7 +163,10 @@ class EdgeServerDataPlane {
   /// vehicles carrying at most `items_per_vehicle` collected items each.
   /// Optional: buffers reach their high-water mark after one warm-up round
   /// anyway; pre-reserving makes even the first round allocation-free
-  /// (the sharded fleet engine reserves at ingest time).
+  /// (the sharded fleet engine reserves at ingest time). The exact
+  /// kernels' accepted-sender buffer still grows on its first round:
+  /// reserving it here too shifted the heap layout of the engine's
+  /// aggregated rounds, which never read it, and cost them about 4%.
   void reserve_workspace(std::size_t vehicles, std::size_t items_per_vehicle);
 
   /// The items a vehicle holding `collected` would upload under
@@ -181,11 +195,13 @@ class EdgeServerDataPlane {
                             const FleetView& receivers, double sharing_ratio,
                             DataPlaneMode mode, DirectionalOutcome& out);
 
-  /// Checkpoint hooks: the plane's only cross-round state is its RNG
-  /// stream position (the workspace is per-round scratch; the readability
-  /// table and masks are derived from the lattice at construction).
-  void save_state(Serializer& s) const { rng_.save_state(s); }
-  void load_state(Deserializer& d) { rng_.load_state(d); }
+  /// The plane's only cross-round state, its RNG stream position (the
+  /// workspace is per-round scratch; the readability table and masks are
+  /// derived from the lattice at construction). The owning engine
+  /// checkpoints it, and restores it only once its whole snapshot has
+  /// been read.
+  const Rng& stream() const noexcept { return rng_; }
+  void set_stream(const Rng& rng) noexcept { rng_ = rng; }
 
  private:
   /// Per-round scratch reused across rounds (grown, never shrunk). Uploads
@@ -208,6 +224,9 @@ class EdgeServerDataPlane {
     std::uint64_t tag = 0;
     /// Claimed decision class per vehicle (this round).
     std::vector<core::DecisionId> cls;
+    /// Exact kernels: one receiver's accepted senders, ascending, filled
+    /// by the accept pass and read by the delivery pass.
+    std::vector<std::uint32_t> accepted;
     /// CompositionTable (aggregated kernel), rebuilt per round:
     std::vector<std::uint32_t> class_senders;  // per class: non-empty uploads
     std::vector<std::size_t> class_items;      // per class: pooled item count

@@ -62,6 +62,7 @@ CooperativePerceptionSystem::CooperativePerceptionSystem(
   realized_.assign(game.num_regions(),
                    std::vector<double>(game.num_decisions(), 0.0));
   region_ws_.resize(game.num_regions());
+  for (RegionWorkspace& ws : region_ws_) ws.picked.resize(universe_.size());
   claims_ = decisions_;
   behavior_ = decisions_;
   // Fleet shapes are fixed at construction, so the cost-balanced chunk plan
@@ -289,29 +290,34 @@ RoundReport CooperativePerceptionSystem::run_round(
         ws.fleet.add(behavior_[i][v]);
       }
     }
-    // Streaming sampler over the open set: the exact draw sequence of
-    // sample_items (one Bernoulli per universe item ascending; one uniform
-    // fallback when nothing got drawn).
-    auto sample_into = [&](double fraction) {
-      bool empty = true;
-      for (perception::ItemId id = 0; id < universe_.size(); ++id) {
-        if (rng.bernoulli(fraction)) {
-          ws.fleet.push_item(id);
-          empty = false;
-        }
+    // Scene synthesis: one Bernoulli per universe item, ascending, then one
+    // uniform fallback when nothing got drawn (the draw-order contract).
+    // The loop is branch-free: every id is written at the cursor, and a
+    // success moves the cursor past it, so the kept ids are an ascending
+    // prefix of ws.picked, copied into the arena in one window.
+    const BernoulliSampler desire(params_.desire_fraction);
+    const BernoulliSampler collect(params_.collect_fraction);
+    const std::size_t omega = universe_.size();
+    auto sample_set = [&](const BernoulliSampler& keep) -> std::uint32_t {
+      perception::ItemId* out = ws.picked.data();
+      std::uint32_t count = 0;
+      for (perception::ItemId id = 0; id < omega; ++id) {
+        out[count] = id;
+        count += static_cast<std::uint32_t>(keep(rng));
       }
-      if (empty) {
-        ws.fleet.push_item(static_cast<perception::ItemId>(rng.uniform_int(
-            0, static_cast<std::int64_t>(universe_.size()) - 1)));
+      if (count == 0) {
+        out[count++] = static_cast<perception::ItemId>(
+            rng.uniform_int(0, static_cast<std::int64_t>(omega) - 1));
       }
+      return count;
     };
     const std::size_t cells = params_.cells_per_region;
     for (std::size_t e = 0; e < exchanges; ++e) {
       ws.fleet.reset_items();
       for (std::size_t v = 0; v < n; ++v) {
-        ws.fleet.begin_desired(v);
-        sample_into(params_.desire_fraction);
-        ws.fleet.end_set();
+        const std::uint32_t count = sample_set(desire);
+        std::copy_n(ws.picked.data(), count,
+                    ws.fleet.alloc_desired(v, count).begin());
       }
       if (params_.disjoint_collections) {
         // Deal each item to at most one vehicle (pairwise-disjoint
@@ -320,13 +326,13 @@ RoundReport CooperativePerceptionSystem::run_round(
         // which is the realistic street scene. Record-then-scatter: the
         // draws run in ascending item order (the draw-order contract);
         // grouping each owner's items afterwards keeps them ascending.
-        const double fleet_coverage = std::min(
-            1.0, params_.collect_fraction * static_cast<double>(n));
+        const BernoulliSampler covered(std::min(
+            1.0, params_.collect_fraction * static_cast<double>(n)));
         ws.deal_item.clear();
         ws.deal_owner.clear();
         ws.owner_count.assign(n, 0);
-        for (perception::ItemId id = 0; id < universe_.size(); ++id) {
-          if (!rng.bernoulli(fleet_coverage)) continue;
+        for (perception::ItemId id = 0; id < omega; ++id) {
+          if (!covered(rng)) continue;
           const auto owner = static_cast<std::uint32_t>(rng.uniform_int(
               0, static_cast<std::int64_t>(n) - 1));
           ws.deal_item.push_back(id);
@@ -353,9 +359,9 @@ RoundReport CooperativePerceptionSystem::run_round(
         }
       } else {
         for (std::size_t v = 0; v < n; ++v) {
-          ws.fleet.begin_collected(v);
-          sample_into(params_.collect_fraction);
-          ws.fleet.end_set();
+          const std::uint32_t count = sample_set(collect);
+          std::copy_n(ws.picked.data(), count,
+                      ws.fleet.alloc_collected(v, count).begin());
         }
       }
       const perception::FleetView fleet_view = ws.fleet.view();
@@ -708,7 +714,7 @@ void CooperativePerceptionSystem::save_state(Serializer& s) const {
     put_f64_vec(s, region);
   }
   for (const perception::EdgeServerDataPlane& plane : planes_) {
-    plane.save_state(s);
+    plane.stream().save_state(s);
   }
   if (pipeline_ != nullptr) pipeline_->save_state(s);
   if (adversary_ != nullptr) adversary_->save_state(s);
@@ -744,42 +750,81 @@ void CooperativePerceptionSystem::load_state(Deserializer& d) {
   Deserializer::check(d.get_bool() == channel_.has_value(),
                       "System snapshot: net transport wiring mismatch");
 
-  round_ = d.get_u64();
-  fault_counters_.load_state(d);
-  rng_.load_state(d);
-  for (std::vector<core::DecisionId>& region : decisions_) {
-    std::vector<core::DecisionId> row = get_u32_vec(d);
-    Deserializer::check(row.size() == region.size(),
+  // Everything is parsed into locals (the pipeline and the channel into
+  // copies, the scene rings into a fresh ring), and nothing is committed
+  // until the last read has succeeded, so a rejected snapshot leaves the
+  // system as it was. The adversary is abstract and cannot be copied: it
+  // loads in place, and a later failure restores it from its own bytes.
+  const std::uint64_t round = d.get_u64();
+  faults::FaultCounters fault_counters;
+  fault_counters.load_state(d);
+  Rng rng;
+  rng.load_state(d);
+  std::vector<std::vector<core::DecisionId>> decisions(decisions_.size());
+  for (std::size_t i = 0; i < decisions.size(); ++i) {
+    decisions[i] = get_u32_vec(d);
+    Deserializer::check(decisions[i].size() == decisions_[i].size(),
                         "System snapshot: decisions row size mismatch");
-    for (const core::DecisionId decision : row) {
+    for (const core::DecisionId decision : decisions[i]) {
       Deserializer::check(decision < game_.num_decisions(),
                           "System snapshot: decision id out of range");
     }
-    region = std::move(row);
   }
   std::vector<double> ratios = get_f64_vec(d);
   Deserializer::check(ratios.size() == x_.size(),
                       "System snapshot: ratio vector size mismatch");
-  x_ = std::move(ratios);
-  for (std::vector<double>& region : realized_) {
-    std::vector<double> row = get_f64_vec(d);
-    Deserializer::check(row.size() == region.size(),
+  std::vector<std::vector<double>> realized(realized_.size());
+  for (std::size_t i = 0; i < realized.size(); ++i) {
+    realized[i] = get_f64_vec(d);
+    Deserializer::check(realized[i].size() == realized_[i].size(),
                         "System snapshot: realized row size mismatch");
-    region = std::move(row);
   }
-  for (perception::EdgeServerDataPlane& plane : planes_) {
-    plane.load_state(d);
+  std::vector<Rng> streams(planes_.size());
+  for (Rng& stream : streams) stream.load_state(d);
+  std::optional<byzantine::ReportPipeline> pipeline;
+  if (pipeline_ != nullptr) {
+    pipeline.emplace(*pipeline_);
+    pipeline->load_state(d);
   }
-  if (pipeline_ != nullptr) pipeline_->load_state(d);
-  if (adversary_ != nullptr) adversary_->load_state(d);
-  if (channel_.has_value()) {
-    channel_->load_state(d);
-    scenes_.load_state(d, [&](Deserializer& in, Scene& scene) {
-      scene.x = in.get_f64();
-      scene.fleet.load_state(in);
-      Deserializer::check(scene.fleet.size() == params_.vehicles_per_region,
-                          "System snapshot: payload fleet size mismatch");
-    });
+  Serializer adversary_backup;
+  if (adversary_ != nullptr) adversary_->save_state(adversary_backup);
+  std::optional<net::ExchangeChannel> channel = channel_;
+  net::PayloadRing<Scene> scenes;
+  try {
+    if (adversary_ != nullptr) adversary_->load_state(d);
+    if (channel) {
+      channel->load_state(d);
+      scenes = net::PayloadRing<Scene>(game_.num_regions(),
+                                       params_.net.ring_slots());
+      scenes.load_state(d, [&](Deserializer& in, Scene& scene) {
+        scene.x = in.get_f64();
+        scene.fleet.load_state(in);
+        Deserializer::check(
+            scene.fleet.size() == params_.vehicles_per_region,
+            "System snapshot: payload fleet size mismatch");
+      });
+    }
+  } catch (...) {
+    if (adversary_ != nullptr) {
+      Deserializer backup(adversary_backup.bytes());
+      adversary_->load_state(backup);
+    }
+    throw;
+  }
+
+  round_ = static_cast<std::size_t>(round);
+  fault_counters_ = fault_counters;
+  rng_ = rng;
+  decisions_ = std::move(decisions);
+  x_ = std::move(ratios);
+  realized_ = std::move(realized);
+  for (std::size_t i = 0; i < planes_.size(); ++i) {
+    planes_[i].set_stream(streams[i]);
+  }
+  if (pipeline) *pipeline_ = std::move(*pipeline);
+  if (channel) {
+    channel_.emplace(std::move(*channel));
+    scenes_ = std::move(scenes);
   }
 }
 

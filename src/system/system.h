@@ -274,7 +274,9 @@ class CooperativePerceptionSystem {
   /// (the resume-equivalence contract; DESIGN.md §12). Call between rounds
   /// only. load_state throws SerialError when the snapshot's configuration
   /// fingerprint disagrees with the live system, including an adversary
-  /// attached on one side only or of another kind.
+  /// attached on one side only or of another kind, or when the snapshot is
+  /// cut short or misshapen. A rejected snapshot leaves the system, its
+  /// pipeline and its adversary as they were.
   void save_state(Serializer& s) const;
   void load_state(Deserializer& d);
 
@@ -321,6 +323,9 @@ class CooperativePerceptionSystem {
     std::vector<double> upload_mass;  // behavioural-audit signal
     std::vector<double> counts;       // per-decision tally scratch
     std::vector<core::DecisionId> before;  // revision snapshot
+    // Scene-synthesis window, one slot per universe item (sized once at
+    // construction): a set's kept ids are its ascending prefix.
+    std::vector<perception::ItemId> picked;
     // Disjoint-collection dealing scratch (record-then-scatter: the draws
     // happen in ascending item order exactly as before; the scatter groups
     // each owner's items — still ascending — into its arena window).

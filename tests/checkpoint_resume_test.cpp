@@ -5,8 +5,11 @@
 // differently-configured run (typed SerialError, never silent adoption).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -313,6 +316,129 @@ TEST(SystemResume, DegradedControllerStateRidesAlong) {
   expect_equal(observe(straight), observe(resumed));
   EXPECT_EQ(ctl_a.round(), ctl_b.round());
   EXPECT_TRUE(ctl_a.counters() == ctl_b.counters());
+}
+
+/// A plant with its own collaborators, built and run in place (the system
+/// keeps pointers to them): plain, or chaos-wired with a trust-enabled
+/// report pipeline, adaptive attackers and a lossy inter-region network.
+struct WiredPlant {
+  static constexpr std::size_t kFleet = 20;
+
+  WiredPlant(const core::MultiRegionGame& game, bool chaos)
+      : adversary(game.num_regions(), kFleet, attackers()),
+        pipeline(game.num_regions(), game.num_decisions(), kFleet,
+                 defense()) {
+    system::SystemParams params;
+    params.vehicles_per_region = kFleet;
+    params.seed = 11;
+    if (chaos) {
+      params.net.drop_rate = 0.3;
+      params.net.delay_rate = 0.25;
+      params.net.max_delay_rounds = 2;
+      params.net.max_staleness = 3;
+      params.net.seed = 29;
+      sys.emplace(game, params, nullptr, &pipeline, &adversary);
+    } else {
+      sys.emplace(game, params);
+    }
+    sys->init_from(game.uniform_state());
+  }
+  WiredPlant(const WiredPlant&) = delete;
+  WiredPlant& operator=(const WiredPlant&) = delete;
+
+  static byzantine::AdaptiveAdversaryParams attackers() {
+    byzantine::AdaptiveAdversaryParams params;
+    params.attacker_fraction = 0.3;
+    params.policy = byzantine::AdaptivePolicy::kBuildThenDefect;
+    params.build_rounds = 1;
+    params.defect_rounds = 2;
+    params.seed = 17;
+    return params;
+  }
+  static byzantine::PipelineOptions defense() {
+    byzantine::PipelineOptions options;
+    options.aggregator.mode = byzantine::AggregationMode::kMedian;
+    options.aggregator.reject_outliers = true;
+    options.trust.enabled = true;
+    return options;
+  }
+
+  std::vector<std::byte> bytes() const {
+    Serializer s;
+    sys->save_state(s);
+    return s.bytes();
+  }
+
+  byzantine::AdaptiveAdversary adversary;
+  byzantine::ReportPipeline pipeline;
+  std::optional<system::CooperativePerceptionSystem> sys;
+};
+
+/// A round-5 plant given its own round-2 snapshot cut at each of `cuts`
+/// must throw SerialError and stay exactly as it was: its bytes, and the
+/// round it runs next, equal an untouched twin's.
+void expect_cut_snapshots_rejected(const core::MultiRegionGame& game,
+                                   bool chaos,
+                                   const std::vector<std::byte>& snapshot,
+                                   const std::vector<std::size_t>& cuts) {
+  core::FixedRatioController controller(0.6);
+  for (const std::size_t keep : cuts) {
+    SCOPED_TRACE(::testing::Message() << "kept " << keep << " of "
+                                      << snapshot.size() << " bytes");
+    WiredPlant target(game, chaos);
+    WiredPlant twin(game, chaos);
+    for (WiredPlant* plant : {&target, &twin}) {
+      for (int t = 0; t < 5; ++t) plant->sys->run_round(controller);
+    }
+    Deserializer d(std::span<const std::byte>(snapshot).first(keep));
+    EXPECT_THROW(target.sys->load_state(d), SerialError);
+    EXPECT_EQ(target.sys->round(), 5u);
+    EXPECT_TRUE(target.bytes() == twin.bytes());
+    const system::RoundReport a = target.sys->run_round(controller);
+    const system::RoundReport b = twin.sys->run_round(controller);
+    EXPECT_EQ(a.x, b.x);
+    EXPECT_EQ(a.mean_utility, b.mean_utility);
+    EXPECT_EQ(a.state.p, b.state.p);
+    EXPECT_TRUE(target.bytes() == twin.bytes());
+  }
+}
+
+std::vector<std::byte> round_two_snapshot(const core::MultiRegionGame& game,
+                                          bool chaos, Serializer* adversary) {
+  WiredPlant source(game, chaos);
+  core::FixedRatioController controller(0.6);
+  for (int t = 0; t < 2; ++t) source.sys->run_round(controller);
+  if (adversary != nullptr) source.adversary.save_state(*adversary);
+  return source.bytes();
+}
+
+// The 16-byte cut fails in the last plane's stream, the half cut in the
+// decisions.
+TEST(SystemResume, RejectedSnapshotLeavesThePlantUntouched) {
+  const auto game = make_chain_game(3);
+  const std::vector<std::byte> snapshot =
+      round_two_snapshot(game, false, nullptr);
+  expect_cut_snapshots_rejected(game, false, snapshot,
+                                {snapshot.size() - 16, snapshot.size() / 2});
+}
+
+// Chaos wiring: the 16-byte cut fails in the scene rings, after the
+// pipeline, the adversary and the channel have loaded; two more cuts fail
+// inside the adversary's own section and just past it, in the channel.
+TEST(SystemResume, RejectedSnapshotLeavesTheChaosPlantUntouched) {
+  const auto game = make_chain_game(3);
+  Serializer adversary;
+  const std::vector<std::byte> snapshot =
+      round_two_snapshot(game, true, &adversary);
+  const auto at = std::search(snapshot.begin(), snapshot.end(),
+                              adversary.bytes().begin(),
+                              adversary.bytes().end());
+  ASSERT_NE(at, snapshot.end());
+  const auto start = static_cast<std::size_t>(at - snapshot.begin());
+  expect_cut_snapshots_rejected(
+      game, true, snapshot,
+      {snapshot.size() - 16, snapshot.size() / 2,
+       start + adversary.size() / 2, start + adversary.size() + 8});
 }
 
 TEST(SystemResume, MismatchedConfigurationRejected) {

@@ -323,6 +323,52 @@ TEST(Rng, BinomialRejectsNaN) {
   EXPECT_THROW(BinomialSampler(5, nan), ContractViolation);
 }
 
+// Oracle pair: the integer threshold must make every decision
+// Rng::bernoulli makes on the same draws, and spend exactly its draws, at
+// the edges of each regime: no-draw p (negative, both zeros, at and past 1,
+// both infinities), the smallest p that draws (a subnormal), the first
+// threshold step (2⁻⁵³ and its neighbours), 1/2 and its neighbours, and the
+// largest p below 1.
+TEST(Rng, BernoulliSamplerRepeatsRngBernoulli) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = 0x1.0p-53;
+  const double ps[] = {-1.0,
+                       -0.0,
+                       0.0,
+                       std::numeric_limits<double>::denorm_min(),
+                       std::nextafter(tiny, 0.0),
+                       tiny,
+                       std::nextafter(tiny, 1.0),
+                       0.3,
+                       std::nextafter(0.5, 0.0),
+                       0.5,
+                       std::nextafter(0.5, 1.0),
+                       std::nextafter(1.0, 0.0),
+                       1.0,
+                       2.0,
+                       inf,
+                       -inf};
+  for (const double p : ps) {
+    Rng plain(43);
+    Rng twin(43);
+    const BernoulliSampler sampler(p);
+    for (int draw = 0; draw < 10000; ++draw) {
+      ASSERT_EQ(sampler(twin), plain.bernoulli(p))
+          << "p=" << std::hexfloat << p << " draw " << draw;
+    }
+    Serializer a;
+    plain.save_state(a);
+    Serializer b;
+    twin.save_state(b);
+    EXPECT_TRUE(a.bytes() == b.bytes()) << "p=" << std::hexfloat << p;
+  }
+}
+
+TEST(Rng, BernoulliSamplerRejectsNaN) {
+  EXPECT_THROW(BernoulliSampler(std::numeric_limits<double>::quiet_NaN()),
+               ContractViolation);
+}
+
 TEST(Rng, Splitmix64KnownSequenceIsDeterministic) {
   std::uint64_t s1 = 0;
   std::uint64_t s2 = 0;

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <numeric>
+#include <span>
 
 #include "common/contracts.h"
 #include "common/stats.h"
@@ -302,6 +305,106 @@ TEST(System, CellFragmentationReducesPoolUtility) {
   const double one_cell = utility_with(1);
   const double many_cells = utility_with(12);
   EXPECT_GT(one_cell, many_cells + 0.05);
+}
+
+// One FNV-1a step per double of a round report (ratios, realized utility,
+// privacy and exposure, the post-revision state) and per fault count.
+std::uint64_t fold_report(std::uint64_t h, const RoundReport& report) {
+  auto fold = [&h](std::span<const double> values) {
+    for (const double v : values) {
+      h = core::testing::fnv1a_word(h, std::bit_cast<std::uint64_t>(v));
+    }
+  };
+  fold(report.x);
+  fold(report.mean_utility);
+  fold(report.mean_privacy);
+  fold(report.exposed_privacy);
+  for (const std::vector<double>& row : report.state.p) fold(row);
+  h = core::testing::fnv1a_word(h, report.faults.uploads_lost);
+  h = core::testing::fnv1a_word(h, report.faults.deliveries_lost);
+  h = core::testing::fnv1a_word(h, report.faults.regions_down);
+  return h;
+}
+
+// The round series of the measured plant, pinned bit for bit over the
+// paths its scene synthesis and exact kernels take: overlapping
+// collections (the collected-set sampler), several cells and exchanges,
+// fractions of 1 (no draws), a desire fraction at which most vehicles draw
+// nothing (the uniform fallback), upload and delivery loss inside the
+// exact kernel, and the strict access rule (the self-skip never fires).
+// The perfbench digests pin only the default configuration. A change that
+// moves a value on purpose re-pins it and says why.
+TEST(System, RoundSeriesBitsArePinnedAcrossCommits) {
+  const auto chain = make_chain_game(3);
+  core::GameConfig strict_config;
+  strict_config.lattice = core::DecisionLattice(3);
+  const auto tables = core::paper_decision_tables(strict_config.lattice);
+  strict_config.utility = tables.utility;
+  strict_config.privacy = tables.privacy;
+  strict_config.access = core::AccessRule::kStrictSubset;
+  std::vector<core::RegionSpec> regions(2);
+  regions[0].beta = 1.5;
+  regions[0].neighbors.emplace_back(1, 0.4);
+  regions[1].beta = 2.5;
+  regions[1].neighbors.emplace_back(0, 0.4);
+  const core::MultiRegionGame strict(std::move(strict_config), regions);
+
+  faults::FaultParams lossy;
+  lossy.upload_loss_rate = 0.2;
+  lossy.delivery_loss_rate = 0.15;
+  lossy.outage_rate = 0.1;
+  lossy.seed = 9;
+  const faults::FaultModel faults(lossy);
+
+  struct Case {
+    const char* name;
+    const core::MultiRegionGame* game;
+    SystemParams params;
+    const faults::FaultModel* faults;
+    std::uint64_t pinned;
+  };
+  SystemParams base;
+  base.vehicles_per_region = 20;
+  base.seed = 41;
+  std::vector<Case> cases;
+  cases.push_back({"default", &chain, base, nullptr, 0xd7eccf3ef7840393ULL});
+  SystemParams overlap = base;
+  overlap.disjoint_collections = false;
+  cases.push_back({"overlapping collections", &chain, overlap, nullptr,
+                   0x08909c5e74f8f3c3ULL});
+  SystemParams cells = base;
+  cells.cells_per_region = 3;
+  cells.exchanges_per_round = 2;
+  cases.push_back({"three cells, two exchanges", &chain, cells, nullptr,
+                   0x72187c76e497ee60ULL});
+  SystemParams full = overlap;
+  full.desire_fraction = 1.0;
+  full.collect_fraction = 1.0;
+  cases.push_back(
+      {"fractions of one", &chain, full, nullptr, 0xf8d56b968f3c4934ULL});
+  SystemParams sparse = base;
+  sparse.desire_fraction = 0.005;
+  cases.push_back(
+      {"mostly empty scenes", &chain, sparse, nullptr, 0x82d06fe05dcbe08cULL});
+  cases.push_back({"upload and delivery loss", &chain, base, &faults,
+                   0x50036be04ed81039ULL});
+  cases.push_back(
+      {"strict access", &strict, base, nullptr, 0x7c5940cef94084ecULL});
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    CooperativePerceptionSystem sys(*c.game, c.params, c.faults);
+    sys.init_from(c.game->uniform_state());
+    core::FixedRatioController controller(0.6);
+    std::uint64_t h = core::testing::kFnv1aBasis;
+    for (int t = 0; t < 6; ++t) h = fold_report(h, sys.run_round(controller));
+    EXPECT_EQ(h, c.pinned) << std::hex << h;
+    if (c.faults != nullptr) {
+      // The lossy case reaches both loss branches.
+      EXPECT_GT(sys.fault_counters().uploads_lost, 0u);
+      EXPECT_GT(sys.fault_counters().deliveries_lost, 0u);
+    }
+  }
 }
 
 TEST(System, RejectsDegenerateParams) {
