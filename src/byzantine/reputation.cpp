@@ -179,12 +179,12 @@ void ReputationTracker::load_state(Deserializer& d) {
       c.ever_quarantined = d.get_bool();
     }
   }
-  const std::uint64_t num_events = d.get_u64();
-  Deserializer::check(num_events <= d.remaining() / 21,
-                      "ReputationTracker event count exceeds payload");
+  // An event is 21 bytes on the wire.
+  const std::size_t num_events = d.checked_count(
+      d.get_u64(), 21, "ReputationTracker event count exceeds payload");
   events_.clear();
-  events_.reserve(static_cast<std::size_t>(num_events));
-  for (std::uint64_t i = 0; i < num_events; ++i) {
+  events_.reserve(num_events);
+  for (std::size_t i = 0; i < num_events; ++i) {
     QuarantineEvent e;
     e.round = static_cast<std::size_t>(d.get_u64());
     e.region = d.get_u32();

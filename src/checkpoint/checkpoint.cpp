@@ -17,6 +17,8 @@ namespace {
 constexpr char kMagic[8] = {'A', 'V', 'C', 'P', 'C', 'K', 'P', 'T'};
 // magic + version + round + section count; the u32 CRC follows.
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 4;
+// A section's id, payload size and CRC around its payload.
+constexpr std::size_t kSectionFrameBytes = 4 + 8 + 4;
 
 [[noreturn]] void fail(const std::string& what) {
   throw CheckpointError("checkpoint: " + what);
@@ -70,6 +72,11 @@ Serializer& CheckpointWriter::section(std::uint32_t id) {
 
 std::vector<std::byte> CheckpointWriter::encode() const {
   Serializer out;
+  std::size_t image_bytes = kHeaderBytes + 4;
+  for (const auto& [id, payload] : sections_) {
+    image_bytes += kSectionFrameBytes + payload.size();
+  }
+  out.reserve(image_bytes);
   for (const char c : kMagic) out.put_u8(static_cast<std::uint8_t>(c));
   out.put_u32(kSchemaVersion);
   out.put_u64(round_);
@@ -86,7 +93,7 @@ std::vector<std::byte> CheckpointWriter::encode() const {
     out.put_u32(crc32c(
         std::span<const std::byte>(out.bytes()).subspan(section_start)));
   }
-  return out.bytes();
+  return out.release();
 }
 
 void CheckpointWriter::write(const std::filesystem::path& path) const {
@@ -161,7 +168,8 @@ CheckpointReader CheckpointReader::parse(std::vector<std::byte> bytes) {
         std::span<const std::byte>(reader.bytes_).first(kHeaderBytes);
     if (header_crc != crc32c(header)) fail("header CRC mismatch");
 
-    reader.sections_.reserve(count);
+    reader.sections_.reserve(d.checked_count(
+        count, kSectionFrameBytes, "section count exceeds file"));
     for (std::uint32_t i = 0; i < count; ++i) {
       const std::size_t section_start = d.offset();
       const std::uint32_t id = d.get_u32();
@@ -193,9 +201,18 @@ CheckpointReader CheckpointReader::parse(std::vector<std::byte> bytes) {
 }
 
 CheckpointReader CheckpointReader::open(const std::filesystem::path& path) {
+  // A directory opens as a stream too, and ext4 reports its end at
+  // 2^63 - 1: only a regular file is sized and read.
+  std::error_code ec;
+  const std::filesystem::file_status status = std::filesystem::status(path, ec);
+  if (std::filesystem::exists(status) &&
+      !std::filesystem::is_regular_file(status)) {
+    fail(path.string() + " is not a regular file");
+  }
   std::ifstream file(path, std::ios::binary | std::ios::ate);
   if (!file) fail("cannot open " + path.string());
   const std::streamsize size = file.tellg();
+  if (size < 0) fail("cannot size " + path.string());
   file.seekg(0);
   std::vector<std::byte> bytes(static_cast<std::size_t>(size));
   file.read(reinterpret_cast<char*>(bytes.data()), size);

@@ -18,9 +18,10 @@
 // fall-back-to-previous-generation path can be exercised.
 //
 // Read-side failure model: every malformation — bad magic, unsupported
-// schema version, truncated header or section, CRC mismatch, duplicate or
-// missing section — throws CheckpointError, which derives SerialError, so
-// one catch covers both framing and payload-decoding rejections.
+// schema version, truncated header or section, a section count the file
+// cannot hold, CRC mismatch, duplicate or missing section, a path that is
+// not a regular file — throws CheckpointError, which derives SerialError,
+// so one catch covers both framing and payload-decoding rejections.
 #pragma once
 
 #include <cstddef>
@@ -119,7 +120,7 @@ class CheckpointReader {
   static CheckpointReader parse(std::vector<std::byte> bytes);
 
   /// Reads the whole file then parse()s it. Throws CheckpointError when
-  /// the file cannot be opened or read.
+  /// the path is not a regular file or cannot be opened or read.
   static CheckpointReader open(const std::filesystem::path& path);
 
   /// Completed rounds at snapshot time (from the header).

@@ -8,29 +8,49 @@ namespace avcp {
 
 namespace {
 
-/// CRC-32C lookup table (reflected 0x82F63B78), built once at startup.
-std::array<std::uint32_t, 256> make_crc32c_table() noexcept {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables for CRC-32C (reflected 0x82F63B78), built at compile
+/// time. t[0] is the bytewise table; t[k][b] is t[k-1][b] pushed through
+/// one more zero byte, so t[k] gives a byte's contribution k bytes ahead of
+/// the end of an 8-byte block.
+using Crc32cTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr Crc32cTables make_crc32c_tables() noexcept {
+  Crc32cTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc & 1u) != 0 ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
     }
-    table[i] = crc;
+    t[0][i] = crc;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    }
+  }
+  return t;
 }
 
-const std::array<std::uint32_t, 256> kCrc32cTable = make_crc32c_table();
+constexpr Crc32cTables kCrc32c = make_crc32c_tables();
 
 }  // namespace
 
 std::uint32_t crc32c(std::span<const std::byte> data,
                      std::uint32_t seed) noexcept {
+  const Crc32cTables& t = kCrc32c;
   std::uint32_t crc = ~seed;
-  for (const std::byte b : data) {
-    crc = (crc >> 8) ^
-          kCrc32cTable[(crc ^ static_cast<std::uint32_t>(b)) & 0xffu];
+  const std::byte* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_le<std::uint32_t>(p) ^ crc;
+    const std::uint32_t hi = load_le<std::uint32_t>(p + 4);
+    crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+          t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+          t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^
+          t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = (crc >> 8) ^ t[0][(crc ^ static_cast<std::uint32_t>(*p)) & 0xffu];
   }
   return ~crc;
 }
@@ -40,15 +60,15 @@ void Serializer::put_u8(std::uint8_t v) {
 }
 
 void Serializer::put_u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buffer_.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xffu));
-  }
+  std::array<std::byte, 4> le;
+  store_le(le.data(), v);
+  buffer_.insert(buffer_.end(), le.begin(), le.end());
 }
 
 void Serializer::put_u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buffer_.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xffu));
-  }
+  std::array<std::byte, 8> le;
+  store_le(le.data(), v);
+  buffer_.insert(buffer_.end(), le.begin(), le.end());
 }
 
 void Serializer::put_f64(double v) {
@@ -68,6 +88,12 @@ void Serializer::put_raw(std::span<const std::byte> data) {
   buffer_.insert(buffer_.end(), data.begin(), data.end());
 }
 
+std::span<std::byte> Serializer::append_raw(std::size_t n) {
+  const std::size_t at = buffer_.size();
+  buffer_.resize(at + n);
+  return std::span<std::byte>(buffer_).subspan(at);
+}
+
 void Deserializer::require(std::size_t n) const {
   if (remaining() < n) {
     throw SerialError("serial: read past end of payload");
@@ -80,23 +106,11 @@ std::uint8_t Deserializer::get_u8() {
 }
 
 std::uint32_t Deserializer::get_u32() {
-  require(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(data_[offset_ + i]) << (8 * i);
-  }
-  offset_ += 4;
-  return v;
+  return load_le<std::uint32_t>(get_raw(4).data());
 }
 
 std::uint64_t Deserializer::get_u64() {
-  require(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(data_[offset_ + i]) << (8 * i);
-  }
-  offset_ += 8;
-  return v;
+  return load_le<std::uint64_t>(get_raw(8).data());
 }
 
 double Deserializer::get_f64() { return std::bit_cast<double>(get_u64()); }
@@ -106,14 +120,24 @@ void Deserializer::skip(std::size_t n) {
   offset_ += n;
 }
 
-std::vector<std::byte> Deserializer::get_bytes() {
-  const std::uint64_t n = get_u64();
-  check(n <= remaining(), "byte-string length exceeds payload");
-  std::vector<std::byte> out(data_.begin() + static_cast<std::ptrdiff_t>(offset_),
-                             data_.begin() +
-                                 static_cast<std::ptrdiff_t>(offset_ + n));
-  offset_ += static_cast<std::size_t>(n);
+std::span<const std::byte> Deserializer::get_raw(std::size_t n) {
+  require(n);
+  const std::span<const std::byte> out = data_.subspan(offset_, n);
+  offset_ += n;
   return out;
+}
+
+std::size_t Deserializer::checked_count(std::uint64_t n,
+                                        std::size_t min_bytes,
+                                        const char* what) const {
+  check(n <= remaining() / min_bytes, what);
+  return static_cast<std::size_t>(n);
+}
+
+std::vector<std::byte> Deserializer::get_bytes() {
+  const std::span<const std::byte> raw = get_raw(
+      checked_count(get_u64(), 1, "byte-string length exceeds payload"));
+  return std::vector<std::byte>(raw.begin(), raw.end());
 }
 
 std::string Deserializer::get_string() {
@@ -123,85 +147,81 @@ std::string Deserializer::get_string() {
 
 namespace {
 
-/// Guards length prefixes before vector reserves: a corrupt (but
-/// CRC-colliding or unframed) length must not trigger a huge allocation.
-std::size_t checked_count(Deserializer& d, std::size_t elem_size) {
-  const std::uint64_t n = d.get_u64();
-  Deserializer::check(n <= d.remaining() / elem_size,
-                      "vector length exceeds payload");
-  return static_cast<std::size_t>(n);
-}
-
-}  // namespace
-
-void put_f64_vec(Serializer& s, std::span<const double> v) {
+/// Writes a u64 count, then every element as one little-endian `Word`,
+/// into a run the buffer grows by once.
+template <class Word, class T, class ToWord>
+void put_words(Serializer& s, std::span<const T> v, ToWord to_word) {
   s.put_u64(v.size());
-  for (const double x : v) s.put_f64(x);
+  std::byte* out = s.append_raw(v.size() * sizeof(Word)).data();
+  for (const T& x : v) {
+    store_le<Word>(out, to_word(x));
+    out += sizeof(Word);
+  }
 }
 
-std::vector<double> get_f64_vec(Deserializer& d) {
-  const std::size_t n = checked_count(d, 8);
-  std::vector<double> v;
-  v.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) v.push_back(d.get_f64());
-  return v;
-}
-
-void put_u64_vec(Serializer& s, std::span<const std::uint64_t> v) {
-  s.put_u64(v.size());
-  for (const std::uint64_t x : v) s.put_u64(x);
-}
-
-std::vector<std::uint64_t> get_u64_vec(Deserializer& d) {
-  const std::size_t n = checked_count(d, 8);
-  std::vector<std::uint64_t> v;
-  v.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) v.push_back(d.get_u64());
-  return v;
-}
-
-void put_u32_vec(Serializer& s, std::span<const std::uint32_t> v) {
-  s.put_u64(v.size());
-  for (const std::uint32_t x : v) s.put_u32(x);
-}
-
-std::vector<std::uint32_t> get_u32_vec(Deserializer& d) {
-  const std::size_t n = checked_count(d, 4);
-  std::vector<std::uint32_t> v;
-  v.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) v.push_back(d.get_u32());
-  return v;
-}
-
-void put_size_vec(Serializer& s, std::span<const std::size_t> v) {
-  s.put_u64(v.size());
-  for (const std::size_t x : v) s.put_u64(x);
-}
-
-std::vector<std::size_t> get_size_vec(Deserializer& d) {
-  const std::size_t n = checked_count(d, 8);
-  std::vector<std::size_t> v;
-  v.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t x = d.get_u64();
-    Deserializer::check(x <= std::numeric_limits<std::size_t>::max(),
-                        "size value exceeds host size_t");
-    v.push_back(static_cast<std::size_t>(x));
+/// Reads what put_words wrote: the count is checked against the payload
+/// before the vector is sized, and the run is bounds-checked once.
+template <class Word, class T, class FromWord>
+std::vector<T> get_words(Deserializer& d, FromWord from_word) {
+  const std::size_t n = d.checked_count(d.get_u64(), sizeof(Word),
+                                        "vector length exceeds payload");
+  const std::byte* in = d.get_raw(n * sizeof(Word)).data();
+  std::vector<T> v(n);
+  for (T& x : v) {
+    x = from_word(load_le<Word>(in));
+    in += sizeof(Word);
   }
   return v;
 }
 
+constexpr auto kSame = [](auto x) { return x; };
+
+}  // namespace
+
+void put_f64_vec(Serializer& s, std::span<const double> v) {
+  put_words<std::uint64_t>(
+      s, v, [](double x) { return std::bit_cast<std::uint64_t>(x); });
+}
+
+std::vector<double> get_f64_vec(Deserializer& d) {
+  return get_words<std::uint64_t, double>(
+      d, [](std::uint64_t x) { return std::bit_cast<double>(x); });
+}
+
+void put_u64_vec(Serializer& s, std::span<const std::uint64_t> v) {
+  put_words<std::uint64_t>(s, v, kSame);
+}
+
+std::vector<std::uint64_t> get_u64_vec(Deserializer& d) {
+  return get_words<std::uint64_t, std::uint64_t>(d, kSame);
+}
+
+void put_u32_vec(Serializer& s, std::span<const std::uint32_t> v) {
+  put_words<std::uint32_t>(s, v, kSame);
+}
+
+std::vector<std::uint32_t> get_u32_vec(Deserializer& d) {
+  return get_words<std::uint32_t, std::uint32_t>(d, kSame);
+}
+
+void put_size_vec(Serializer& s, std::span<const std::size_t> v) {
+  put_words<std::uint64_t>(s, v, kSame);
+}
+
+std::vector<std::size_t> get_size_vec(Deserializer& d) {
+  return get_words<std::uint64_t, std::size_t>(d, [](std::uint64_t x) {
+    Deserializer::check(x <= std::numeric_limits<std::size_t>::max(),
+                        "size value exceeds host size_t");
+    return static_cast<std::size_t>(x);
+  });
+}
+
 void put_u8_vec(Serializer& s, std::span<const std::uint8_t> v) {
-  s.put_u64(v.size());
-  for (const std::uint8_t x : v) s.put_u8(x);
+  put_words<std::uint8_t>(s, v, kSame);
 }
 
 std::vector<std::uint8_t> get_u8_vec(Deserializer& d) {
-  const std::size_t n = checked_count(d, 1);
-  std::vector<std::uint8_t> v;
-  v.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) v.push_back(d.get_u8());
-  return v;
+  return get_words<std::uint8_t, std::uint8_t>(d, kSame);
 }
 
 }  // namespace avcp

@@ -8,7 +8,9 @@
 //
 // Failure model: Deserializer never reads past its span — a truncated or
 // garbled payload throws SerialError (a typed, catchable error) instead of
-// returning garbage. load_state implementations use check() for semantic
+// returning garbage, and every element count passes checked_count() before
+// anything is sized for it, so a corrupt count never reaches the allocator
+// as bad_alloc. load_state implementations use check() for semantic
 // validation (dimension mismatches against the live configuration), so a
 // checkpoint from a differently-configured run is rejected, not applied.
 #pragma once
@@ -19,6 +21,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace avcp {
@@ -36,8 +39,30 @@ class SerialError : public std::runtime_error {
 /// CRC-32C (Castagnoli, reflected polynomial 0x82F63B78) — the checksum
 /// hardware-accelerated storage stacks standardise on. `seed` chains
 /// incremental computations: pass a previous result to extend it.
+/// Slicing-by-8: eight table lookups fold each 8-byte block, and the tail
+/// takes the bytewise step; the value is the bytewise CRC's, on any host.
 std::uint32_t crc32c(std::span<const std::byte> data,
                      std::uint32_t seed = 0) noexcept;
+
+/// Little-endian load and store of an unsigned word, whatever the host's
+/// byte order; GCC folds each into one load or store on x86-64. For codecs
+/// that fill a Serializer::append_raw run or read a Deserializer::get_raw
+/// one.
+template <class Word>
+Word load_le(const std::byte* in) noexcept {
+  Word v = 0;
+  for (std::size_t i = 0; i < sizeof(Word); ++i) {
+    v |= static_cast<Word>(static_cast<Word>(in[i]) << (8 * i));
+  }
+  return v;
+}
+
+template <class Word>
+void store_le(std::byte* out, Word v) noexcept {
+  for (std::size_t i = 0; i < sizeof(Word); ++i) {
+    out[i] = static_cast<std::byte>(v >> (8 * i));
+  }
+}
 
 /// Appends scalars to a growable byte buffer, little-endian.
 class Serializer {
@@ -54,8 +79,15 @@ class Serializer {
   void put_string(std::string_view s);
   /// Raw bytes, no prefix (for framing layers that carry their own sizes).
   void put_raw(std::span<const std::byte> data);
+  /// Grows the buffer by `n` bytes and returns them for the caller to fill:
+  /// the vector writers encode in place, in one pass.
+  std::span<std::byte> append_raw(std::size_t n);
+  /// Capacity for `n` bytes in all (a writer that knows its final size).
+  void reserve(std::size_t n) { buffer_.reserve(n); }
 
   const std::vector<std::byte>& bytes() const noexcept { return buffer_; }
+  /// Moves the buffer out, leaving the serializer empty.
+  std::vector<std::byte> release() noexcept { return std::move(buffer_); }
   std::size_t size() const noexcept { return buffer_.size(); }
 
  private:
@@ -81,6 +113,18 @@ class Deserializer {
   std::size_t offset() const noexcept { return offset_; }
   /// Advances past `n` bytes (throws SerialError when fewer remain).
   void skip(std::size_t n);
+  /// The next `n` bytes, consumed: the mirror of Serializer::put_raw, with
+  /// one bounds check for the whole run (throws SerialError when fewer
+  /// remain).
+  std::span<const std::byte> get_raw(std::size_t n);
+
+  /// Guards an element count read from the payload before anything is
+  /// reserved or sized for it. Each element takes at least `min_bytes`
+  /// bytes of what remains, so a count above remaining() / min_bytes is
+  /// corrupt: it throws SerialError (`what` names it) instead of reaching
+  /// the allocator as bad_alloc or length_error.
+  std::size_t checked_count(std::uint64_t n, std::size_t min_bytes,
+                            const char* what) const;
 
   /// Semantic validation helper for load_state implementations: throws
   /// SerialError (not ContractViolation — the input is external data, not a

@@ -15,10 +15,10 @@ void GameState::save_state(Serializer& s) const {
 }
 
 void GameState::load_state(Deserializer& d) {
-  const std::uint64_t rows = d.get_u64();
-  Deserializer::check(rows <= d.remaining() / 8,
-                      "GameState row count exceeds payload");
-  p.assign(static_cast<std::size_t>(rows), {});
+  // Each row takes at least its own u64 length.
+  const std::size_t rows =
+      d.checked_count(d.get_u64(), 8, "GameState row count exceeds payload");
+  p.assign(rows, {});
   for (std::vector<double>& row : p) row = get_f64_vec(d);
 }
 

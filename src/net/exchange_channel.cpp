@@ -213,10 +213,12 @@ void ExchangeChannel::load_state(Deserializer& d) {
   const std::uint64_t resolved_round = d.get_u64();
   std::vector<std::uint64_t> applied(links_.size());
   for (std::uint64_t& a : applied) a = d.get_u64();
-  const std::uint64_t pending = d.get_u64();
+  // due, payload, link, attempt, kind, reorder: 26 bytes a message.
+  const std::size_t pending = d.checked_count(
+      d.get_u64(), 26, "net snapshot: in-flight count exceeds payload");
   std::vector<InFlight> inflight;
   inflight.reserve(pending);
-  for (std::uint64_t i = 0; i < pending; ++i) {
+  for (std::size_t i = 0; i < pending; ++i) {
     InFlight e;
     e.due = d.get_u64();
     e.payload = d.get_u64();

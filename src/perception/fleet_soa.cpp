@@ -7,6 +7,13 @@
 
 namespace avcp::perception {
 
+namespace {
+
+/// An ItemSpan on the wire: offset, then length, each a little-endian u32.
+constexpr std::size_t kSpanBytes = 8;
+
+}  // namespace
+
 void FleetSoA::clear() noexcept {
   decision_.clear();
   claim_.clear();
@@ -131,16 +138,18 @@ void FleetSoA::save_state(Serializer& s) const {
   put_u32_vec(s, decision_);
   put_u32_vec(s, claim_);
   put_u8_vec(s, revoked_);
-  s.put_u64(collected_.size());
-  for (const ItemSpan& span : collected_) {
-    s.put_u32(span.offset);
-    s.put_u32(span.length);
-  }
-  s.put_u64(desired_.size());
-  for (const ItemSpan& span : desired_) {
-    s.put_u32(span.offset);
-    s.put_u32(span.length);
-  }
+  // Span tables: a u64 count, then each span's offset and length as u32s.
+  auto save_spans = [&](const std::vector<ItemSpan>& spans) {
+    s.put_u64(spans.size());
+    std::byte* out = s.append_raw(spans.size() * kSpanBytes).data();
+    for (const ItemSpan& span : spans) {
+      store_le(out, span.offset);
+      store_le(out + 4, span.length);
+      out += kSpanBytes;
+    }
+  };
+  save_spans(collected_);
+  save_spans(desired_);
   put_u32_vec(s, arena_);
   put_f64_vec(s, fitness_);
   put_f64_vec(s, reputation_);
@@ -154,15 +163,14 @@ void FleetSoA::load_state(Deserializer& d) {
   Deserializer::check(claim_.size() == n && revoked_.size() == n,
                       "FleetSoA snapshot: roster arrays disagree");
   auto load_spans = [&](std::vector<ItemSpan>& spans) {
-    const std::uint64_t count = d.get_u64();
-    Deserializer::check(count == n, "FleetSoA snapshot: span count mismatch");
-    spans.clear();
-    spans.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      ItemSpan span;
-      span.offset = d.get_u32();
-      span.length = d.get_u32();
-      spans.push_back(span);
+    Deserializer::check(d.get_u64() == n,
+                        "FleetSoA snapshot: span count mismatch");
+    const std::byte* in = d.get_raw(n * kSpanBytes).data();
+    spans.resize(n);
+    for (ItemSpan& span : spans) {
+      span.offset = load_le<std::uint32_t>(in);
+      span.length = load_le<std::uint32_t>(in + 4);
+      in += kSpanBytes;
     }
   };
   load_spans(collected_);

@@ -588,11 +588,13 @@ void ServiceEngine::load_state(Deserializer& d) {
   const std::uint64_t next_id = d.get_u64();
   const std::uint64_t staleness = d.get_u64();
 
-  const std::uint64_t fleet_size = d.get_u64();
+  // A vehicle record is 63 bytes on the wire.
+  const std::size_t fleet_size = d.checked_count(
+      d.get_u64(), 63, "service snapshot: fleet size exceeds payload");
   std::vector<VehicleRecord> fleet;
   fleet.reserve(fleet_size);
   std::uint64_t prev_id = 0;
-  for (std::uint64_t i = 0; i < fleet_size; ++i) {
+  for (std::size_t i = 0; i < fleet_size; ++i) {
     VehicleRecord rec;
     rec.id = d.get_u64();
     Deserializer::check(i == 0 || rec.id > prev_id,

@@ -9,14 +9,18 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <ostream>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "checkpoint/checkpoint.h"
 #include "common/serial.h"
 #include "core/fds.h"
 #include "faults/degraded_controller.h"
 #include "faults/fault_model.h"
+#include "roadnet/builders.h"
+#include "service/service_engine.h"
 #include "sim/trace_replay.h"
 #include "system/system.h"
 #include "test_support.h"
@@ -620,6 +624,107 @@ TEST(TraceReplayResume, MisshapenSnapshotLeavesTheSimUntouched) {
       EXPECT_EQ(target.empirical_state().p, twin.empirical_state().p);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint images pinned across commits
+// ---------------------------------------------------------------------------
+
+/// The size and byte-wise FNV-1a hash of a framed checkpoint image.
+struct ImagePin {
+  std::size_t bytes = 0;
+  std::uint64_t hash = 0;
+  bool operator==(const ImagePin&) const = default;
+};
+
+ImagePin pin_of(const checkpoint::CheckpointWriter& writer) {
+  const std::vector<std::byte> image = writer.encode();
+  std::uint64_t h = core::testing::kFnv1aBasis;
+  for (const std::byte b : image) {
+    h ^= std::to_integer<std::uint64_t>(b);
+    h *= 0x100000001b3ULL;
+  }
+  return ImagePin{image.size(), h};
+}
+
+std::ostream& operator<<(std::ostream& os, const ImagePin& pin) {
+  return os << "{" << pin.bytes << ", 0x" << std::hex << pin.hash << std::dec
+            << "}";
+}
+
+/// A plant's file a few rounds in: its own section and its FDS controller's.
+ImagePin plant_image(bool chaos) {
+  const auto game = make_chain_game(3);
+  core::DesiredFields fields(game.num_regions(), game.num_decisions());
+  for (core::RegionId i = 0; i < game.num_regions(); ++i) {
+    fields.set_target(i, 0, Interval{0.6, 1.0});
+  }
+  core::FdsController controller(game, fields);
+  WiredPlant plant(game, chaos);
+  system::RoundReport last;
+  for (int t = 0; t < 4; ++t) last = plant.sys->run_round(controller);
+  if (chaos) {
+    // A message delayed in the last round is still in flight: the file
+    // carries the channel's queue and the payload rings' resident slots.
+    EXPECT_TRUE(last.net.active);
+    EXPECT_GT(last.net.delayed, 0u);
+  }
+  checkpoint::CheckpointWriter writer(plant.sys->round());
+  plant.sys->save_state(writer.section(checkpoint::kSectionSystem));
+  controller.save_state(writer.section(checkpoint::kSectionController));
+  return pin_of(writer);
+}
+
+/// A churning, attacked, lossy-backhaul service a few epochs in.
+ImagePin service_image() {
+  const auto game = make_chain_game(4);
+  const auto graph = roadnet::make_grid(6, 6);
+  faults::FaultParams fp;
+  fp.report_loss_rate = 0.10;
+  fp.outage_rate = 0.03;
+  fp.seed = 21;
+  const faults::FaultModel faults(fp);
+  service::ServiceParams sp;
+  sp.vehicles_per_region = 12;
+  sp.revision_rate = 0.9;
+  sp.imitation_scale = 0.7;
+  sp.seed = 42;
+  sp.attacker_fraction = 0.25;
+  sp.churn.leave_rate = 0.03;
+  sp.churn.migrate_rate = 0.10;
+  sp.churn.join_slots = 5;
+  sp.churn.join_rate = 0.4;
+  sp.churn.seed = 13;
+  sp.congestion_alpha = 0.05;
+  sp.overload_events = 3;
+  sp.staleness_budget = 2;
+  sp.reputation.decay = 0.5;
+  sp.reputation.quarantine_threshold = 0.3;
+  sp.reputation.rehab_threshold = 0.05;
+  sp.reputation.rehab_rounds = 50;
+  sp.reputation.min_rounds = 3;
+  sp.net.drop_rate = 0.3;
+  sp.net.delay_rate = 0.25;
+  sp.net.seed = 17;
+  core::FixedRatioController inner(0.7);
+  service::ServiceEngine svc(game, inner, &graph, sp, &faults);
+  svc.init(game.uniform_state(), std::vector<double>(game.num_regions(), 0.5));
+  for (int t = 0; t < 6; ++t) svc.run_epoch();
+  EXPECT_GT(svc.counters().joins, 0u);
+  EXPECT_GT(svc.counters().leaves + svc.counters().migrations, 0u);
+  checkpoint::CheckpointWriter writer(svc.epoch());
+  svc.save_state(writer.section(checkpoint::kSectionService));
+  return pin_of(writer);
+}
+
+// The resume tests compare two runs of one build; these pins hold the
+// files themselves, so an encoder or CRC change that moves one byte of a
+// checkpoint fails here. A change that moves a byte on purpose (and bumps
+// kSchemaVersion) re-pins it and says why.
+TEST(CheckpointImage, BytesArePinnedAcrossCommits) {
+  EXPECT_EQ(plant_image(false), (ImagePin{1212, 0xde3c80fc4877e676ULL}));
+  EXPECT_EQ(plant_image(true), (ImagePin{39954, 0xfcd2c801f779b006ULL}));
+  EXPECT_EQ(service_image(), (ImagePin{6792, 0xaeee3a179cbfc91fULL}));
 }
 
 }  // namespace

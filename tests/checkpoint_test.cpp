@@ -4,6 +4,8 @@
 // supervisor's fall-back-a-generation behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <csignal>
@@ -19,6 +21,7 @@
 #include "checkpoint/checkpoint.h"
 #include "checkpoint/policy.h"
 #include "checkpoint/recovery.h"
+#include "common/rng.h"
 #include "common/serial.h"
 #include "common/stats.h"
 #include "faults/crash_injector.h"
@@ -98,6 +101,97 @@ TEST(SerialTest, Crc32cKnownAnswer) {
   const auto bytes =
       std::as_bytes(std::span<const char>(digits, sizeof(digits) - 1));
   EXPECT_EQ(crc32c(bytes), 0xE3069283u);
+}
+
+/// The bytewise CRC-32C: one lookup in the reflected 0x82F63B78 table per
+/// byte. The reference the sliced crc32c must equal on every input.
+std::uint32_t crc32c_bytewise(std::span<const std::byte> data,
+                              std::uint32_t seed = 0) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t crc = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc & 1u) != 0 ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
+      }
+      t[i] = crc;
+    }
+    return t;
+  }();
+  std::uint32_t crc = ~seed;
+  for (const std::byte b : data) {
+    crc = (crc >> 8) ^ table[(crc ^ static_cast<std::uint32_t>(b)) & 0xffu];
+  }
+  return ~crc;
+}
+
+TEST(SerialTest, Crc32cMatchesBytewiseReference) {
+  // Every length 0-64 covers no block, one block and every tail; 4,095
+  // bytes and 1 MB cover long runs. Each starts at every offset 0-7 of a
+  // random buffer, and odd lengths chain from a non-zero seed too.
+  Rng rng(3720);
+  std::vector<std::byte> buffer((std::size_t{1} << 20) + 8);
+  for (std::byte& b : buffer) b = static_cast<std::byte>(rng() & 0xffu);
+  const std::span<const std::byte> all(buffer);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  lengths.push_back(4095);
+  lengths.push_back(std::size_t{1} << 20);
+  for (const std::size_t n : lengths) {
+    for (std::size_t start = 0; start < 8; ++start) {
+      const auto data = all.subspan(start, n);
+      const std::uint32_t seed = n % 2 == 0 ? 0u : 0x9E3779B9u;
+      EXPECT_EQ(crc32c(data, seed), crc32c_bytewise(data, seed))
+          << "length " << n << " at offset " << start;
+    }
+  }
+
+  // Chaining: extending a CRC with `seed` equals one pass over a || b, at
+  // every split of a 100-byte buffer.
+  const auto hundred = all.first(100);
+  const std::uint32_t whole = crc32c(hundred);
+  EXPECT_EQ(whole, crc32c_bytewise(hundred));
+  for (std::size_t split = 0; split <= hundred.size(); ++split) {
+    EXPECT_EQ(crc32c(hundred.subspan(split), crc32c(hundred.first(split))),
+              whole)
+        << "split at " << split;
+  }
+}
+
+/// Every proper prefix of `put`'s encoding, each in a buffer of its own
+/// size (so a read past it is a heap overflow under ASan), must make `get`
+/// throw SerialError; the whole encoding must decode to `want`.
+template <class T, class Put, class Get>
+void expect_every_prefix_rejected(const char* name, const std::vector<T>& want,
+                                  Put put, Get get) {
+  Serializer s;
+  put(s, std::span<const T>(want));
+  {
+    Deserializer whole(s.bytes());
+    EXPECT_TRUE(get(whole) == want) << name;
+    EXPECT_TRUE(whole.exhausted()) << name;
+  }
+  for (std::size_t keep = 0; keep < s.size(); ++keep) {
+    const std::vector<std::byte> prefix(
+        s.bytes().begin(),
+        s.bytes().begin() + static_cast<std::ptrdiff_t>(keep));
+    Deserializer d(prefix);
+    EXPECT_THROW(get(d), SerialError) << name << " kept " << keep;
+  }
+}
+
+TEST(SerialTest, EveryVectorTruncationRejected) {
+  expect_every_prefix_rejected<std::uint8_t>(
+      "u8", {1, 0, 255, 7, 128}, put_u8_vec, get_u8_vec);
+  expect_every_prefix_rejected<std::uint32_t>(
+      "u32", {0xDEADBEEFu, 0, 1, 0x80000000u}, put_u32_vec, get_u32_vec);
+  expect_every_prefix_rejected<std::uint64_t>(
+      "u64", {0x0123456789ABCDEFull, 0, ~std::uint64_t{0}}, put_u64_vec,
+      get_u64_vec);
+  expect_every_prefix_rejected<double>(
+      "f64", {1.5, -0.0, -2.25, 1.0 / 3.0}, put_f64_vec, get_f64_vec);
+  expect_every_prefix_rejected<std::size_t>(
+      "size", {3, 0, 9, std::size_t{1} << 40}, put_size_vec, get_size_vec);
 }
 
 TEST(StatsSerialTest, HistogramRoundTrip) {
@@ -226,6 +320,23 @@ TEST_F(CheckpointFileTest, StaleSchemaVersionRejected) {
   } catch (const checkpoint::CheckpointError& e) {
     EXPECT_NE(std::string(e.what()).find("schema version"), std::string::npos);
   }
+}
+
+TEST_F(CheckpointFileTest, HugeSectionCountRejected) {
+  // A header whose CRC is valid but whose section count (2^32 - 1) the file
+  // cannot hold: rejected before anything is reserved for the sections.
+  std::vector<std::byte> image = make_writer().encode();
+  for (std::size_t i = 20; i < 24; ++i) image[i] = std::byte{0xff};
+  Serializer crc;
+  crc.put_u32(crc32c(std::span<const std::byte>(image).first(24)));
+  std::copy(crc.bytes().begin(), crc.bytes().end(), image.begin() + 24);
+  EXPECT_THROW(checkpoint::CheckpointReader::parse(image),
+               checkpoint::CheckpointError);
+}
+
+TEST_F(CheckpointFileTest, OpeningADirectoryRejected) {
+  EXPECT_THROW(checkpoint::CheckpointReader::open(dir_),
+               checkpoint::CheckpointError);
 }
 
 TEST_F(CheckpointFileTest, TornWriteLeavesRejectableFile) {

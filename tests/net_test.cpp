@@ -444,6 +444,40 @@ TEST(ExchangeChannel, RejectedSnapshotLeavesChannelUntouched) {
   }
 }
 
+TEST(ExchangeChannel, HugeInFlightCountRejected) {
+  // The in-flight count sits just before its 26-byte entries and the
+  // 9-word counters. Overwritten with a count the payload cannot hold, it
+  // must be a SerialError, not a bad_alloc or length_error from reserve.
+  Ring source(lossy_params());
+  for (std::size_t round = 0; round < 5; ++round) {
+    for (std::uint32_t link = 0; link < 3; ++link) {
+      source.channel.publish(link, round);
+    }
+    source.channel.resolve_round(round);
+  }
+  ASSERT_GT(source.channel.in_flight(), 0u);
+  Serializer snapshot;
+  source.channel.save_state(snapshot);
+  const std::size_t at =
+      snapshot.size() - 9 * 8 - 26 * source.channel.in_flight() - 8;
+  {
+    Deserializer d(snapshot.bytes());
+    d.skip(at);
+    ASSERT_EQ(d.get_u64(), source.channel.in_flight());
+  }
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
+    std::vector<std::byte> bytes = snapshot.bytes();
+    Serializer patch;
+    patch.put_u64(count);
+    std::copy(patch.bytes().begin(), patch.bytes().end(),
+              bytes.begin() + static_cast<std::ptrdiff_t>(at));
+    Ring target(lossy_params());
+    Deserializer d(bytes);
+    EXPECT_THROW(target.channel.load_state(d), SerialError) << count;
+  }
+}
+
 TEST(ExchangeChannel, ResetDropsFlightStateKeepsTopology) {
   Ring ring(lossy_params());
   for (std::size_t round = 0; round < 4; ++round) {

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <csignal>
 #include <cstddef>
@@ -549,6 +550,38 @@ TEST(ServiceEngine, RejectedSnapshotLeavesServiceUntouched) {
       twin.run_epoch();
       expect_engines_equal(svc, twin);
     }
+  }
+}
+
+// The fleet size follows the 51-byte fingerprint and clocks. Overwritten
+// with a count the payload cannot hold, it must be a SerialError (which
+// recovery falls back on), not a bad_alloc from reserving the fleet.
+TEST(ServiceEngine, HugeFleetSizeRejected) {
+  const auto game = make_chain_game(kRegions);
+  const auto graph = roadnet::make_grid(6, 6);
+  core::FixedRatioController inner(0.7);
+  ServiceEngine source(game, inner, &graph, chaos_params(1));
+  source.init(seeded_state(game, 53), std::vector<double>(kRegions, 0.5));
+  for (std::size_t t = 0; t < 3; ++t) source.run_epoch();
+  Serializer snap;
+  source.save_state(snap);
+  constexpr std::size_t kFleetSizeAt = 3 * 8 + 3 + 3 * 8;
+  {
+    Deserializer d(snap.bytes());
+    d.skip(kFleetSizeAt);
+    ASSERT_EQ(d.get_u64(), source.fleet().size());
+  }
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
+    std::vector<std::byte> bytes = snap.bytes();
+    Serializer patch;
+    patch.put_u64(count);
+    std::copy(patch.bytes().begin(), patch.bytes().end(),
+              bytes.begin() + kFleetSizeAt);
+    core::FixedRatioController inner_target(0.7);
+    ServiceEngine target(game, inner_target, &graph, chaos_params(1));
+    Deserializer d(bytes);
+    EXPECT_THROW(target.load_state(d), SerialError) << count;
   }
 }
 
