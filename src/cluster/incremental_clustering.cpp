@@ -29,11 +29,14 @@ std::vector<double> IncrementalClustering::load_weights(
   return weights;
 }
 
-IncrementalClustering::IncrementalClustering(const roadnet::RoadGraph& g,
-                                             IncrementalClusteringOptions opts)
+IncrementalClustering::IncrementalClustering(
+    const roadnet::RoadGraph& g, IncrementalClusteringOptions opts,
+    std::span<const std::int64_t> loads)
     : g_(g),
       opts_(opts),
-      loads_(g.num_segments(), 0),
+      loads_(loads.empty() ? std::vector<std::int64_t>(g.num_segments(), 0)
+                           : std::vector<std::int64_t>(loads.begin(),
+                                                       loads.end())),
       inc_(g, load_weights(g, loads_, opts.congestion_alpha),
            opts.betweenness) {
   AVCP_EXPECT(std::isfinite(opts_.congestion_alpha) &&

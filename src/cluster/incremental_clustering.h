@@ -47,9 +47,13 @@ struct LoadDelta {
 
 class IncrementalClustering {
  public:
-  /// Starts from all-zero loads. `g` must outlive the object.
+  /// Starts from `loads` (one non-negative count per segment; empty means
+  /// all zero): the state set_loads(loads) would leave on a zero-load
+  /// object, for one betweenness pass instead of two. `g` must outlive the
+  /// object.
   IncrementalClustering(const roadnet::RoadGraph& g,
-                        IncrementalClusteringOptions opts = {});
+                        IncrementalClusteringOptions opts = {},
+                        std::span<const std::int64_t> loads = {});
 
   struct RefreshStats {
     std::size_t segments_changed = 0;

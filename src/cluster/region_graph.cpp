@@ -70,13 +70,27 @@ void RegionGraph::finalize(double normalizer) {
 }
 
 RegionGraphAccumulator::RegionGraphAccumulator(const RegionGraphInputs& inputs)
-    : inputs_(inputs),
-      num_windows_(static_cast<std::size_t>(
-          std::ceil(inputs.duration_s / inputs.window_s))) {
+    : inputs_(inputs) {
   AVCP_EXPECT(inputs.num_regions >= 1);
   AVCP_EXPECT(inputs.num_cells >= 1);
   AVCP_EXPECT(inputs.window_s > 0.0);
   AVCP_EXPECT(inputs.duration_s > 0.0);
+  // build() indexes a cells x regions table by each fix's segment, so
+  // every segment needs a cell and a region inside it.
+  AVCP_EXPECT(inputs.cell_of_segment.size() ==
+              inputs.region_of_segment.size());
+  for (const spatial::ServerId cell : inputs.cell_of_segment) {
+    AVCP_EXPECT(cell < inputs.num_cells);
+  }
+  for (const RegionId region : inputs.region_of_segment) {
+    AVCP_EXPECT(region < inputs.num_regions);
+  }
+  // Range-check the count as a double: casting one beyond size_t is
+  // undefined, and build() counts windows in 32 bits.
+  const double windows = std::ceil(inputs.duration_s / inputs.window_s);
+  AVCP_EXPECT(windows < 0x1p32);
+  num_windows_ = static_cast<std::size_t>(windows);
+  window_end_.assign(num_windows_ + 1, 0);
 }
 
 void RegionGraphAccumulator::add(const trace::GpsFix& fix) {
@@ -86,67 +100,111 @@ void RegionGraphAccumulator::add(const trace::GpsFix& fix) {
   // undefined.
   const double window = fix.time_s / inputs_.window_s;
   if (window >= static_cast<double>(num_windows_)) return;
-  presence_.push_back(Presence{static_cast<std::size_t>(window), fix.time_s,
-                               fix.vehicle, fix.segment});
+  ++window_end_[static_cast<std::size_t>(window) + 1];
+  if (num_records_ % kBlockSize == 0) {
+    blocks_.emplace_back().reserve(kBlockSize);
+  }
+  blocks_.back().push_back(Presence{fix.time_s, fix.vehicle, fix.segment});
+  ++num_records_;
 }
 
 RegionGraph RegionGraphAccumulator::build() {
-  // Bucket the records by window: a counting sort over their indices.
-  std::vector<std::size_t> window_end(num_windows_ + 1, 0);
-  for (const Presence& p : presence_) ++window_end[p.window + 1];
+  AVCP_EXPECT(!window_end_.empty());  // build() runs once
+  // Records are indexed, and windows counted, in 32 bits below.
+  AVCP_EXPECT(num_records_ < (std::size_t{1} << 32));
+  // Later add() calls find no window left, and skip.
+  const std::size_t num_windows = std::exchange(num_windows_, 0);
+  // Bucket the records by window: a stable counting sort over their
+  // indices, from the counts add() kept, each record's window derived again
+  // by add()'s division.
+  std::vector<std::uint32_t> window_end = std::move(window_end_);
+  window_end_.clear();
   std::partial_sum(window_end.begin(), window_end.end(), window_end.begin());
-  std::vector<std::size_t> order(presence_.size());
-  for (std::size_t r = 0; r < presence_.size(); ++r) {
-    order[window_end[presence_[r].window]++] = r;
+  std::vector<std::uint32_t> order(num_records_);
+  std::uint32_t r = 0;
+  for (const std::vector<Presence>& block : blocks_) {
+    for (const Presence& p : block) {
+      const auto w = static_cast<std::size_t>(p.time_s / inputs_.window_s);
+      order[window_end[w]++] = r++;
+    }
   }
   // window_end[w] is now where window w's indices end.
 
-  RegionGraph graph(inputs_.num_regions);
-  std::vector<Presence> window;      // one window's records
-  std::vector<std::uint64_t> keys;   // (cell, region) of its presences
-  std::vector<std::pair<RegionId, double>> counts;  // one cell's regions
-  counts.reserve(inputs_.num_regions);
-  std::size_t begin = 0;
-  for (std::size_t w = 0; w < num_windows_; begin = window_end[w++]) {
-    window.clear();
-    for (std::size_t o = begin; o < window_end[w]; ++o) {
-      window.push_back(presence_[order[o]]);
-    }
+  // A window's presences are counted per (cell, region) into a dense
+  // table: count[c * R + i] vehicles of region i in cell c, whose distinct
+  // regions are listed in regions_in[c * R ..] in first-seen order.
+  // Each window then adds its pair counts to pairs (upper triangle, i <= j)
+  // as integers.
+  const std::size_t num_regions = inputs_.num_regions;
+  const std::size_t table = inputs_.num_cells * num_regions;
+  std::vector<std::uint32_t> count(table, 0);
+  std::vector<RegionId> regions_in(table);
+  std::vector<std::uint32_t> distinct(inputs_.num_cells, 0);
+  std::vector<std::size_t> touched;  // cells with a presence this window
+  std::vector<std::uint64_t> pairs(num_regions * num_regions, 0);
+  // By (vehicle, time, segment), through the records' indices.
+  const auto by_vehicle_time = [this](std::uint32_t a, std::uint32_t b) {
+    const Presence& x = record(a);
+    const Presence& y = record(b);
+    return std::tie(x.vehicle, x.time_s, x.segment) <
+           std::tie(y.vehicle, y.time_s, y.segment);
+  };
+  auto first = order.begin();
+  for (std::size_t w = 0; w < num_windows;
+       first = order.begin() + window_end[w++]) {
+    const auto last = order.begin() + window_end[w];
     // Each vehicle's fixes by time: its presence is its earliest fix in the
-    // window (ties to the lowest segment), whatever the arrival order.
-    std::sort(window.begin(), window.end(),
-              [](const Presence& a, const Presence& b) {
-                return std::tie(a.vehicle, a.time_s, a.segment) <
-                       std::tie(b.vehicle, b.time_s, b.segment);
-              });
-    keys.clear();
-    for (std::size_t r = 0; r < window.size(); ++r) {
-      if (r > 0 && window[r].vehicle == window[r - 1].vehicle) continue;
-      const roadnet::SegmentId s = window[r].segment;
-      keys.push_back((std::uint64_t{inputs_.cell_of_segment[s]} << 32) |
-                     inputs_.region_of_segment[s]);
+    // window (ties to the lowest segment), whatever the arrival order. A
+    // trace fed vehicle by vehicle in time order, as the generator emits
+    // it, arrives sorted (the bucketing is stable), so only other orders
+    // pay for the sort.
+    if (!std::is_sorted(first, last, by_vehicle_time)) {
+      std::sort(first, last, by_vehicle_time);
     }
-    // By (cell, region): occupied cells ascending, each with its regions
-    // ascending.
-    std::sort(keys.begin(), keys.end());
-    for (std::size_t k = 0; k < keys.size();) {
-      counts.clear();
-      const std::uint64_t cell = keys[k] >> 32;
-      for (; k < keys.size() && keys[k] >> 32 == cell; ++k) {
-        const auto region = static_cast<RegionId>(keys[k]);
-        if (counts.empty() || counts.back().first != region) {
-          counts.emplace_back(region, 0.0);
-        }
-        counts.back().second += 1.0;
+    for (auto it = first; it != last; ++it) {
+      const Presence& p = record(*it);
+      if (it != first && p.vehicle == record(*(it - 1)).vehicle) continue;
+      const std::size_t cell = inputs_.cell_of_segment[p.segment];
+      const RegionId region = inputs_.region_of_segment[p.segment];
+      if (distinct[cell] == 0) touched.push_back(cell);
+      if (count[cell * num_regions + region]++ == 0) {
+        regions_in[cell * num_regions + distinct[cell]++] = region;
       }
-      for (std::size_t a = 0; a < counts.size(); ++a) {
-        const auto [i, n_i] = counts[a];
+    }
+    for (const std::size_t cell : touched) {
+      const std::uint32_t* n = &count[cell * num_regions];
+      const RegionId* regions = &regions_in[cell * num_regions];
+      for (std::uint32_t a = 0; a < distinct[cell]; ++a) {
+        const RegionId i = regions[a];
+        const std::uint64_t n_i = n[i];
         // Inner-region pairs: n * (n - 1) / 2.
-        graph.accumulate(i, i, n_i * (n_i - 1.0) / 2.0);
-        for (std::size_t b = a + 1; b < counts.size(); ++b) {
-          graph.accumulate(i, counts[b].first, n_i * counts[b].second);
+        pairs[i * num_regions + i] += n_i * (n_i - 1) / 2;
+        for (std::uint32_t b = a + 1; b < distinct[cell]; ++b) {
+          const RegionId j = regions[b];
+          pairs[std::min(i, j) * num_regions + std::max(i, j)] += n_i * n[j];
         }
       }
+      for (std::uint32_t a = 0; a < distinct[cell]; ++a) {
+        count[cell * num_regions + regions[a]] = 0;
+      }
+      distinct[cell] = 0;
+    }
+    touched.clear();
+  }
+
+  // Every gamma term is an integer, n_i * n_j or n * (n - 1) / 2. Summed
+  // as doubles in any order, such terms give the exact integer total while
+  // it stays below 2^53, so handing each total over once gives the bits a
+  // term-by-term double sum gives. (With fewer than 2^32 records the
+  // integer totals themselves cannot overflow.)
+  RegionGraph graph(num_regions);
+  for (std::size_t i = 0; i < num_regions; ++i) {
+    for (std::size_t j = i; j < num_regions; ++j) {
+      const std::uint64_t total = pairs[i * num_regions + j];
+      if (total == 0) continue;
+      AVCP_ENSURE(total < (std::uint64_t{1} << 53));
+      graph.accumulate(static_cast<RegionId>(i), static_cast<RegionId>(j),
+                       static_cast<double>(total));
     }
   }
   graph.finalize(inputs_.duration_s);

@@ -58,6 +58,8 @@ class RegionGraph {
 
 /// Build inputs: which region and cell each road segment belongs to.
 struct RegionGraphInputs {
+  /// One entry per road segment in each, ids below num_regions and
+  /// num_cells respectively (the accumulator's constructor checks both).
   std::span<const RegionId> region_of_segment;
   std::span<const spatial::ServerId> cell_of_segment;
   std::size_t num_regions = 0;
@@ -69,35 +71,53 @@ struct RegionGraphInputs {
 
 /// Streaming builder: feed fixes one at a time (any order, any batching),
 /// then build(). Memory is linear in the trace length, not constant: one
-/// 24-byte record per fix inside the span (half a GpsFix), plus an 8-byte
-/// index per record and a counter per window while build() buckets them
-/// by window. A vehicle counts once per window, at its earliest fix there
-/// (ties to the lowest segment), so the same fix multiset produces the same
-/// graph regardless of interleaving.
+/// 16-byte record per fix inside the span (its time, vehicle and segment)
+/// and a counter per window, plus, while build() runs, a 4-byte index per
+/// record (it buckets the records by window) and a count table of cells x
+/// regions. Fewer than 2^32 fixes may be fed. A vehicle counts once per
+/// window, at its earliest fix there (ties to the lowest segment), so the
+/// same fix multiset produces the same graph regardless of interleaving.
 class RegionGraphAccumulator {
  public:
-  /// The spans inside `inputs` must stay valid until build() returns.
+  /// The spans inside `inputs` must stay valid until build() returns. The
+  /// inputs are checked here, once: both spans have one entry per segment,
+  /// every cell id is below num_cells and every region id below
+  /// num_regions.
   explicit RegionGraphAccumulator(const RegionGraphInputs& inputs);
 
   /// Consumes one fix. Negative and NaN times are rejected; times at or
   /// beyond the last window (infinity included) are skipped.
   void add(const trace::GpsFix& fix);
 
-  /// Counts the co-presence pairs and finalizes the graph. Call once.
+  /// Counts the co-presence pairs and finalizes the graph. Call once
+  /// (ContractViolation otherwise); fixes added afterwards are skipped.
   RegionGraph build();
 
  private:
-  /// One in-span fix, reduced to what co-presence needs.
+  /// One in-span fix, reduced to what co-presence needs; build() derives
+  /// its window from time_s again, by add()'s division.
   struct Presence {
-    std::size_t window = 0;
     double time_s = 0.0;
     trace::VehicleId vehicle = 0;
     roadnet::SegmentId segment = roadnet::kInvalidSegment;
   };
 
+  /// The records, in arrival order, fill blocks of kBlockSize (128 KiB):
+  /// the store grows without copying itself or briefly holding two copies,
+  /// as one doubling vector would.
+  static constexpr unsigned kBlockShift = 13;
+  static constexpr std::size_t kBlockSize = std::size_t{1} << kBlockShift;
+  const Presence& record(std::size_t r) const noexcept {
+    return blocks_[r >> kBlockShift][r & (kBlockSize - 1)];
+  }
+
   RegionGraphInputs inputs_;
-  std::size_t num_windows_;
-  std::vector<Presence> presence_;  // in arrival order
+  std::size_t num_windows_ = 0;
+  /// Records per window w at [w + 1], counted by add() for build()'s
+  /// counting sort.
+  std::vector<std::uint32_t> window_end_;
+  std::vector<std::vector<Presence>> blocks_;
+  std::size_t num_records_ = 0;
 };
 
 /// Builds the region graph from a trace. Fixes may arrive in any order.

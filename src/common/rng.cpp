@@ -221,24 +221,29 @@ std::uint64_t Rng::binomial(std::uint64_t n, double p) {
   return BinomialSampler(n, p)(*this);
 }
 
-std::size_t Rng::weighted_index(std::span<const double> weights) {
+WeightedIndexSampler::WeightedIndexSampler(std::span<const double> weights)
+    : weights_(weights) {
   AVCP_EXPECT(!weights.empty());
-  double total = 0.0;
-  for (const double w : weights) {
-    AVCP_EXPECT(w >= 0.0);
-    total += w;
-  }
-  AVCP_EXPECT(total > 0.0);
-  double target = uniform() * total;
   for (std::size_t i = 0; i < weights.size(); ++i) {
-    target -= weights[i];
+    AVCP_EXPECT(weights[i] >= 0.0);
+    total_ += weights[i];
+    if (weights[i] > 0.0) last_positive_ = i;
+  }
+  AVCP_EXPECT(total_ > 0.0);
+}
+
+std::size_t WeightedIndexSampler::operator()(Rng& rng) const noexcept {
+  double target = rng.uniform() * total_;
+  for (std::size_t i = 0; i < weights_.size(); ++i) {
+    target -= weights_[i];
     if (target < 0.0) return i;
   }
   // Floating point slack: fall back to the last positive weight.
-  for (std::size_t i = weights.size(); i-- > 0;) {
-    if (weights[i] > 0.0) return i;
-  }
-  return weights.size() - 1;
+  return last_positive_;
+}
+
+std::size_t Rng::weighted_index(std::span<const double> weights) {
+  return WeightedIndexSampler(weights)(*this);
 }
 
 Rng Rng::split() noexcept {

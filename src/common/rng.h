@@ -76,7 +76,8 @@ class Rng {
   std::uint64_t binomial(std::uint64_t n, double p);
 
   /// Samples an index in [0, weights.size()) with probability proportional
-  /// to weights[i]. Weights must be non-negative with a positive sum.
+  /// to weights[i]: WeightedIndexSampler(weights)(*this). Weights must be
+  /// non-negative with a positive sum (ContractViolation).
   std::size_t weighted_index(std::span<const double> weights);
 
   /// Fisher-Yates shuffle of a vector.
@@ -130,6 +131,29 @@ class BernoulliSampler {
   bool draws_ = false;
   /// The answer when no draw is made: p >= 1.
   bool always_ = false;
+};
+
+/// Weighted index draws with their set-up done once: every draw is the one
+/// Rng::weighted_index(weights) would make, from the same single uniform()
+/// draw. The constructor checks each weight (>= 0, so not NaN) and sums them
+/// in index order; a draw scales uniform() by that total and subtracts the
+/// weights in index order until the remainder falls below zero. The sampler
+/// keeps a view of `weights`, which must outlive it and not change. The
+/// trace generator draws thousands of trip destinations from one sampler
+/// over the intersections' attraction weights.
+class WeightedIndexSampler {
+ public:
+  explicit WeightedIndexSampler(std::span<const double> weights);
+
+  /// One index in [0, weights.size()), from one draw of `rng`.
+  std::size_t operator()(Rng& rng) const noexcept;
+
+ private:
+  std::span<const double> weights_;
+  double total_ = 0.0;
+  /// The last index with a positive weight: the answer when rounding
+  /// leaves the remainder non-negative after every subtraction.
+  std::size_t last_positive_ = 0;
 };
 
 /// Binomial(n, p) with its set-up done once: every draw is the one

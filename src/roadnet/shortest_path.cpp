@@ -1,78 +1,76 @@
 #include "roadnet/shortest_path.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
-#include <queue>
+#include <utility>
 
 #include "common/contracts.h"
+#include "roadnet/flat_search.h"
 
 namespace avcp::roadnet {
 
-namespace {
-
-double hop_cost(const RoadGraph& g, SegmentId s, PathMetric metric) {
-  switch (metric) {
-    case PathMetric::kHops:
-      return 1.0;
-    case PathMetric::kDistance:
-      return g.segment(s).length_m;
-    case PathMetric::kTravelTime:
-      return g.segment(s).travel_time_s();
+struct ShortestPathSearch::State {
+  State(const RoadGraph& g, std::vector<double> segment_costs)
+      : cost(std::move(segment_costs)), adj(g, cost) {
+    dist.resize(g.num_intersections());
+    heap.reserve(1 + adj.arcs.size());
   }
-  return 1.0;
-}
 
-struct SearchResult {
-  std::vector<double> dist;
-  std::vector<Hop> parent;  // parent[v] = {segment into v, previous node}
+  std::vector<double> cost;  // by segment
+  FlatAdjacency adj;         // arc weights copied from `cost`
+  std::vector<double> dist;  // of the last search
+  std::vector<HeapKey> heap;
 };
 
-SearchResult dijkstra(const RoadGraph& g, NodeId from, PathMetric metric) {
+ShortestPathSearch::ShortestPathSearch(const RoadGraph& g, PathMetric metric) {
   AVCP_EXPECT(g.finalized());
-  AVCP_EXPECT(from < g.num_intersections());
-  const std::size_t n = g.num_intersections();
-  SearchResult res;
-  res.dist.assign(n, std::numeric_limits<double>::infinity());
-  res.parent.assign(n, Hop{});
-  res.dist[from] = 0.0;
+  std::vector<double> cost(g.num_segments());
+  for (SegmentId s = 0; s < g.num_segments(); ++s) {
+    cost[s] = segment_cost(g, s, metric);
+  }
+  state_ = std::make_unique<State>(g, std::move(cost));
+}
 
-  // Every push follows a relaxation of one directed segment, so the heap
-  // never holds more than 1 + 2 * segments entries: reserving that bound
-  // grows it once per search.
-  using Entry = std::pair<double, NodeId>;
-  std::vector<Entry> storage;
-  storage.reserve(1 + 2 * g.num_segments());
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap(
-      std::greater<>{}, std::move(storage));
-  heap.emplace(0.0, from);
-  std::vector<bool> settled(n, false);
+ShortestPathSearch::~ShortestPathSearch() = default;
+
+void ShortestPathSearch::grow(NodeId from, std::vector<Hop>& tree) {
+  const FlatAdjacency& adj = state_->adj;
+  std::vector<double>& dist = state_->dist;
+  std::vector<HeapKey>& heap = state_->heap;
+  AVCP_EXPECT(from < dist.size());
+  std::fill(dist.begin(), dist.end(), std::numeric_limits<double>::infinity());
+  tree.assign(dist.size(), Hop{});
+  dist[from] = 0.0;
+  heap.clear();
+  heap.push_back(HeapKey{std::bit_cast<std::uint64_t>(0.0), from});
   while (!heap.empty()) {
-    const auto [d, v] = heap.top();
-    heap.pop();
-    if (settled[v]) continue;
-    settled[v] = true;
-    for (const Hop& hop : g.neighbors(v)) {
-      const double nd = d + hop_cost(g, hop.segment, metric);
-      if (nd < res.dist[hop.node]) {
-        res.dist[hop.node] = nd;
-        res.parent[hop.node] = Hop{hop.segment, v};
-        heap.emplace(nd, hop.node);
+    const HeapKey top = heap_pop(heap);
+    const NodeId v = top.node;
+    // A node's entries carry strictly decreasing distances, and the one
+    // equal to dist[v] pops first, settling v; the rest are stale.
+    if (top.dist_bits != std::bit_cast<std::uint64_t>(dist[v])) continue;
+    const double d = dist[v];
+    for (std::uint32_t a = adj.begin[v]; a < adj.begin[v + 1]; ++a) {
+      const Hop hop = adj.arcs[a];
+      const double nd = d + adj.weight[a];
+      if (nd < dist[hop.node]) {
+        dist[hop.node] = nd;
+        tree[hop.node] = Hop{hop.segment, v};
+        heap_push(heap, HeapKey{std::bit_cast<std::uint64_t>(nd), hop.node});
       }
     }
   }
-  return res;
 }
 
-}  // namespace
-
-std::vector<Hop> shortest_path_tree(const RoadGraph& g, NodeId from,
-                                    PathMetric metric) {
-  return dijkstra(g, from, metric).parent;
+std::span<const double> ShortestPathSearch::costs() const noexcept {
+  return state_->dist;
 }
 
-bool route_from_tree(const RoadGraph& g, std::span<const Hop> tree,
-                     NodeId from, NodeId to, PathMetric metric, Route& route) {
-  AVCP_EXPECT(tree.size() == g.num_intersections());
+bool ShortestPathSearch::route(std::span<const Hop> tree, NodeId from,
+                               NodeId to, Route& route) const {
+  AVCP_EXPECT(tree.size() == state_->dist.size());
   AVCP_EXPECT(from < tree.size() && to < tree.size());
   if (to != from && tree[to].segment == kInvalidSegment) return false;
   route.nodes.clear();
@@ -91,22 +89,35 @@ bool route_from_tree(const RoadGraph& g, std::span<const Hop> tree,
   // The search set dist[v] = dist[parent] + cost(segment) along the tree,
   // so summing outwards from 0 repeats its additions exactly.
   route.cost = 0.0;
-  for (const SegmentId s : route.segments) route.cost += hop_cost(g, s, metric);
+  for (const SegmentId s : route.segments) route.cost += state_->cost[s];
   return true;
+}
+
+std::vector<Hop> shortest_path_tree(const RoadGraph& g, NodeId from,
+                                    PathMetric metric) {
+  std::vector<Hop> tree;
+  ShortestPathSearch(g, metric).grow(from, tree);
+  return tree;
 }
 
 std::optional<Route> shortest_path(const RoadGraph& g, NodeId from, NodeId to,
                                    PathMetric metric) {
   AVCP_EXPECT(to < g.num_intersections());
-  const std::vector<Hop> tree = shortest_path_tree(g, from, metric);
+  ShortestPathSearch search(g, metric);
+  std::vector<Hop> tree;
+  search.grow(from, tree);
   Route route;
-  if (!route_from_tree(g, tree, from, to, metric, route)) return std::nullopt;
+  if (!search.route(tree, from, to, route)) return std::nullopt;
   return route;
 }
 
 std::vector<double> shortest_costs(const RoadGraph& g, NodeId from,
                                    PathMetric metric) {
-  return dijkstra(g, from, metric).dist;
+  ShortestPathSearch search(g, metric);
+  std::vector<Hop> tree;
+  search.grow(from, tree);
+  const std::span<const double> costs = search.costs();
+  return {costs.begin(), costs.end()};
 }
 
 }  // namespace avcp::roadnet

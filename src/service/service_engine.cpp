@@ -99,12 +99,6 @@ ServiceEngine::ServiceEngine(const core::MultiRegionGame& game,
   controller_.emplace(inner, *faults_, params_.degraded);
   AVCP_EXPECT(graph_ != nullptr);
   AVCP_EXPECT(graph_->finalized());
-  cluster::IncrementalClusteringOptions copts;
-  copts.clustering.num_regions =
-      static_cast<std::uint32_t>(game_.num_regions());
-  copts.betweenness.num_threads = params_.num_threads;
-  copts.congestion_alpha = params_.congestion_alpha;
-  clustering_.emplace(*graph_, copts);
   pending_.assign(graph_->num_segments(), 0);
   members_.resize(game_.num_regions());
   before_.resize(game_.num_regions());
@@ -127,6 +121,16 @@ ServiceEngine::ServiceEngine(const core::MultiRegionGame& game,
         game_.num_regions(), params_.net.ring_slots());
     fresh_.assign(game_.num_regions(), 0);
   }
+}
+
+cluster::IncrementalClusteringOptions ServiceEngine::clustering_options()
+    const {
+  cluster::IncrementalClusteringOptions copts;
+  copts.clustering.num_regions =
+      static_cast<std::uint32_t>(game_.num_regions());
+  copts.betweenness.num_threads = params_.num_threads;
+  copts.congestion_alpha = params_.congestion_alpha;
+  return copts;
 }
 
 bool ServiceEngine::designated_attacker(std::uint64_t identity) const noexcept {
@@ -160,8 +164,12 @@ void ServiceEngine::init(const core::GameState& initial,
   std::fill(down_.begin(), down_.end(), 0);
   fleet_.clear();
 
-  // Region-major fleet seeding over the clustering's current regions, one
-  // init stream per region, keyed (kInitStream, 0, region).
+  // Region-major fleet seeding over the zero-load clustering's regions,
+  // one init stream per region, keyed (kInitStream, 0, region). The
+  // clustering is built here, so a second init() on an engine that has run
+  // seeds exactly as a fresh engine's first does.
+  clustering_ = std::make_unique<cluster::IncrementalClustering>(
+      *graph_, clustering_options());
   const cluster::Clustering& cl = clustering_->clustering();
   for (core::RegionId r = 0; r < game_.num_regions(); ++r) {
     Rng rng(derive_seed(params_.seed, {kInitStream, 0, r}));
@@ -443,6 +451,7 @@ void ServiceEngine::apply_churn_exploit(std::size_t e) {
 }
 
 void ServiceEngine::run_epoch() {
+  AVCP_EXPECT(clustering_ != nullptr);  // init() or load_state() first
   const std::size_t e = epoch_;
   std::size_t events = 0;
   apply_churn(e, events);
@@ -548,9 +557,13 @@ void ServiceEngine::save_state(Serializer& s) const {
     pend[i] = encode_i64(pending_[i]);
   }
   put_u64_vec(s, pend);
-  std::vector<std::uint64_t> loads(clustering_->loads().size());
-  for (std::size_t i = 0; i < loads.size(); ++i) {
-    loads[i] = encode_i64(clustering_->loads()[i]);
+  // Before init() or load_state() there is no clustering, and the loads
+  // are all zero.
+  std::vector<std::uint64_t> loads(graph_->num_segments(), encode_i64(0));
+  if (clustering_) {
+    for (std::size_t i = 0; i < loads.size(); ++i) {
+      loads[i] = encode_i64(clustering_->loads()[i]);
+    }
   }
   put_u64_vec(s, loads);
 
@@ -667,6 +680,11 @@ void ServiceEngine::load_state(Deserializer& d) {
     });
   }
 
+  // Building from the loads is bit-equal to the pre-crash clustering by
+  // the incremental-equivalence contract.
+  auto clustering = std::make_unique<cluster::IncrementalClustering>(
+      *graph_, clustering_options(), loads);
+
   epoch_ = static_cast<std::size_t>(epoch);
   next_id_ = next_id;
   staleness_ = static_cast<std::size_t>(staleness);
@@ -675,9 +693,7 @@ void ServiceEngine::load_state(Deserializer& d) {
   state_ = std::move(state);
   observed_ = std::move(observed);
   down_ = std::move(down);
-  // Rebuilding from loads is bit-equal to the pre-crash clustering by the
-  // incremental-equivalence contract.
-  clustering_->set_loads(loads);
+  clustering_ = std::move(clustering);
   for (std::size_t i = 0; i < pend.size(); ++i) {
     pending_[i] = decode_i64(pend[i]);
   }

@@ -45,6 +45,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -176,14 +177,16 @@ class ServiceEngine {
   /// always in the loop and zero-fault runs stay bit-comparable to faulted
   /// ones). `graph` is required: region membership derives from road
   /// segments through the incremental clustering, whose region count must
-  /// match the game's.
+  /// match the game's. Construction runs no betweenness pass: init()
+  /// builds the clustering at zero loads, load_state() at the snapshot's.
   ServiceEngine(const core::MultiRegionGame& game, core::Controller& inner,
                 const roadnet::RoadGraph* graph, ServiceParams params,
                 const faults::FaultModel* faults = nullptr);
 
-  /// Cold start at epoch 0: seeds the fleet from `initial`'s per-region
-  /// distributions, one init stream per region, and resets the controller
-  /// wrapper, loads, and counters.
+  /// Cold start at epoch 0: builds the clustering at zero loads, seeds the
+  /// fleet over its regions from `initial`'s per-region distributions, one
+  /// init stream per region, and resets the controller wrapper, loads, and
+  /// counters. The same on an engine that has run as on a fresh one.
   void init(const core::GameState& initial, std::vector<double> x0);
 
   /// One epoch: churn -> clustering maintenance -> snapshot -> control ->
@@ -202,8 +205,9 @@ class ServiceEngine {
   const faults::DegradedController& controller() const {
     return *controller_;
   }
+  /// Null until init() or load_state() builds the clustering.
   const cluster::IncrementalClustering* clustering() const noexcept {
-    return &*clustering_;
+    return clustering_.get();
   }
   /// Deferred-epoch streak of the clustering maintenance (0 = fresh).
   std::size_t staleness() const noexcept { return staleness_; }
@@ -214,13 +218,15 @@ class ServiceEngine {
   }
 
   /// Checkpoint hooks (section checkpoint::kSectionService). load_state
-  /// rejects snapshots from a differently-configured service and rebuilds
-  /// the clustering from the serialized loads — equal to the pre-crash one
-  /// by the incremental-equivalence contract.
+  /// rejects snapshots from a differently-configured service and builds
+  /// the clustering from the serialized loads, in one betweenness pass —
+  /// equal to the pre-crash one by the incremental-equivalence contract.
+  /// Before init() or load_state(), save_state writes all-zero loads.
   void save_state(Serializer& s) const;
   void load_state(Deserializer& d);
 
  private:
+  cluster::IncrementalClusteringOptions clustering_options() const;
   bool designated_attacker(std::uint64_t identity) const noexcept;
   void apply_churn(std::size_t e, std::size_t& events);
   void apply_churn_exploit(std::size_t e);
@@ -238,7 +244,9 @@ class ServiceEngine {
   const faults::FaultModel* faults_;
   EventStream events_;
   std::optional<faults::DegradedController> controller_;
-  std::optional<cluster::IncrementalClustering> clustering_;
+  /// Built by init() or load_state(); a pointer, so load_state can build
+  /// the new one before it commits anything.
+  std::unique_ptr<cluster::IncrementalClustering> clustering_;
   ThreadPool pool_;
 
   std::size_t epoch_ = 0;

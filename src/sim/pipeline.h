@@ -40,8 +40,8 @@ struct PipelineConfig {
   double gamma_max = 1.0;
   /// When false the generated trace is streamed through the coefficient and
   /// region-graph accumulators without ever being materialized (the latter
-  /// keeps a 24-byte record per fix, half a GpsFix; artifacts.fixes stays
-  /// empty). The default keeps the fixes for consumers that replay them
+  /// keeps a 16-byte record per fix, a third of a GpsFix; artifacts.fixes
+  /// stays empty). The default keeps the fixes for consumers that replay them
   /// (TraceDrivenSim, bench_fig10). Artifacts are bit-identical either way.
   bool keep_fixes = true;
 };

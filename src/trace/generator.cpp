@@ -34,24 +34,24 @@ PointM lerp(const PointM& a, const PointM& b, double t) {
 }  // namespace
 
 /// Trips leave from a few hundred distinct intersections, so each origin's
-/// shortest-travel-time tree is built on its first trip and walked for the
-/// rest: the routes are exactly those of a fresh search per trip.
+/// shortest-travel-time tree is grown on its first trip and walked for the
+/// rest: the routes are exactly those of a fresh search per trip. One
+/// search serves every origin, reusing its flat adjacency, travel times
+/// and heap.
 struct TraceGenerator::Router {
   explicit Router(const RoadGraph& g)
-      : graph(g), trees(g.num_intersections()) {}
+      : search(g, roadnet::PathMetric::kTravelTime),
+        trees(g.num_intersections()) {}
 
-  const RoadGraph& graph;
+  roadnet::ShortestPathSearch search;
   std::vector<std::vector<roadnet::Hop>> trees;  // by origin; empty = unbuilt
   roadnet::Route route;                          // reused for every trip
 
   /// The route from `from` to `to`, or nullptr when `to` is unreachable.
   const roadnet::Route* find(NodeId from, NodeId to) {
-    constexpr auto kMetric = roadnet::PathMetric::kTravelTime;
     std::vector<roadnet::Hop>& tree = trees[from];
-    if (tree.empty()) tree = roadnet::shortest_path_tree(graph, from, kMetric);
-    return roadnet::route_from_tree(graph, tree, from, to, kMetric, route)
-               ? &route
-               : nullptr;
+    if (tree.empty()) search.grow(from, tree);
+    return search.route(tree, from, to, route) ? &route : nullptr;
   }
 };
 
@@ -77,10 +77,13 @@ TraceGenerator::TraceGenerator(const RoadGraph& graph, TraceParams params)
 
 void TraceGenerator::generate(const FixSink& sink) const {
   Router router(graph_);
+  // Built per call, not kept as a member: it views attraction_, and a
+  // member would keep viewing the original's after a copy.
+  const WeightedIndexSampler destination(attraction_);
   Rng root(params_.seed);
   for (VehicleId id = 0; id < params_.num_vehicles; ++id) {
     Rng vehicle_rng = root.split();
-    generate_vehicle(id, vehicle_rng, router, sink);
+    generate_vehicle(id, vehicle_rng, destination, router, sink);
   }
 }
 
@@ -90,11 +93,13 @@ std::vector<GpsFix> TraceGenerator::generate_all() const {
   return fixes;
 }
 
-void TraceGenerator::generate_vehicle(VehicleId id, Rng& rng, Router& router,
+void TraceGenerator::generate_vehicle(VehicleId id, Rng& rng,
+                                      const WeightedIndexSampler& destination,
+                                      Router& router,
                                       const FixSink& sink) const {
   const double speed_factor =
       rng.uniform(params_.speed_factor_lo, params_.speed_factor_hi);
-  auto here = static_cast<NodeId>(rng.weighted_index(attraction_));
+  auto here = static_cast<NodeId>(destination(rng));
 
   double clock = rng.uniform(0.0, params_.fix_interval_s);  // desynchronise
   double next_fix = clock;
@@ -111,7 +116,7 @@ void TraceGenerator::generate_vehicle(VehicleId id, Rng& rng, Router& router,
     // Sample a destination distinct from the current node.
     NodeId dest = here;
     for (int attempt = 0; attempt < 16 && dest == here; ++attempt) {
-      dest = static_cast<NodeId>(rng.weighted_index(attraction_));
+      dest = static_cast<NodeId>(destination(rng));
     }
     if (dest == here) continue;
 
@@ -123,8 +128,8 @@ void TraceGenerator::generate_vehicle(VehicleId id, Rng& rng, Router& router,
     for (std::size_t i = 0; i < route->segments.size(); ++i) {
       const SegmentId sid = route->segments[i];
       const roadnet::RoadSegment& seg = graph_.segment(sid);
-      const NodeId enter_node = route->nodes[i];
-      const NodeId exit_node = route->nodes[i + 1];
+      const PointM& enter_pos = graph_.intersection(route->nodes[i]);
+      const PointM& exit_pos = graph_.intersection(route->nodes[i + 1]);
       const double speed = seg.speed_mps * speed_factor;
       const double seg_time = seg.length_m / speed;
       const double enter_time = clock;
@@ -134,10 +139,8 @@ void TraceGenerator::generate_vehicle(VehicleId id, Rng& rng, Router& router,
         if (next_fix >= enter_time) {
           if (next_fix >= params_.duration_s) return;
           const double frac = (next_fix - enter_time) / seg_time;
-          sink(GpsFix{id, next_fix,
-                      lerp(graph_.intersection(enter_node),
-                           graph_.intersection(exit_node), frac),
-                      speed, sid});
+          sink(GpsFix{id, next_fix, lerp(enter_pos, exit_pos, frac), speed,
+                      sid});
         }
         next_fix += params_.fix_interval_s;
       }

@@ -46,9 +46,11 @@ class TraceGenerator {
   TraceGenerator(const roadnet::RoadGraph& graph, TraceParams params);
 
   /// Generates the full trace into a sink. Memory is independent of the
-  /// trace length: besides one route, a call holds the shortest-path tree
-  /// of every origin it has routed from (at most one per intersection,
-  /// 8 bytes per intersection each), freed on return.
+  /// trace length: besides one route and one routing search (a flat copy
+  /// of the adjacency with its travel times and heap, about 72 bytes per
+  /// segment and 12 per intersection), a call holds the shortest-path
+  /// tree of every origin it has routed from (at most one per
+  /// intersection, 8 bytes per intersection each), all freed on return.
   void generate(const FixSink& sink) const;
 
   /// Convenience: materialises the whole trace, ordered by vehicle then time.
@@ -64,8 +66,9 @@ class TraceGenerator {
 
   struct Router;  // routing state of one generate() call
 
-  void generate_vehicle(VehicleId id, Rng& rng, Router& router,
-                        const FixSink& sink) const;
+  void generate_vehicle(VehicleId id, Rng& rng,
+                        const WeightedIndexSampler& destination,
+                        Router& router, const FixSink& sink) const;
 };
 
 }  // namespace avcp::trace

@@ -320,9 +320,9 @@ TEST(AllocationGuardPipeline, TraceGenerationAllocatesPerOriginNotPerTrip) {
 }
 
 // Cold start, gamma stage: the co-presence accumulator appends one flat
-// record per fix, and build() sorts them window by window in reused
-// buffers, so feeding a whole trace allocates a few dozen times (vector
-// growth, the graph), not per fix.
+// record per fix, and build() buckets them by window and counts each
+// window in reused buffers, so feeding a whole trace allocates a few dozen
+// times (vector growth, the tables, the graph), not per fix.
 TEST(AllocationGuardPipeline, GammaAccumulatorAllocatesPerBuildNotPerFix) {
   sim::PipelineConfig config;
   config.city.rows = 12;

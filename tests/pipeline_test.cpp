@@ -28,6 +28,27 @@ PipelineConfig small_config(CoefficientKind kind) {
   return config;
 }
 
+/// The paper-scale configuration every perfbench set-up builds: the
+/// 18 x 24 city, 400 vehicles over 3 h, 100 servers and 20 regions,
+/// streamed without keeping the fixes.
+PipelineConfig paper_config(CoefficientKind kind) {
+  PipelineConfig config;
+  config.city.rows = 18;
+  config.city.cols = 24;
+  config.city.seed = 2022;
+  config.traces.num_vehicles = 400;
+  config.traces.duration_s = 3 * 3600.0;
+  config.traces.seed = 2023;
+  config.num_servers = 100;
+  config.num_regions = 20;
+  config.coefficient = kind;
+  config.td_window_s = 600.0;
+  config.beta_lo = 2.0;
+  config.beta_hi = 3.5;
+  config.keep_fixes = false;
+  return config;
+}
+
 class PipelineFixture : public ::testing::TestWithParam<CoefficientKind> {};
 
 TEST_P(PipelineFixture, ArtifactSizesAreConsistent) {
@@ -165,7 +186,8 @@ TEST(Pipeline, ArtifactBitsArePinnedAcrossCommits) {
   // The other pipeline tests check shapes, ranges and kept-versus-streamed
   // equality within one build, so none of them notices a change in the
   // trace, the coefficients or the order gamma is summed in. Update these
-  // only with a deliberate change to the pipeline's arithmetic.
+  // only with a deliberate change to the pipeline's arithmetic. The paper
+  // rows pin the configuration every perfbench set-up builds.
   EXPECT_EQ(artifact_hash(build_pipeline(small_config(
                 CoefficientKind::kBetweenness))),
             0x326fb2e09b7af9c8ULL)
@@ -174,6 +196,14 @@ TEST(Pipeline, ArtifactBitsArePinnedAcrossCommits) {
                 CoefficientKind::kTrafficDensity))),
             0x205252897d6be965ULL)
       << "traffic-density coefficients";
+  EXPECT_EQ(artifact_hash(build_pipeline(paper_config(
+                CoefficientKind::kBetweenness))),
+            0x66c499008cd1eafcULL)
+      << "paper city, betweenness coefficients";
+  EXPECT_EQ(artifact_hash(build_pipeline(paper_config(
+                CoefficientKind::kTrafficDensity))),
+            0x9a66988bd5df4865ULL)
+      << "paper city, traffic-density coefficients";
 }
 
 TEST(Pipeline, MakeRegionSpecsMapsMeansAffinely) {

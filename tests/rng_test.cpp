@@ -13,6 +13,7 @@
 #include <ios>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <vector>
 
 namespace avcp {
@@ -161,6 +162,99 @@ TEST(Rng, WeightedIndexRejectsNegative) {
   Rng rng(20);
   const std::vector<double> weights = {1.0, -0.5};
   EXPECT_THROW(rng.weighted_index(weights), ContractViolation);
+}
+
+/// Rng::weighted_index before its set-up moved into WeightedIndexSampler,
+/// kept as the oracle (its checks left out; the inputs here pass them):
+/// sum on every call, one uniform() draw, the subtractive scan, and the
+/// last positive weight on floating-point slack.
+std::size_t reference_weighted_index(Rng& rng,
+                                     std::span<const double> weights) {
+  double total = 0.0;
+  for (const double w : weights) total += w;
+  double target = rng.uniform() * total;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    target -= weights[i];
+    if (target < 0.0) return i;
+  }
+  for (std::size_t i = weights.size(); i-- > 0;) {
+    if (weights[i] > 0.0) return i;
+  }
+  return weights.size() - 1;
+}
+
+// Oracle pair: one sampler's draws are the reference's, index for index,
+// and leave the engine where the reference leaves it. The weight vectors
+// mix zeros with small integers (the generator's attraction weights),
+// spread magnitudes, subnormals, a lone positive weight at each end and
+// in the middle, and weights whose total overflows to infinity (every draw
+// then takes the slack fallback).
+TEST(Rng, WeightedIndexSamplerRepeatsWeightedIndex) {
+  std::vector<std::vector<double>> cases;
+  Rng gen(77);
+  for (int c = 0; c < 40; ++c) {
+    std::vector<double> w(1 + gen.uniform_int(0, 500));
+    for (double& x : w) {
+      const double u = gen.uniform();
+      if (u < 0.3) {
+        x = 0.0;
+      } else if (c % 4 == 0) {
+        x = static_cast<double>(gen.uniform_int(1, 12));
+      } else if (c % 4 == 1) {
+        x = std::ldexp(gen.uniform(),
+                       static_cast<int>(gen.uniform_int(-60, 60)));
+      } else if (c % 4 == 2) {
+        x = std::numeric_limits<double>::denorm_min() *
+            static_cast<double>(gen.uniform_int(1, 1000));
+      } else {
+        x = gen.uniform(0.0, 10.0);
+      }
+    }
+    if (std::all_of(w.begin(), w.end(), [](double x) { return x == 0.0; })) {
+      w.back() = 1.0;
+    }
+    cases.push_back(std::move(w));
+  }
+  for (const std::size_t at :
+       {std::size_t{0}, std::size_t{7}, std::size_t{15}}) {
+    std::vector<double> lone(16, 0.0);
+    lone[at] = 0.25;
+    cases.push_back(lone);
+  }
+  cases.push_back({1.0});
+  cases.push_back({std::numeric_limits<double>::max(),
+                   std::numeric_limits<double>::max(), 0.0, 1.0, 0.0});
+
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const std::vector<double>& w = cases[c];
+    Rng reference(1000 + c);
+    Rng sampled(1000 + c);
+    Rng one_shot(1000 + c);
+    const WeightedIndexSampler sampler(w);
+    for (int draw = 0; draw < 500; ++draw) {
+      const std::size_t want = reference_weighted_index(reference, w);
+      ASSERT_EQ(sampler(sampled), want) << "case " << c << " draw " << draw;
+      ASSERT_EQ(one_shot.weighted_index(w), want)
+          << "case " << c << " draw " << draw;
+    }
+    Serializer a;
+    reference.save_state(a);
+    Serializer b;
+    sampled.save_state(b);
+    Serializer d;
+    one_shot.save_state(d);
+    EXPECT_TRUE(a.bytes() == b.bytes()) << "case " << c;
+    EXPECT_TRUE(a.bytes() == d.bytes()) << "case " << c;
+  }
+}
+
+TEST(Rng, WeightedIndexSamplerRejectsBadWeights) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<double>> bad = {
+      {}, {0.0, 0.0}, {1.0, -0.5}, {1.0, nan}, {-0.0, 0.0}};
+  for (const std::vector<double>& w : bad) {
+    EXPECT_THROW(WeightedIndexSampler{w}, ContractViolation) << w.size();
+  }
 }
 
 TEST(Rng, ShuffleIsPermutation) {

@@ -195,5 +195,56 @@ TEST(IncrementalClustering, RejectedBatchLeavesLoadsUntouched) {
                 opts.betweenness));
 }
 
+// Building from starting loads is the checkpoint restore's one pass. It
+// must leave exactly the state construction at zero loads followed by
+// set_loads leaves: the clustering, the centrality bits, and the cached
+// distances the next apply() tests sources against, which show in that
+// batch's RefreshStats and its result.
+TEST(IncrementalClustering, StartingLoadsMatchSetLoads) {
+  roadnet::CityParams city;
+  city.rows = 9;
+  city.cols = 11;
+  const auto g = roadnet::build_city(city);
+  for (const double alpha : {0.0, 0.15}) {
+    const auto opts = make_opts(2, alpha);
+    std::vector<std::int64_t> loads(g.num_segments(), 0);
+    Rng rng(41);
+    for (int batch = 0; batch < 4; ++batch) random_deltas(rng, loads, 40);
+
+    IncrementalClustering started(g, opts, loads);
+    IncrementalClustering set(g, opts);
+    set.set_loads(loads);
+    ASSERT_TRUE(std::ranges::equal(started.loads(), set.loads()));
+    expect_clusterings_equal(started.clustering(), set.clustering());
+    ASSERT_EQ(started.centrality(), set.centrality()) << "alpha " << alpha;
+
+    std::vector<std::int64_t> next = loads;
+    for (int batch = 0; batch < 3; ++batch) {
+      const auto deltas = random_deltas(rng, next, 8);
+      const auto a = started.apply(deltas);
+      const auto b = set.apply(deltas);
+      EXPECT_EQ(a.segments_changed, b.segments_changed);
+      EXPECT_EQ(a.sources_affected, b.sources_affected);
+      EXPECT_EQ(a.chunks_recomputed, b.chunks_recomputed);
+      EXPECT_EQ(a.reclustered, b.reclustered);
+      expect_clusterings_equal(started.clustering(), set.clustering());
+      ASSERT_EQ(started.centrality(), set.centrality())
+          << "alpha " << alpha << " batch " << batch;
+    }
+  }
+
+  // Empty starting loads are all zero; a wrong length or a negative load
+  // is rejected.
+  const auto opts = make_opts(1, 0.1);
+  IncrementalClustering zero(g, opts, {});
+  IncrementalClustering plain(g, opts);
+  EXPECT_EQ(zero.centrality(), plain.centrality());
+  std::vector<std::int64_t> wrong(g.num_segments() - 1, 0);
+  EXPECT_THROW(IncrementalClustering(g, opts, wrong), ContractViolation);
+  std::vector<std::int64_t> negative(g.num_segments(), 0);
+  negative[3] = -1;
+  EXPECT_THROW(IncrementalClustering(g, opts, negative), ContractViolation);
+}
+
 }  // namespace
 }  // namespace avcp

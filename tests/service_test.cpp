@@ -487,6 +487,80 @@ TEST(ServiceEngine, ResumeMidChurnIsBitIdentical) {
   expect_engines_equal(a, c);
 }
 
+// Construction builds no clustering, so it runs no betweenness pass: a
+// cold start builds one in init() at zero loads, a restore one in
+// load_state() at the snapshot's loads. Before either, clustering() is
+// null, a rejected snapshot leaves it null, and save_state() writes the
+// bytes it wrote when construction built a zero-load clustering (pinned at
+// that commit).
+TEST(ServiceEngine, ConstructionRunsNoBetweennessPass) {
+  const auto game = make_chain_game(kRegions);
+  const auto graph = roadnet::make_grid(6, 6);
+  core::FixedRatioController inner(0.7);
+  ServiceEngine source(game, inner, &graph, chaos_params(1));
+  EXPECT_EQ(source.clustering(), nullptr);
+  EXPECT_THROW(source.run_epoch(), ContractViolation);
+  Serializer fresh;
+  source.save_state(fresh);
+  std::uint64_t h = kFnv1aBasis;
+  for (const std::byte b : fresh.bytes()) {
+    h = fnv1a_word(h, static_cast<std::uint64_t>(b));
+  }
+  EXPECT_EQ(fresh.bytes().size(), 1223u);
+  EXPECT_EQ(h, 0xa49d51fbe6148f53ULL);
+
+  source.init(seeded_state(game, 53), std::vector<double>(kRegions, 0.5));
+  ASSERT_NE(source.clustering(), nullptr);
+  for (std::size_t t = 0; t < 3; ++t) source.run_epoch();
+  Serializer snap;
+  source.save_state(snap);
+
+  core::FixedRatioController inner_target(0.7);
+  ServiceEngine target(game, inner_target, &graph, chaos_params(1));
+  EXPECT_EQ(target.clustering(), nullptr);
+  Deserializer cut(std::span<const std::byte>(snap.bytes()).first(
+      snap.bytes().size() / 2));
+  EXPECT_THROW(target.load_state(cut), SerialError);
+  EXPECT_EQ(target.clustering(), nullptr);
+  Deserializer d(snap.bytes());
+  target.load_state(d);
+  ASSERT_NE(target.clustering(), nullptr);
+  EXPECT_EQ(target.clustering()->centrality(),
+            source.clustering()->centrality());
+  EXPECT_EQ(target.clustering()->clustering().region_of,
+            source.clustering()->clustering().region_of);
+}
+
+// init() is a cold start whatever the engine did before: recovery's reset
+// hook calls it on an engine that may have run. It must seed the fleet over
+// the zero-load regions, as a fresh engine does, not over the clustering
+// of the loads the engine last ran with.
+TEST(ServiceEngine, ReinitSeedsLikeAFreshEngine) {
+  const auto game = make_chain_game(kRegions);
+  const auto graph = roadnet::make_grid(6, 6);
+  const core::GameState initial = seeded_state(game, 61);
+  const std::vector<double> x0(kRegions, 0.5);
+  core::FixedRatioController inner_used(0.7);
+  ServiceEngine used(game, inner_used, &graph, chaos_params(1));
+  used.init(initial, x0);
+  for (std::size_t t = 0; t < 8; ++t) used.run_epoch();
+  used.init(initial, x0);
+  core::FixedRatioController inner_fresh(0.7);
+  ServiceEngine fresh(game, inner_fresh, &graph, chaos_params(1));
+  fresh.init(initial, x0);
+
+  Serializer a;
+  used.save_state(a);
+  Serializer b;
+  fresh.save_state(b);
+  EXPECT_TRUE(a.bytes() == b.bytes());
+  for (std::size_t t = 0; t < 3; ++t) {
+    used.run_epoch();
+    fresh.run_epoch();
+  }
+  expect_engines_equal(used, fresh);
+}
+
 TEST(ServiceEngine, LoadStateRejectsMismatchedConfiguration) {
   const auto game = make_chain_game(kRegions);
   const auto graph = roadnet::make_grid(6, 6);

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <functional>
 #include <limits>
+#include <queue>
+#include <string>
+#include <utility>
 
 #include "common/contracts.h"
 #include "roadnet/builders.h"
@@ -128,12 +134,13 @@ TEST(ShortestPathTree, WalksMatchFreshSearchesAndCostsBitForBit) {
   const RoadGraph g = build_city(params);
   for (const PathMetric metric :
        {PathMetric::kHops, PathMetric::kDistance, PathMetric::kTravelTime}) {
+    const ShortestPathSearch search(g, metric);
     Route reused;
     for (NodeId from = 0; from < g.num_intersections(); ++from) {
       const std::vector<Hop> tree = shortest_path_tree(g, from, metric);
       const std::vector<double> costs = shortest_costs(g, from, metric);
       for (NodeId to = 0; to < g.num_intersections(); ++to) {
-        ASSERT_TRUE(route_from_tree(g, tree, from, to, metric, reused));
+        ASSERT_TRUE(search.route(tree, from, to, reused));
         const auto fresh = shortest_path(g, from, to, metric);
         ASSERT_TRUE(fresh.has_value());
         EXPECT_EQ(reused.cost, costs[to]) << from << " -> " << to;
@@ -154,11 +161,119 @@ TEST(ShortestPathTree, UnreachableAndForeignTreesAreRefused) {
   g.add_segment(b, c, RoadClass::kLocal);
   g.finalize();
   const std::vector<Hop> tree = shortest_path_tree(g, a);
+  const ShortestPathSearch search(g, PathMetric::kTravelTime);
   Route route;
-  EXPECT_FALSE(route_from_tree(g, tree, a, 3, PathMetric::kTravelTime, route));
+  EXPECT_FALSE(search.route(tree, a, 3, route));
   // A tree grown from `a` walked as if grown from `c` never reaches `c`.
-  EXPECT_THROW(route_from_tree(g, tree, c, b, PathMetric::kTravelTime, route),
-               ContractViolation);
+  EXPECT_THROW(search.route(tree, c, b, route), ContractViolation);
+}
+
+/// The Dijkstra routing ran before it moved onto the Brandes pass's flat
+/// adjacency and heap, kept as the oracle: a std::priority_queue over
+/// (cost, node) pairs with a settled flag, relaxing on strict improvement
+/// through the graph's own accessors.
+struct ReferenceSearch {
+  std::vector<double> dist;
+  std::vector<Hop> parent;
+};
+
+ReferenceSearch reference_dijkstra(const RoadGraph& g, NodeId from,
+                                   PathMetric metric) {
+  const auto cost = [&](SegmentId s) {
+    switch (metric) {
+      case PathMetric::kHops:
+        return 1.0;
+      case PathMetric::kDistance:
+        return g.segment(s).length_m;
+      case PathMetric::kTravelTime:
+        return g.segment(s).travel_time_s();
+    }
+    return 1.0;
+  };
+  const std::size_t n = g.num_intersections();
+  ReferenceSearch res;
+  res.dist.assign(n, std::numeric_limits<double>::infinity());
+  res.parent.assign(n, Hop{});
+  res.dist[from] = 0.0;
+  using Entry = std::pair<double, NodeId>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  heap.emplace(0.0, from);
+  std::vector<bool> settled(n, false);
+  while (!heap.empty()) {
+    const auto [d, v] = heap.top();
+    heap.pop();
+    if (settled[v]) continue;
+    settled[v] = true;
+    for (const Hop& hop : g.neighbors(v)) {
+      const double nd = d + cost(hop.segment);
+      if (nd < res.dist[hop.node]) {
+        res.dist[hop.node] = nd;
+        res.parent[hop.node] = Hop{hop.segment, v};
+        heap.emplace(nd, hop.node);
+      }
+    }
+  }
+  return res;
+}
+
+// Oracle pair: every tree and cost the flat search produces, through the
+// free functions and through one reused ShortestPathSearch, equals the
+// reference's bit for bit, from every origin under every metric. Hop
+// counts tie constantly, equal-length grid segments tie under all three
+// metrics, and the cities' jittered lengths rarely tie, so the settle
+// order's (cost, id) tie-break is exercised throughout.
+TEST(ShortestPathTree, FlatSearchMatchesReferenceDijkstra) {
+  CityParams paper;  // the paper-scale city every perfbench set-up builds
+  paper.rows = 18;
+  paper.cols = 24;
+  paper.seed = 2022;
+  CityParams mid;
+  mid.rows = 12;
+  mid.cols = 14;
+  const std::pair<const char*, RoadGraph> graphs[] = {
+      {"paper city", build_city(paper)},
+      {"12x14 city", build_city(mid)},
+      {"equal-length grid", make_grid(9, 11)},
+  };
+  for (const auto& [name, g] : graphs) {
+    for (const PathMetric metric :
+         {PathMetric::kHops, PathMetric::kDistance, PathMetric::kTravelTime}) {
+      ShortestPathSearch search(g, metric);
+      std::vector<Hop> tree;
+      Route walked;
+      for (NodeId from = 0; from < g.num_intersections(); ++from) {
+        const ReferenceSearch ref = reference_dijkstra(g, from, metric);
+        search.grow(from, tree);
+        const std::span<const double> costs = search.costs();
+        const std::vector<Hop> free_tree = shortest_path_tree(g, from, metric);
+        const std::vector<double> free_costs = shortest_costs(g, from, metric);
+        ASSERT_EQ(tree.size(), g.num_intersections());
+        ASSERT_EQ(costs.size(), g.num_intersections());
+        for (NodeId v = 0; v < g.num_intersections(); ++v) {
+          const auto where = [&] {
+            return std::string(name) + " metric " +
+                   std::to_string(static_cast<int>(metric)) + " from " +
+                   std::to_string(from) + " to " + std::to_string(v);
+          };
+          ASSERT_EQ(tree[v].segment, ref.parent[v].segment) << where();
+          ASSERT_EQ(tree[v].node, ref.parent[v].node) << where();
+          ASSERT_EQ(free_tree[v].segment, ref.parent[v].segment) << where();
+          ASSERT_EQ(free_tree[v].node, ref.parent[v].node) << where();
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(costs[v]),
+                    std::bit_cast<std::uint64_t>(ref.dist[v]))
+              << where();
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(free_costs[v]),
+                    std::bit_cast<std::uint64_t>(ref.dist[v]))
+              << where();
+        }
+        // A walk repeats the search's additions.
+        const NodeId to = (from * 7 + 3) % g.num_intersections();
+        ASSERT_TRUE(search.route(tree, from, to, walked));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(walked.cost),
+                  std::bit_cast<std::uint64_t>(ref.dist[to]));
+      }
+    }
+  }
 }
 
 }  // namespace
